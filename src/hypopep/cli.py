@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .rates import (
     optimal_step,
     step_threshold,
 )
-from .sdpsolver import SolveStatus, solve
+from .sdpsolver import SolveStatus, check_gram_dim, solve
 from .worstcase import build_worst_case, verify_tightness
 
 
@@ -117,7 +115,9 @@ def cmd_optstep(args) -> int:
 
 
 def _solve_pep(cls, sched, delta, kind):
-    sol = solve(build_sdp(PepProblem(cls, sched, delta, kind)))
+    p = PepProblem(cls, sched, delta, kind)
+    check_gram_dim(p.gram_dim)  # before assembling O(N^2) dense rows
+    sol = solve(build_sdp(p))
     if sol.status != SolveStatus.Optimal:
         raise SolverFailure(f"solver status {sol.status.value}")
     return sol
@@ -256,14 +256,7 @@ def cmd_sweep(args) -> int:
     ns = [int(v) for v in str(args.N).split(",")]
     kind = _kind(args)
     grid = [(k, h, n) for k in kappas for h in hs for n in ns]
-    workers = int(os.environ.get("HYPOPEP_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(
-            pool.map(
-                lambda g: _sweep_point(args.target, g[0], g[1], g[2], args.L, args.delta, kind),
-                grid,
-            )
-        )
+    rows = [_sweep_point(args.target, k, h, n, args.L, args.delta, kind) for k, h, n in grid]
     if args.target == "rate":
         header = ["kappa", "h", "N", "bound", "denominator", "error"]
     else:

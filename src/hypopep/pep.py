@@ -47,6 +47,11 @@ class PepProblem:
         if self.cls.unbounded_below:
             raise ValidationError("PEP assembly requires a finite lower curvature")
 
+    @property
+    def gram_dim(self) -> int:
+        """Size of the Gram basis [g_0, ..., g_N, x_0]."""
+        return self.sched.n + 2
+
 
 @dataclass(frozen=True)
 class SdpConstraint:
@@ -142,7 +147,7 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     value-translation degree of freedom.
     """
     N = p.sched.n
-    n = N + 2
+    n = p.gram_dim
     L = p.cls.L
     e = np.eye(n)
 

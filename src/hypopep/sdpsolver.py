@@ -6,38 +6,81 @@ cast as a conic program over one nonnegative-orthant block (the inequality
 slacks) and one PSD block (G itself), with the scalar variables y free.
 Search directions use Nesterov-Todd scaling with a Mehrotra
 predictor-corrector; the Newton system is reduced to a dense positive
-definite system in the primal variables.
+definite system in the primal variables u = (svec(G), y).
+
+The reduced (Schur) matrix is assembled in closed form. With the row
+matrix B of the constraints, orthant slacks s_l and duals z_l, and the NT
+scaling point W of the PSD block, it is
+
+    M = B^T diag(z_l / s_l) B + [[W^-1 (x) W^-1, 0], [0, 0]]
+
+where W^-1 (x) W^-1 is the symmetric Kronecker product in svec
+coordinates (Todd, Toh & Tutuncu 1998), filled in one indexing pass over
+the upper triangle: entry ((i,j),(k,l)) is
+s_ij s_kl (V_ik V_jl + V_il V_jk) / 2 with V = W^-1 and s = sqrt(2) off
+the diagonal, 1 on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
+from .core import ValidationError
 from .pep import SdpProblem
 
 _SQRT2 = np.sqrt(2.0)
 
+MAX_GRAM_DIM = 64
+
+
+class ProblemTooLarge(ValidationError):
+    """The Gram dimension exceeds what the dense solver accepts."""
+
+
+def check_gram_dim(n: int) -> None:
+    if n > MAX_GRAM_DIM:
+        raise ProblemTooLarge(f"dense solver limited to gram_dim <= {MAX_GRAM_DIM}, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle rows, columns and svec scale (sqrt(2) off the diagonal)."""
+    rows, cols = np.triu_indices(n)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    for a in (rows, cols, scale):
+        a.flags.writeable = False
+    return rows, cols, scale
+
 
 def svec(S: np.ndarray) -> np.ndarray:
     """Scaled vectorization of a symmetric matrix: svec(X).svec(Y) = <X, Y>."""
-    n = S.shape[0]
-    iu = np.triu_indices(n)
-    out = S[iu] * _SQRT2
-    out[np.cumsum(np.arange(n, 0, -1)) - np.arange(n, 0, -1)] = np.diag(S)
-    return out
+    rows, cols, scale = _triu(S.shape[0])
+    return S[rows, cols] * scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
+    rows, cols, scale = _triu(n)
     S = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    S[iu] = v / _SQRT2
-    S = S + S.T
-    diag_pos = np.cumsum(np.arange(n, 0, -1)) - np.arange(n, 0, -1)
-    np.fill_diagonal(S, v[diag_pos])
+    vs = v / scale
+    S[rows, cols] = vs
+    S[cols, rows] = vs
     return S
+
+
+def skron(V: np.ndarray) -> np.ndarray:
+    """Symmetric Kronecker product V (x) V in svec coordinates.
+
+    ``skron(V) @ svec(X) == svec(V @ X @ V)`` for symmetric V and X.
+    """
+    rows, cols, scale = _triu(V.shape[0])
+    Vr, Vc = V[rows], V[cols]
+    K = Vr[:, rows] * Vc[:, cols] + Vr[:, cols] * Vc[:, rows]
+    K *= 0.5 * np.outer(scale, scale)
+    return K
 
 
 def _psd_sqrt(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,25 +174,38 @@ def _problem_arrays(problem: SdpProblem):
     k = len(problem.var_names)
     nv = sd + k
     var_index = {v: sd + i for i, v in enumerate(problem.var_names)}
+    rows, cols, scale = _triu(n)
 
+    A = np.array([c.A for c in problem.constraints], dtype=float).reshape(m, n, n)
     B = np.zeros((m, nv))
-    d = np.zeros(m)
+    B[:, :sd] = 0.5 * (A[:, rows, cols] + A[:, cols, rows]) * scale
     for ci, c in enumerate(problem.constraints):
-        B[ci, :sd] = svec(0.5 * (c.A + c.A.T))
         for vname, coef in c.lin.items():
             B[ci, var_index[vname]] = coef
-        d[ci] = c.const
+    d = np.array([c.const for c in problem.constraints], dtype=float)
 
     # minimize cvec.u == maximize the objective variable
     cvec = np.zeros(nv)
     cvec[var_index[problem.objective_var]] = -1.0
 
-    # Gmat u + s = h with s = (linear slacks, svec(G))
+    # Gmat u + s = h with s = (linear slacks, svec(G)), Gmat = [-B; -[I 0]]
     Gmat = np.zeros((m + sd, nv))
     Gmat[:m] = -B
     Gmat[m:, :sd] = -np.eye(sd)
     h = np.concatenate([d, np.zeros(sd)])
-    return Gmat, h, cvec, var_index
+    return B, Gmat, h, cvec, var_index
+
+
+def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Gmat^T W^-2 Gmat for Gmat = [-B; -[I 0]]: B^T diag(zs) B plus K on the PSD block.
+
+    ``zs`` is z_l / s_l on the orthant block and ``K = skron(W^-1)``.
+    """
+    C = np.sqrt(zs)[:, None] * B
+    M = C.T @ C  # one symmetric rank-k update
+    sd = K.shape[0]
+    M[:sd, :sd] += K
+    return M
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
@@ -160,11 +216,10 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
 def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
     n = problem.gram_dim
-    if n > 64:
-        raise ValueError("dense solver limited to gram_dim <= 64")
+    check_gram_dim(n)
     m = len(problem.constraints)
     cone = _ConeOps(m, n)
-    Gmat, h, cvec, var_index = _problem_arrays(problem)
+    B, Gmat, h, cvec, var_index = _problem_arrays(problem)
     nv = Gmat.shape[1]
     sd = cone.sd
 
@@ -215,23 +270,22 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
         except np.linalg.LinAlgError:
             break
 
-        def winv2(v):
-            vl, Vp = cone.split(v)
-            return cone.join(vl * (zl / sl), Winv @ Vp @ Winv)
+        zs = zl / sl
+        K = skron(Winv)
 
-        T = np.empty((m + sd, nv))
-        for j in range(nv):
-            T[:, j] = winv2(Gmat[:, j])
-        M = Gmat.T @ T
+        def winv2(v):
+            return np.concatenate([v[:m] * zs, K @ v[m:]])
+
+        M = schur_matrix(B, zs, K)
         M += 1e-14 * np.trace(M) / nv * np.eye(nv)
         try:
-            Mc = np.linalg.cholesky(M)
+            np.linalg.cholesky(M)  # positive-definiteness guard
         except np.linalg.LinAlgError:
             break
 
         def direction(q):
             rhs = r_d - Gmat.T @ q + Gmat.T @ winv2(r_p)
-            du = np.linalg.solve(Mc.T, np.linalg.solve(Mc, rhs))
+            du = np.linalg.solve(M, rhs)
             ds = r_p - Gmat @ du
             dz = q - winv2(ds)
             return du, ds, dz

@@ -90,6 +90,24 @@ def test_sweep_row_count_and_determinism(capsys, tmp_path):
     assert text == out2.read_text()  # byte-identical
 
 
+def test_pep_sweep_determinism(capsys, tmp_path):
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    for out in (out1, out2):
+        rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa", "-1,-0.5",
+                       "--h", "0.5:0.5:1.5", "--N", "1,2", "--out", str(out))
+        assert rc == 0
+    text = out1.read_text()
+    assert len(text.strip().splitlines()) == 13  # header + 2 * 3 * 2 rows
+    assert text == out2.read_text()  # byte-identical
+
+
+def test_pep_size_cap_exit_code(capsys):
+    rc, _, err = run(capsys, "pep", "--kappa", "-1", "--steps", "1", "--N", "63")
+    assert rc == 2
+    assert "ProblemTooLarge" in err
+
+
 def test_sweep_per_point_errors(capsys, tmp_path):
     out = tmp_path / "e.csv"
     rc, _, _ = run(capsys, "sweep", "--target", "rate", "--kappa", "-1",

@@ -7,6 +7,8 @@ from hypopep.sdpsolver import (
     SdpSolution,
     SolveOptions,
     SolveStatus,
+    schur_matrix,
+    skron,
     smat,
     solve,
     svec,
@@ -37,6 +39,42 @@ def test_svec_roundtrip_and_inner_product():
         Y = Y + Y.T
         assert np.allclose(smat(svec(X), n), X)
         assert abs(svec(X) @ svec(Y) - np.sum(X * Y)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_schur_matrix_matches_column_by_column_reference(n):
+    rng = np.random.default_rng(n)
+    sd = n * (n + 1) // 2
+    m, k = 3 * sd + 2, 4
+    nv = sd + k
+    B = rng.standard_normal((m, nv))
+    sl = rng.uniform(0.1, 2.0, m)
+    zl = rng.uniform(0.1, 2.0, m)
+    X = rng.standard_normal((n, n))
+    Winv = X @ X.T + 0.5 * np.eye(n)
+
+    Gmat = np.zeros((m + sd, nv))
+    Gmat[:m] = -B
+    Gmat[m:, :sd] = -np.eye(sd)
+
+    def winv2(v):
+        return np.concatenate([v[:m] * (zl / sl), svec(Winv @ smat(v[m:], n) @ Winv)])
+
+    T = np.column_stack([winv2(Gmat[:, j]) for j in range(nv)])
+    M_ref = Gmat.T @ T
+    M = schur_matrix(B, zl / sl, skron(Winv))
+    assert np.linalg.norm(M - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
+
+
+@pytest.mark.parametrize("N, iterations", [(1, 9), (8, 11), (12, 14), (16, 15), (20, 17)])
+def test_roadmap_iteration_table(N, iterations):
+    cls = validate_class(-1.0, 1.0)
+    prob = build_sdp(
+        PepProblem(cls, StepSchedule.constant(1.0, N), 1.0, NumeratorKind.gap_to_optimal)
+    )
+    sol = solve(prob)
+    assert sol.status == SolveStatus.Optimal
+    assert sol.iterations == iterations
 
 
 def test_trivial_problem_solves_to_one():
