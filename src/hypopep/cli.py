@@ -24,7 +24,13 @@ from .gmlab import (
     make_logistic_l0_problem,
     run_gm,
 )
-from .pep import PepProblem, build_sdp, extract_triplets
+from .pep import (
+    IndefiniteGram,
+    InterpolationFailure,
+    PepProblem,
+    build_sdp,
+    extract_triplets,
+)
 from .rates import (
     conjectured_bound_convex,
     fit_r,
@@ -239,7 +245,8 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
                 rel_error="" if ref is None else _fmt(abs(sol.objective - ref) / ref),
                 error="",
             )
-    except Exception as exc:  # per-point failures go to the error column
+    # per-point failures go to the error column; anything else is a bug
+    except (ValidationError, SolverFailure, NonFiniteValue) as exc:
         row.setdefault("bound" if target == "rate" else "optimum", "")
         if target == "rate":
             row.setdefault("denominator", "")
@@ -417,10 +424,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, NonFiniteValue) as exc:
+    except (SolverFailure, NonFiniteValue, IndefiniteGram) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except CheckFailure as exc:
+    except (CheckFailure, InterpolationFailure) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

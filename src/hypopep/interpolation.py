@@ -1,10 +1,16 @@
 """Interpolation-condition checking for curvature classes and evaluation of
-an explicit interpolating function from a triplet set."""
+an explicit interpolating function from a triplet set.
+
+The pairwise interpolation inequality of Taylor, Hendrickx & Glineur
+(Math. Prog. 2017) is written once, in ``slack_matrix``, which evaluates it
+for all n(n-1) ordered pairs of a triplet set in one array pass over row
+blocks. ``check_interpolable`` reports the most negative entry and
+``pair_slack`` is its two-point case.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -33,21 +39,65 @@ class InterpolationReport:
     x_star: np.ndarray
 
 
-def pair_slack(ti: OracleTriplet, tj: OracleTriplet, cls: CurvatureClass) -> float:
-    """Slack of the pairwise interpolation inequality for ordered pair (i, j).
+# Largest temporary array, in elements, that slack_matrix allocates.
+# Several are alive at once; at this size together they stay below the
+# n x n result for the n ~ 200 sets of long constructions.
+_BLOCK_ELEMENTS = 1 << 13
 
-    Nonnegative slack for all ordered pairs is necessary and sufficient for
-    the set to be interpolable by a function with curvature in [mu, L].
+
+def slack_matrix(
+    X: np.ndarray, G: np.ndarray, f: np.ndarray, cls: CurvatureClass
+) -> np.ndarray:
+    """Slacks of the pairwise interpolation inequality for every ordered pair.
+
+    ``X`` and ``G`` are n x d (points and gradients), ``f`` has length n;
+    entry (a, b) is the slack for the ordered pair (a, b). Nonnegative slack
+    for all ordered pairs is necessary and sufficient for the set to be
+    interpolable by a function with curvature in [mu, L].
+
+    Differences are taken pairwise before any product, because expanding
+    into Gram matrices cancels badly for close points far from the origin.
+    Rows are processed in blocks so that no temporary exceeds
+    ``_BLOCK_ELEMENTS`` elements.
     """
     mu, L = cls.mu, cls.L
     kappa = mu / L
-    dx = ti.x - tj.x
-    dg = ti.g - tj.g
-    lhs = ti.f - tj.f - float(tj.g @ dx)
-    rhs = (
-        float(dg @ dg) / L + mu * float(dx @ dx) - 2.0 * kappa * float(dg @ dx)
-    ) / (2.0 * (1.0 - kappa))
-    return lhs - rhs
+    n, d = X.shape
+    S = np.empty((n, n))
+    block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
+    for r in range(0, n, block):
+        a = slice(r, r + block)
+        dx = X[a, None, :] - X[None, :, :]
+        dg = G[a, None, :] - G[None, :, :]
+        lhs = f[a, None] - f[None, :] - _dot(G[None, :, :], dx)
+        rhs = (
+            _dot(dg, dg) / L + mu * _dot(dx, dx) - 2.0 * kappa * _dot(dg, dx)
+        ) / (2.0 * (1.0 - kappa))
+        S[a] = lhs - rhs
+    return S
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcasting the others."""
+    return np.einsum("...k,...k->...", u, v)
+
+
+def _stack(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X = np.array([t.x for t in triplets])
+    G = np.array([t.g for t in triplets])
+    f = np.array([t.f for t in triplets], dtype=float)
+    return X, G, f
+
+
+def pair_slack(ti: OracleTriplet, tj: OracleTriplet, cls: CurvatureClass) -> float:
+    """Slack of the pairwise interpolation inequality for ordered pair (i, j)."""
+    return float(slack_matrix(*_stack((ti, tj)), cls)[0, 1])
+
+
+def _loop_order(pair: tuple[int, int]) -> tuple[int, int, bool]:
+    """Sort key for the pair order that check_interpolable documents."""
+    a, b = pair
+    return min(a, b), max(a, b), a > b
 
 
 def check_interpolable(
@@ -56,28 +106,30 @@ def check_interpolable(
     """Evaluate all pairwise interpolation slacks and locate the implied minimum.
 
     Reports the most negative slack instead of a bare boolean because PEP
-    solutions carry solver noise.
+    solutions carry solver noise. Among equal slacks the reported pair is
+    the first in the order (0, 1), (1, 0), (0, 2), (2, 0), ..., (1, 2), ...:
+    pairs i < j row by row, each before its reverse.
     """
     if cls.mu == cls.L:
         raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
-    worst = 0.0
+    X, G, f = _stack(ts.triplets)
+    S = slack_matrix(X, G, f, cls)
+    # the diagonal is 0 or NaN; NaN and -0.0 slacks count as no violation
+    S[~(S < 0.0)] = 0.0
+    worst = float(S.min())
     worst_pair = None
-    trip = ts.triplets
-    for i, j in combinations(range(len(trip)), 2):
-        for a, b in ((i, j), (j, i)):
-            s = pair_slack(trip[a], trip[b], cls)
-            if s < worst:
-                worst = s
-                worst_pair = (a, b)
-    descents = [t.f - float(t.g @ t.g) / (2.0 * cls.L) for t in trip]
+    if worst < 0.0:
+        a, b = np.nonzero(S == worst)
+        worst_pair = min(zip(a.tolist(), b.tolist()), key=_loop_order)
+    descents = f - _dot(G, G) / (2.0 * cls.L)
     i_star = int(np.argmin(descents))
     return InterpolationReport(
         feasible=worst >= -tol,
         worst_violation=worst,
         violating_pair=worst_pair,
-        f_star=descents[i_star],
+        f_star=float(descents[i_star]),
         i_star=i_star,
-        x_star=trip[i_star].x - trip[i_star].g / cls.L,
+        x_star=X[i_star] - G[i_star] / cls.L,
     )
 
 

@@ -14,7 +14,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,10 +66,15 @@ class WorstCaseFunction:
     cls: CurvatureClass
     sched: StepSchedule
     delta: float
+    breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # upper ends of the pieces, computed once so that eval is O(log N)
+        object.__setattr__(self, "breakpoints", tuple(p.hi for p in self.pieces))
 
     def eval(self, x: float) -> tuple[float, float]:
         """Value and derivative at x by piece lookup."""
-        idx = bisect.bisect_right([p.hi for p in self.pieces], x)
+        idx = bisect.bisect_right(self.breakpoints, x)
         idx = min(idx, len(self.pieces) - 1)
         return self.pieces[idx].eval(float(x))
 

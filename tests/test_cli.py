@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from hypopep import cli
 from hypopep.cli import main, parse_steps
+from hypopep.pep import IndefiniteGram, InterpolationFailure
 
 
 def run(capsys, *argv):
@@ -58,6 +60,20 @@ def test_pep_command_matches_analytic(capsys, tmp_path):
     assert float(grab(out, "rel_error")) < 1e-6
     data = json.loads(trip.read_text())
     assert len(data["triplets"]) == 3
+
+
+@pytest.mark.parametrize(
+    "exc, code", [(IndefiniteGram, 3), (InterpolationFailure, 4)]
+)
+def test_emit_triplets_failure_exit_code(capsys, tmp_path, monkeypatch, exc, code):
+    def fail(p, sol):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli, "extract_triplets", fail)
+    rc, _, err = run(capsys, "pep", "--kappa", "-1", "--steps", "1",
+                     "--emit-triplets", str(tmp_path / "t.json"))
+    assert rc == code
+    assert err.strip() == f"error: {exc.__name__}: injected"
 
 
 def test_tightness_pass(capsys):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +143,126 @@ def test_quadratic_bounds_check_negative_control():
 
     pairs = [(np.array([0.0]), np.array([1.0]))]
     assert not quadratic_bounds_check(f, g, cls, pairs)
+
+
+# Reference: the per-pair loop that check_interpolable replaced, kept here
+# with its own copy of the inequality.
+def reference_slack(ti, tj, cls):
+    mu, L = cls.mu, cls.L
+    kappa = mu / L
+    dx = ti.x - tj.x
+    dg = ti.g - tj.g
+    lhs = ti.f - tj.f - float(tj.g @ dx)
+    rhs = (
+        float(dg @ dg) / L + mu * float(dx @ dx) - 2.0 * kappa * float(dg @ dx)
+    ) / (2.0 * (1.0 - kappa))
+    return lhs - rhs
+
+
+def reference_check(ts, cls, tol=1e-9):
+    worst = 0.0
+    worst_pair = None
+    trip = ts.triplets
+    for i, j in combinations(range(len(trip)), 2):
+        for a, b in ((i, j), (j, i)):
+            s = reference_slack(trip[a], trip[b], cls)
+            if s < worst:
+                worst = s
+                worst_pair = (a, b)
+    descents = [t.f - float(t.g @ t.g) / (2.0 * cls.L) for t in trip]
+    i_star = int(np.argmin(descents))
+    return worst >= -tol, worst, worst_pair, descents[i_star], i_star
+
+
+def assert_matches_reference(ts, cls, exact):
+    rep = check_interpolable(ts, cls)
+    feasible, worst, pair, f_star, i_star = reference_check(ts, cls)
+    assert (rep.feasible, rep.violating_pair, rep.i_star) == (feasible, pair, i_star)
+    if exact:
+        assert rep.worst_violation == worst
+        assert rep.f_star == f_star
+    else:
+        assert abs(rep.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
+        assert abs(rep.f_star - f_star) <= 1e-12 * max(1.0, abs(f_star))
+    t = ts.triplets[i_star]
+    assert np.array_equal(rep.x_star, t.x - t.g / cls.L)
+    return rep
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 22])
+@given(
+    n=st.integers(1, 60),
+    kappa=st.floats(-3.0, 0.0, exclude_max=True),
+    L=st.floats(0.5, 4.0),
+    u=st.floats(0.1, 0.9),
+    log_noise=st.integers(-5, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_check_matches_pair_loop(d, n, kappa, L, u, log_noise, seed):
+    # samples of a quadratic with curvature inside (mu, L), values perturbed
+    # on the scale of |x_a - x_b|^2 ~ 2d
+    cls = validate_class(kappa * L, L)
+    curv = cls.mu + u * (cls.L - cls.mu)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, d))
+    noise = 10.0**log_noise * d * rng.standard_normal(n)
+    trips = tuple(
+        OracleTriplet(x, curv * x, 0.5 * curv * float(x @ x) + e) for x, e in zip(xs, noise)
+    )
+    assert_matches_reference(TripletSet(trips), cls, exact=d == 1)
+
+
+def test_single_triplet_has_no_pair():
+    ts = sample_quadratic_triplets(0.5, [np.array([1.0, 2.0])])
+    rep = assert_matches_reference(ts, validate_class(-1.0, 1.0), exact=True)
+    assert rep.feasible and rep.worst_violation == 0.0 and rep.violating_pair is None
+
+
+def test_tied_violations_break_in_loop_order():
+    # with g = 0, kappa = -1: slack(a, b) = f_a - f_b + (x_a - x_b)^2 / 4, so
+    # slack(1, 0) = slack(0, 2) = -0.75 exactly; the loop meets (1, 0) first,
+    # a row-major scan of the slack matrix would meet (0, 2) first
+    trips = tuple(
+        OracleTriplet(np.array([x]), np.array([0.0]), f)
+        for x, f in ((0.0, 0.0), (1.0, -1.0), (-3.0, 3.0))
+    )
+    ts = TripletSet(trips)
+    cls = validate_class(-1.0, 1.0)
+    assert pair_slack(trips[1], trips[0], cls) == pair_slack(trips[0], trips[2], cls) == -0.75
+    rep = assert_matches_reference(ts, cls, exact=True)
+    assert rep.violating_pair == (1, 0)
+    assert rep.worst_violation == -0.75
+
+
+def test_tie_within_a_pair_reports_i_before_j():
+    # mirror-image triplets: slack(0, 1) and slack(1, 0) are the same sums
+    trips = (
+        OracleTriplet(np.array([-1.0]), np.array([-2.0]), 0.0),
+        OracleTriplet(np.array([1.0]), np.array([2.0]), 0.0),
+    )
+    cls = validate_class(-1.0, 1.0)
+    assert pair_slack(trips[0], trips[1], cls) == pair_slack(trips[1], trips[0], cls) < 0.0
+    rep = assert_matches_reference(TripletSet(trips), cls, exact=True)
+    assert rep.violating_pair == (0, 1)
+
+
+def test_points_far_from_origin():
+    # slacks depend on differences only; offsets on a 1/8 grid stay exact
+    # at 1e9, where a Gram-matrix expansion would cancel catastrophically
+    cls = validate_class(-0.5, 2.0)
+    rng = np.random.default_rng(11)
+    offsets = rng.integers(-32, 33, size=(12, 3)) / 8.0
+    f = 0.5 * (offsets**2).sum(axis=1)
+    f[4] -= 5.0  # one value too low: some pairs violate
+
+    def triplets(shift):
+        return TripletSet(
+            tuple(OracleTriplet(shift + x, x, v) for x, v in zip(offsets, f))
+        )
+
+    near = check_interpolable(triplets(0.0), cls)
+    far = assert_matches_reference(triplets(1e9), cls, exact=False)
+    assert not far.feasible
+    assert far.worst_violation == near.worst_violation
+    assert far.violating_pair == near.violating_pair

@@ -141,3 +141,18 @@ def test_json_and_csv_export(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x,f,grad"
     assert len(rows) == 51
+
+
+def test_eval_matches_linear_scan_lookup():
+    # eval bisects breakpoints computed once; a linear scan over the pieces
+    # must pick the same piece everywhere
+    rng = np.random.default_rng(2)
+    cls = validate_class(-1.5, 1.0)
+    sched = StepSchedule(tuple(rng.uniform(0.05, 1.0, size=200)))
+    for kind in NumeratorKind:
+        w = build_worst_case(cls, sched, 1.0, kind)
+        lo, hi = w.xs[-1] - 1.0, w.xs[0] + 1.0
+        points = [*w.xs, *w.x_bars, *(p.hi for p in w.pieces[:-1]), *rng.uniform(lo, hi, 500)]
+        for x in points:
+            idx = min(sum(p.hi <= x for p in w.pieces), len(w.pieces) - 1)
+            assert w.eval(x) == w.pieces[idx].eval(float(x))
