@@ -32,7 +32,7 @@ def main():
                 f"{step_threshold(kappa):.17g}",
                 f"{thm.h_star:.17g}",
                 thm.branch.value,
-                f"{one_step_p(thm.h_star, kappa).p:.17g}",
+                f"{one_step_p(thm.h_star, kappa):.17g}",
                 f"{asym.h_star:.17g}",
             ])
     print(f"wrote {path}")

@@ -6,6 +6,7 @@ into results/ (columns: iter, h, f, grad_norm_sq, running minimum, bound)
 so convergence against the certified bound can be plotted.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -27,8 +28,7 @@ N_STEPS = 60
 
 def with_f_star(tp):
     f_star = estimate_f_star(tp, n_iter=3000)
-    return type(tp)(name=tp.name, f_eval=tp.f_eval, grad_eval=tp.grad_eval,
-                    cls=tp.cls, x0=tp.x0, f_star_known=f_star)
+    return dataclasses.replace(tp, f_star_known=f_star)
 
 
 def main():

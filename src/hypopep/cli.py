@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -215,8 +216,7 @@ def cmd_experiment(args) -> int:
         tp = make_logistic_l0_problem(A, y, args.lambda_ll, args.sigma_ll, args.reg_weight)
     sched = _schedule_from_args(args)
     f_star = estimate_f_star(tp, n_iter=args.fstar_iters)
-    tp = type(tp)(name=tp.name, f_eval=tp.f_eval, grad_eval=tp.grad_eval,
-                  cls=tp.cls, x0=tp.x0, f_star_known=f_star)
+    tp = dataclasses.replace(tp, f_star_known=f_star)
     traj = run_gm(tp, sched)
     print(f"mu {_fmt(tp.cls.mu)}")
     print(f"L {_fmt(tp.cls.L)}")

@@ -33,6 +33,10 @@ class DimensionMismatch(ValidationError):
     pass
 
 
+class NonFiniteTriplet(ValidationError):
+    pass
+
+
 @dataclass(frozen=True)
 class CurvatureClass:
     """A curvature interval [mu, L] with L > 0 and mu <= 0.
@@ -96,7 +100,7 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class OracleTriplet:
-    """A first-order oracle sample (x, g, f) at one point."""
+    """A first-order oracle sample (x, g, f) at one point; all entries finite."""
 
     x: np.ndarray
     g: np.ndarray
@@ -109,6 +113,8 @@ class OracleTriplet:
         object.__setattr__(self, "g", g)
         if x.shape != g.shape or x.ndim != 1:
             raise DimensionMismatch(f"x shape {x.shape} != g shape {g.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(g).all() and np.isfinite(self.f)):
+            raise NonFiniteTriplet("oracle triplet has a NaN or infinite entry")
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def one_step_certificate(
     g0 = float(t0.g @ t0.g)
     g1 = float(t1.g @ t1.g)
     df = t0.f - t1.f
-    p = one_step_p(h, kappa).p
+    p = one_step_p(h, kappa)
     rate_slack = df * 2.0 * L / p - min(g0, g1)
     descent_slack = df - h * (2.0 - h) / (2.0 * L) * g0
     combined_slack = None

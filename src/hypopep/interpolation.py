@@ -2,10 +2,13 @@
 an explicit interpolating function from a triplet set.
 
 The pairwise interpolation inequality of Taylor, Hendrickx & Glineur
-(Math. Prog. 2017) is written once, in ``slack_matrix``, which evaluates it
-for all n(n-1) ordered pairs of a triplet set in one array pass over row
-blocks. ``check_interpolable`` reports the most negative entry and
-``pair_slack`` is its two-point case.
+(Math. Prog. 2017) is written once, in ``interpolation_slack``, as a
+function of the differences of a pair and of the bilinear product used to
+combine them. ``slack_matrix`` evaluates it with plain dot products for all
+n(n-1) ordered pairs of a triplet set in one array pass over row blocks;
+``pep.build_sdp`` evaluates it with symmetrized outer products to get the
+Gram-form rows of the performance-estimation SDP. ``check_interpolable``
+reports the most negative slack and ``pair_slack`` is its two-point case.
 """
 
 from __future__ import annotations
@@ -25,8 +28,16 @@ class NotInterpolable(ValidationError):
     pass
 
 
+class TooManyTriplets(ValidationError):
+    pass
+
+
 class SolverStall(RuntimeError):
     pass
+
+
+# eval_interpolating enumerates 2^n - 1 active sets.
+MAX_EVAL_TRIPLETS = 12
 
 
 @dataclass(frozen=True)
@@ -45,23 +56,41 @@ class InterpolationReport:
 _BLOCK_ELEMENTS = 1 << 13
 
 
+def interpolation_slack(df, dx, dg, g_b, cls: CurvatureClass, dot):
+    """Slack of the interpolation inequality for ordered pairs (a, b).
+
+    With ``df = f_a - f_b``, ``dx = x_a - x_b``, ``dg = g_a - g_b`` and
+    ``kappa = mu / L``, the slack is
+
+        df - <g_b, dx> - (|dg|^2 / L + mu |dx|^2 - 2 kappa <dg, dx>) / (2 (1 - kappa)),
+
+    where ``dot`` supplies the bilinear product <., .>: dot products for
+    evaluated triplets, symmetrized outer products for Gram coefficients.
+    Nonnegative slack for all ordered pairs is necessary and sufficient for a
+    triplet set to be interpolable by a function with curvature in [mu, L].
+    """
+    mu, L = cls.mu, cls.L
+    kappa = mu / L
+    lhs = df - dot(g_b, dx)
+    rhs = (
+        dot(dg, dg) / L + mu * dot(dx, dx) - 2.0 * kappa * dot(dg, dx)
+    ) / (2.0 * (1.0 - kappa))
+    return lhs - rhs
+
+
 def slack_matrix(
     X: np.ndarray, G: np.ndarray, f: np.ndarray, cls: CurvatureClass
 ) -> np.ndarray:
-    """Slacks of the pairwise interpolation inequality for every ordered pair.
+    """Slacks of ``interpolation_slack`` for every ordered pair of a triplet set.
 
     ``X`` and ``G`` are n x d (points and gradients), ``f`` has length n;
-    entry (a, b) is the slack for the ordered pair (a, b). Nonnegative slack
-    for all ordered pairs is necessary and sufficient for the set to be
-    interpolable by a function with curvature in [mu, L].
+    entry (a, b) is the slack for the ordered pair (a, b).
 
     Differences are taken pairwise before any product, because expanding
     into Gram matrices cancels badly for close points far from the origin.
     Rows are processed in blocks so that no temporary exceeds
     ``_BLOCK_ELEMENTS`` elements.
     """
-    mu, L = cls.mu, cls.L
-    kappa = mu / L
     n, d = X.shape
     S = np.empty((n, n))
     block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
@@ -69,11 +98,7 @@ def slack_matrix(
         a = slice(r, r + block)
         dx = X[a, None, :] - X[None, :, :]
         dg = G[a, None, :] - G[None, :, :]
-        lhs = f[a, None] - f[None, :] - _dot(G[None, :, :], dx)
-        rhs = (
-            _dot(dg, dg) / L + mu * _dot(dx, dx) - 2.0 * kappa * _dot(dg, dx)
-        ) / (2.0 * (1.0 - kappa))
-        S[a] = lhs - rhs
+        S[a] = interpolation_slack(f[a, None] - f[None, :], dx, dg, G[None, :, :], cls, _dot)
     return S
 
 
@@ -161,7 +186,7 @@ def _simplex_qp_kkt_residual(Q: np.ndarray, b: np.ndarray, alpha: np.ndarray) ->
     return res
 
 
-def _solve_simplex_qp_enum(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_simplex_qp(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact simplex-constrained QP minimizer by active-set enumeration."""
     n = Q.shape[0]
     best_alpha, best_obj = None, np.inf
@@ -190,27 +215,6 @@ def _solve_simplex_qp_enum(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return best_alpha
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _solve_simplex_qp_pg(Q: np.ndarray, b: np.ndarray, max_iter: int = 200_000) -> np.ndarray:
-    n = Q.shape[0]
-    alpha = np.full(n, 1.0 / n)
-    lam = float(np.linalg.eigvalsh(Q)[-1])
-    step = 1.0 / max(lam, 1e-12)
-    for _ in range(max_iter):
-        new = _project_simplex(alpha - step * (Q @ alpha + b))
-        if np.abs(new - alpha).max() < 1e-15:
-            return new
-        alpha = new
-    return alpha
-
-
 def eval_interpolating(
     ts: TripletSet, cls: CurvatureClass, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -220,7 +224,14 @@ def eval_interpolating(
     quadratics; it reproduces (f_i, g_i) at every x_i and attains the minimum
     value implied by check_interpolable. Returns the value and the minimizing
     simplex weights.
+
+    The simplex QP is solved exactly by enumerating its 2^n - 1 supports,
+    so at most ``MAX_EVAL_TRIPLETS`` triplets are accepted.
     """
+    if len(ts) > MAX_EVAL_TRIPLETS:
+        raise TooManyTriplets(
+            f"{len(ts)} triplets; the exact simplex QP handles at most {MAX_EVAL_TRIPLETS}"
+        )
     report = check_interpolable(ts, cls, tol=1e-7)
     if not report.feasible:
         raise NotInterpolable(
@@ -243,13 +254,7 @@ def eval_interpolating(
     Q = (L / (1.0 - kappa)) * (V.T @ V)
     b = -L * (V.T @ y) + c
     const = 0.5 * L * float(y @ y)
-    n = len(ts)
-    if n == 1:
-        alpha = np.array([1.0])
-    elif n <= 12:
-        alpha = _solve_simplex_qp_enum(Q, b)
-    else:
-        alpha = _solve_simplex_qp_pg(Q, b)
+    alpha = _solve_simplex_qp(Q, b)
     if alpha is None or _simplex_qp_kkt_residual(Q, b, alpha) > 1e-10:
         raise SolverStall("simplex QP did not reach KKT residual 1e-10")
     value = 0.5 * alpha @ Q @ alpha + b @ alpha + const

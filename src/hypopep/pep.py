@@ -6,12 +6,18 @@ eliminated through the step recursion x_{i+1} = x_i - (h_i/L) g_i. For the
 gap-to-optimal variant the optimal point is pinned at the origin with zero
 gradient and zero value, which is without loss of generality by translation
 invariance.
+
+The interpolation rows are not written out here: ``build_sdp`` evaluates
+``interpolation.interpolation_slack``, the inequality that
+``check_interpolable`` applies to triplets, on the points' Gram
+coefficients, so a row's matrix A_ij satisfies
+<A_ij, P^T P> + f_i - f_j = slack of the triplets (P x_i, P g_i, f_i).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .core import (
     TripletSet,
     ValidationError,
 )
-from .interpolation import check_interpolable
+from .interpolation import check_interpolable, interpolation_slack
 
 
 class IndefiniteGram(RuntimeError):
@@ -108,33 +114,10 @@ class SdpProblem:
         )
 
 
-def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = np.outer(a, b)
-    return 0.5 * (m + m.T)
-
-
-@dataclass(frozen=True)
-class _Point:
-    """One index of the discretized problem, expressed over the Gram basis."""
-
-    g: np.ndarray           # gradient coefficients
-    x: np.ndarray           # iterate coefficients
-    f_var: str | None       # linear variable name; None means fixed value
-    f_fixed: float = 0.0
-
-
-def _interp_matrix(pi: _Point, pj: _Point, cls: CurvatureClass) -> np.ndarray:
-    """Quadratic part A_ij of the pairwise interpolation row for (i, j)."""
-    mu, L = cls.mu, cls.L
-    kappa = mu / L
-    dg = pi.g - pj.g
-    dx = pi.x - pj.x
-    A = -_sym_outer(pj.g, dx)
-    scale = 1.0 / (2.0 * (1.0 - kappa))
-    A -= scale * (
-        _sym_outer(dg, dg) / L + mu * _sym_outer(dx, dx) - 2.0 * kappa * _sym_outer(dg, dx)
-    )
-    return A
+def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetrized outer products (u v^T + v u^T) / 2 along the last axis."""
+    m = u[..., :, None] * v[..., None, :]
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def build_sdp(p: PepProblem) -> SdpProblem:
@@ -145,91 +128,59 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     condition, and the epigraph rows G_ii >= l for the min-gradient objective.
     The last function value (f_N or f_*) is fixed to zero to remove the
     value-translation degree of freedom.
+
+    Each point is a pair of coefficient vectors over the Gram basis, one for
+    its gradient and one for its iterate. The interpolation rows' matrices
+    are ``interpolation_slack`` of all ordered pairs at once, with
+    symmetrized outer products as the bilinear product; the function values
+    enter through the linear terms only.
     """
     N = p.sched.n
     n = p.gram_dim
     L = p.cls.L
     e = np.eye(n)
 
-    points: list[_Point] = []
-    x = e[N + 1].copy()  # x_0 over the basis
-    for i in range(N + 1):
-        points.append(_Point(g=e[i].copy(), x=x.copy(), f_var=f"f_{i}"))
-        if i < N:
-            x = x - (p.sched.steps[i] / L) * e[i]
-
     opt = p.init_kind == NumeratorKind.gap_to_optimal
-    if opt:
-        points.append(_Point(g=np.zeros(n), x=np.zeros(n), f_var=None, f_fixed=0.0))
-        var_names = tuple(f"f_{i}" for i in range(N + 1)) + ("l",)
-    else:
-        points[N] = _Point(g=points[N].g, x=points[N].x, f_var=None, f_fixed=0.0)
-        var_names = tuple(f"f_{i}" for i in range(N)) + ("l",)
-
-    def f_terms(pt: _Point, coef: float):
-        if pt.f_var is None:
-            return {}, coef * pt.f_fixed
-        return {pt.f_var: coef}, 0.0
-
-    constraints: list[SdpConstraint] = []
-    idx = list(range(len(points)))
+    # points 0..N, then the optimal point (0, 0, 0) for gap_to_optimal
+    k = N + 2 if opt else N + 1
+    Gc = np.zeros((k, n))  # gradient coefficients
+    Xc = np.zeros((k, n))  # iterate coefficients
+    Gc[: N + 1] = e[: N + 1]
+    Xc[0] = e[N + 1]
+    for i in range(N):
+        Xc[i + 1] = Xc[i] - (p.sched.steps[i] / L) * e[i]
+    # value variable of each point; the last point's value (f_N or f_*) is 0
+    f_vars = [f"f_{i}" for i in range(k - 1)] + [None]
+    var_names = tuple(f_vars[:-1]) + ("l",)
     names = [str(i) for i in range(N + 1)] + (["*"] if opt else [])
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            A = _interp_matrix(points[i], points[j], p.cls)
-            lin: dict[str, float] = {}
-            const = 0.0
-            for pt, coef in ((points[i], 1.0), (points[j], -1.0)):
-                terms, fixed = f_terms(pt, coef)
-                for k, v in terms.items():
-                    lin[k] = lin.get(k, 0.0) + v
-                const += fixed
-            constraints.append(
-                SdpConstraint(A=A, lin=lin, const=const, label=f"interp[{names[i]},{names[j]}]")
-            )
 
+    I, J = np.nonzero(~np.eye(k, dtype=bool))  # ordered pairs i != j, row-major
+    A = interpolation_slack(0.0, Xc[I] - Xc[J], Gc[I] - Gc[J], Gc[J], p.cls, _sym_outer)
+    constraints: list[SdpConstraint] = []
+    for A_ij, i, j in zip(A, I.tolist(), J.tolist()):
+        lin = {v: c for v, c in ((f_vars[i], 1.0), (f_vars[j], -1.0)) if v is not None}
+        constraints.append(
+            SdpConstraint(A=A_ij, lin=lin, const=0.0, label=f"interp[{names[i]},{names[j]}]")
+        )
+
+    GG = _sym_outer(Gc[: N + 1], Gc[: N + 1])  # g_i g_i^T
     if opt:
+        # f_i - |g_i|^2/(2L) - f_* >= 0, with f_* = 0
+        A = -GG / (2.0 * L)
         for i in range(N + 1):
-            # f_i - |g_i|^2/(2L) - f_* >= 0, with f_* = 0
-            A = -_sym_outer(points[i].g, points[i].g) / (2.0 * L)
             constraints.append(
-                SdpConstraint(A=A, lin={f"f_{i}": 1.0}, const=0.0, label=f"descent[{i}]")
+                SdpConstraint(A=A[i], lin={f"f_{i}": 1.0}, const=0.0, label=f"descent[{i}]")
             )
-        # f_* - f_0 + delta >= 0
-        constraints.append(
-            SdpConstraint(A=np.zeros((n, n)), lin={"f_0": -1.0}, const=p.delta, label="initial")
-        )
-    else:
-        # f_N - f_0 + delta >= 0, with f_N = 0
-        constraints.append(
-            SdpConstraint(A=np.zeros((n, n)), lin={"f_0": -1.0}, const=p.delta, label="initial")
-        )
-
+    # f_* - f_0 + delta >= 0, or f_N - f_0 + delta >= 0 with f_N = 0 for gap_to_last
+    constraints.append(
+        SdpConstraint(A=np.zeros((n, n)), lin={"f_0": -1.0}, const=p.delta, label="initial")
+    )
     for i in range(N + 1):
-        A = _sym_outer(e[i], e[i])
         constraints.append(
-            SdpConstraint(A=A, lin={"l": -1.0}, const=0.0, label=f"epigraph[{i}]")
+            SdpConstraint(A=GG[i], lin={"l": -1.0}, const=0.0, label=f"epigraph[{i}]")
         )
 
     return SdpProblem(gram_dim=n, var_names=var_names, constraints=tuple(constraints))
-
-
-def normalize_homogeneous(p: PepProblem) -> tuple[PepProblem, tuple[float, float]]:
-    """Reduce to L = delta = 1; the optimum scales linearly in L * delta."""
-    normalized = PepProblem(
-        cls=CurvatureClass(mu=p.cls.kappa, L=1.0),
-        sched=p.sched,
-        delta=1.0,
-        init_kind=p.init_kind,
-    )
-    return normalized, (p.cls.L, p.delta)
-
-
-def rescale_optimum(value: float, scale: tuple[float, float]) -> float:
-    L, delta = scale
-    return value * L * delta
 
 
 def extract_triplets(p: PepProblem, sdp_solution, rank_tol: float = 1e-7) -> TripletSet:

@@ -72,17 +72,9 @@ def step_threshold(kappa: float, *, unbounded_below: bool = False) -> float:
     return 3.0 / (1.0 + kappa + math.sqrt(1.0 - kappa + kappa * kappa))
 
 
-@dataclass(frozen=True)
-class OneStepConstant:
-    """Per-step denominator contribution p (scaled by 2L) of one gradient step."""
-
-    p: float
-    h: float
-    kappa: float
-
-
-def one_step_p(h: float, kappa: float) -> OneStepConstant:
-    """Two-branch per-step constant p(h, kappa); both branches agree at h = 1."""
+def one_step_p(h: float, kappa: float) -> float:
+    """Two-branch per-step constant p(h, kappa), the denominator contribution
+    (scaled by 2L) of one gradient step; both branches agree at h = 1."""
     if kappa > 0:
         raise PositiveKappa(f"kappa must be <= 0, got {kappa}")
     if h <= 0:
@@ -91,10 +83,8 @@ def one_step_p(h: float, kappa: float) -> OneStepConstant:
     if h > h_bar + 1e-15:
         raise StepAboveThreshold(f"h={h} exceeds h_bar(kappa={kappa})={h_bar}")
     if h <= 1.0:
-        p = 2.0 * h - h * h * (-kappa) / (1.0 - kappa)
-    else:
-        p = h * (2.0 - h) * (2.0 - kappa * h) / (2.0 - (1.0 + kappa) * h)
-    return OneStepConstant(p=p, h=h, kappa=kappa)
+        return 2.0 * h - h * h * (-kappa) / (1.0 - kappa)
+    return third_regime_slope(kappa, h)
 
 
 def one_step_p_unbounded(h: float) -> float:
@@ -125,7 +115,7 @@ def nstep_bound(
             if cls.unbounded_below:
                 ps.append(one_step_p_unbounded(h))
             else:
-                ps.append(one_step_p(h, cls.kappa).p)
+                ps.append(one_step_p(h, cls.kappa))
         except StepAboveThreshold as exc:
             raise StepAboveThreshold(f"step index {i}: {exc}", index=i) from exc
     denom = sum(ps)
@@ -232,8 +222,12 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
 
 
 def third_regime_slope(kappa: float, h: float) -> float:
-    """Linear-in-N denominator growth of the conjectured third-regime bound."""
-    return h * (2.0 - h) * (2.0 - kappa * h) / (2.0 - h * (1.0 + kappa))
+    """Linear-in-N denominator growth of the conjectured third-regime bound.
+
+    The same expression is the h > 1 branch of ``one_step_p``; beyond
+    h_bar(kappa) it is conjectured to remain the per-step growth.
+    """
+    return h * (2.0 - h) * (2.0 - kappa * h) / (2.0 - (1.0 + kappa) * h)
 
 
 def conjectured_bound_convex(

@@ -114,8 +114,6 @@ def _lyap_inv(lam: np.ndarray, D: np.ndarray) -> np.ndarray:
 class SolveStatus(str, Enum):
     Optimal = "Optimal"
     MaxIter = "MaxIter"
-    Infeasible = "Infeasible"
-    Unbounded = "Unbounded"
 
 
 @dataclass

@@ -137,7 +137,7 @@ def build_worst_case(
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")
     mu, L = cls.mu, cls.L
     N = sched.n
-    ps = [one_step_p(h, kappa).p for h in sched.steps]
+    ps = [one_step_p(h, kappa) for h in sched.steps]
     denom = sum(ps)
     opt = kind == NumeratorKind.gap_to_optimal
     if opt:

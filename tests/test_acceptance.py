@@ -102,7 +102,7 @@ def test_criterion_5_smooth_nonconvex_specialization():
     worst = 0.0
     for h in np.linspace(math.sqrt(3.0) / 200, math.sqrt(3.0), 200):
         expected = 2.0 * h - (h * h / 2.0) * max(1.0, h)
-        worst = max(worst, abs(one_step_p(float(h), -1.0).p - expected))
+        worst = max(worst, abs(one_step_p(float(h), -1.0) - expected))
     ok = worst <= 1e-12
     assert _report("criterion 5: ratio -1 specialization", ok, f"(max err {worst:.1e})")
 
@@ -113,7 +113,7 @@ def test_criterion_6_one_step_pep_identity():
         h_bar = step_threshold(kappa)
         for h in np.linspace(h_bar / 20, h_bar, 20):
             opt = _pep_optimum(kappa, float(h), 1, NumeratorKind.gap_to_last)
-            ref = 2.0 / one_step_p(float(h), kappa).p
+            ref = 2.0 / one_step_p(float(h), kappa)
             worst = max(worst, abs(opt - ref) / ref)
     ok = worst <= 1e-5
     assert _report("criterion 6: one-step SDP identity", ok, f"(worst rel err {worst:.1e})")

@@ -8,6 +8,7 @@ from hypopep.core import (
     CurvatureClass,
     DimensionMismatch,
     MuAboveL,
+    NonFiniteTriplet,
     NonPositiveL,
     NumeratorKind,
     OracleTriplet,
@@ -97,3 +98,19 @@ def test_triplet_set_json_roundtrip():
 def test_numerator_kind_values():
     assert NumeratorKind("gap_to_last") is NumeratorKind.gap_to_last
     assert NumeratorKind("gap_to_optimal") is NumeratorKind.gap_to_optimal
+
+
+@pytest.mark.parametrize(
+    "x,g,f",
+    [
+        ([0.0, np.nan], [0.0, 0.0], 0.0),
+        ([0.0, 0.0], [np.inf, 0.0], 0.0),
+        ([0.0, 0.0], [0.0, 0.0], -np.inf),
+        # with (0, 0, 0), check_interpolable used to report this one feasible
+        ([1.0], [5.0], np.nan),
+    ],
+)
+def test_triplet_rejects_non_finite(x, g, f):
+    with pytest.raises(NonFiniteTriplet):
+        OracleTriplet(np.array(x), np.array(g), f)
+

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, OracleTriplet, TripletSet, validate_class
 from hypopep.interpolation import (
+    MAX_EVAL_TRIPLETS,
     DegenerateClass,
     NotInterpolable,
+    TooManyTriplets,
     check_interpolable,
     eval_interpolating,
     pair_slack,
@@ -114,6 +116,18 @@ def test_eval_rejects_infeasible_set():
     cls = validate_class(-1.0, 1.0)
     with pytest.raises(NotInterpolable):
         eval_interpolating(ts, cls, np.array([0.5]))
+
+
+def test_eval_size_limit():
+    # the active-set enumeration takes up to 12 triplets (README)
+    assert MAX_EVAL_TRIPLETS == 12
+    cls = validate_class(-1.0, 1.0)
+    xs = [np.array([float(i)]) for i in range(13)]
+    ts = sample_quadratic_triplets(0.5, xs[:-1])
+    val, alpha = eval_interpolating(ts, cls, xs[3])
+    assert abs(val - ts.triplets[3].f) < 1e-9 and abs(alpha.sum() - 1.0) < 1e-12
+    with pytest.raises(TooManyTriplets):
+        eval_interpolating(sample_quadratic_triplets(0.5, xs), cls, np.array([0.5]))
 
 
 def test_interpolant_respects_class_bounds():

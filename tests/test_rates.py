@@ -61,7 +61,7 @@ def test_branches_agree_at_one(kappa):
     short = 2.0 * 1.0 - 1.0 * (-kappa) / (1.0 - kappa)
     mid = 1.0 * (2.0 - 1.0) * (2.0 - kappa) / (2.0 - (1.0 + kappa))
     assert abs(short - mid) < 1e-12
-    assert abs(one_step_p(1.0, kappa).p - short) < 1e-12
+    assert abs(one_step_p(1.0, kappa) - short) < 1e-12
 
 
 def test_one_step_p_input_checks():
@@ -77,12 +77,12 @@ def test_one_step_p_input_checks():
 def test_kappa_minus_one_specialization(h):
     # p(h, -1) collapses to the classical smooth-nonconvex constant
     expected = 2.0 * h - (h * h / 2.0) * max(1.0, h)
-    assert abs(one_step_p(h, -1.0).p - expected) < 1e-12
+    assert abs(one_step_p(h, -1.0) - expected) < 1e-12
 
 
 @given(st.floats(min_value=1e-3, max_value=1.5))
 def test_nesterov_limit(h):
-    assert abs(one_step_p(h, -1e8).p - one_step_p_unbounded(h)) < 1e-6
+    assert abs(one_step_p(h, -1e8) - one_step_p_unbounded(h)) < 1e-6
 
 
 def test_unbounded_p_range_check():
@@ -99,14 +99,14 @@ def test_unbounded_p_range_check():
 def test_p_monotone_in_kappa(h, k1, k2):
     # shrinking kappa (more hypoconvex) can only slow the rate
     lo, hi = min(k1, k2), max(k1, k2)
-    assert one_step_p(h, lo).p <= one_step_p(h, hi).p + 1e-12
+    assert one_step_p(h, lo) <= one_step_p(h, hi) + 1e-12
 
 
 def test_nstep_bound_matches_manual_sum():
     cls = validate_class(-1.0, 2.0)
     sched = StepSchedule((0.5, 1.0, 0.75))
     res = nstep_bound(cls, sched, 3.0, NumeratorKind.gap_to_last)
-    denom = sum(one_step_p(h, -0.5).p for h in sched.steps)
+    denom = sum(one_step_p(h, -0.5) for h in sched.steps)
     assert abs(res.denominator - denom) < 1e-14
     assert abs(res.bound - 2.0 * 2.0 * 3.0 / denom) < 1e-12
     opt = nstep_bound(cls, sched, 3.0, NumeratorKind.gap_to_optimal)
@@ -170,10 +170,10 @@ def test_optimal_step_asymptotic_mode():
 def test_optimal_step_maximizes_p(kappa):
     h_star = optimal_step(kappa).h_star
     h_bar = step_threshold(kappa)
-    p_star = one_step_p(h_star, kappa).p
+    p_star = one_step_p(h_star, kappa)
     eps = 1e-5
     for h in (h_star - eps, min(h_star + eps, h_bar)):
-        assert one_step_p(h, kappa).p <= p_star + 1e-9
+        assert one_step_p(h, kappa) <= p_star + 1e-9
 
 
 def test_solve_bracketed_root():
