@@ -39,7 +39,7 @@ from .rates import (
     optimal_step,
     step_threshold,
 )
-from .sdpsolver import SolveStatus, check_gram_dim, solve
+from .sdpsolver import SolveStatus, check_gram_dim, solve, verify_solution
 from .worstcase import build_worst_case, verify_tightness
 
 
@@ -122,11 +122,16 @@ def cmd_optstep(args) -> int:
 
 
 def _solve_pep(cls, sched, delta, kind):
+    """Solve the PEP; only an Optimal solution that passes verify_solution is returned."""
     p = PepProblem(cls, sched, delta, kind)
     check_gram_dim(p.gram_dim)  # before assembling O(N^2) dense rows
-    sol = solve(build_sdp(p))
+    sdp = build_sdp(p)
+    sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
         raise SolverFailure(f"solver status {sol.status.value}")
+    report = verify_solution(sdp, sol)
+    if not report.all_pass:
+        raise SolverFailure("verification failed: " + "; ".join(report.failures))
     return sol
 
 

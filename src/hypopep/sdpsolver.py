@@ -8,17 +8,32 @@ Search directions use Nesterov-Todd scaling with a Mehrotra
 predictor-corrector; the Newton system is reduced to a dense positive
 definite system in the primal variables u = (svec(G), y).
 
-The reduced (Schur) matrix is assembled in closed form. With the row
-matrix B of the constraints, orthant slacks s_l and duals z_l, and the NT
-scaling point W of the PSD block, it is
+The constraints read Gmat u + s = h with s = (orthant slacks, svec(G)) and
+Gmat = [-B; -[I 0]], where B is the row matrix of the constraints. Gmat
+is never formed: it and its transpose are applied through B and the svec
+slice of u.
+
+Each iteration computes one NT frame of the PSD block (Todd, Toh &
+Tutuncu 1998). From S = Ls Ls^T, Z = Lz Lz^T and the SVD
+Lz^T Ls = U diag(lam) V^T, the factor G = Ls V lam^-1/2 gives the scaling
+point W = G G^T (W Z W = S) and the scaled point
+G^-1 S G^-T = G^T Z G = diag(lam), which is diagonal. In that frame:
+
+- the step length of the PSD block is one symmetric eigenvalue problem,
+  the smallest eigenvalue of (G^-1 dS G^-T) / sqrt(lam_i lam_j) (and of
+  G^T dZ G likewise), with no further factorization;
+- the Lyapunov equation of the Mehrotra corrector, diag(lam) o X = D,
+  is solved entrywise: X_ij = 2 D_ij / (lam_i + lam_j).
+
+A Cholesky failure of S or Z ends the iteration. The reduced (Schur)
+matrix is assembled in closed form. With orthant slacks s_l and duals z_l,
 
     M = B^T diag(z_l / s_l) B + [[W^-1 (x) W^-1, 0], [0, 0]]
 
 where W^-1 (x) W^-1 is the symmetric Kronecker product in svec
-coordinates (Todd, Toh & Tutuncu 1998), filled in one indexing pass over
-the upper triangle: entry ((i,j),(k,l)) is
-s_ij s_kl (V_ik V_jl + V_il V_jk) / 2 with V = W^-1 and s = sqrt(2) off
-the diagonal, 1 on it.
+coordinates, filled in one indexing pass over the upper triangle: entry
+((i,j),(k,l)) is s_ij s_kl (V_ik V_jl + V_il V_jk) / 2 with V = W^-1 and
+s = sqrt(2) off the diagonal, 1 on it.
 """
 
 from __future__ import annotations
@@ -83,32 +98,34 @@ def skron(V: np.ndarray) -> np.ndarray:
     return K
 
 
-def _psd_sqrt(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh(S)
-    w = np.clip(w, 1e-300, None)
-    sq = np.sqrt(w)
-    return (V * sq) @ V.T, (V / sq) @ V.T
-
-
 def _nt_scaling_psd(S: np.ndarray, Z: np.ndarray):
-    """NT scaling point W with W Z W = S; returns (W^1/2, W^-1/2, W^-1, lam)."""
-    S_h, _ = _psd_sqrt(S)
-    _, inner_isqrt = _psd_sqrt(S_h @ Z @ S_h)
-    W = S_h @ inner_isqrt @ S_h
-    W = 0.5 * (W + W.T)
-    R, Rinv = _psd_sqrt(W)
-    Winv = Rinv @ Rinv
-    lam = Rinv @ S @ Rinv
-    lam = 0.5 * (lam + lam.T)
-    return R, Rinv, Winv, lam
+    """NT scaling of the PSD block from chol(S), chol(Z) and one SVD.
+
+    With S = Ls Ls^T, Z = Lz Lz^T and Lz^T Ls = U diag(lam) V^T, the factor
+    G = Ls V lam^-1/2 has G^-1 = lam^-1/2 U^T Lz^T, W = G G^T satisfies
+    W Z W = S, and G^-1 S G^-T = G^T Z G = diag(lam). Returns
+    (G, G^-1, W^-1, lam); raises LinAlgError unless S and Z are positive definite.
+    """
+    Ls, Lz = np.linalg.cholesky(np.stack([S, Z]))
+    U, lam, Vt = np.linalg.svd(Lz.T @ Ls)
+    r = 1.0 / np.sqrt(lam)
+    G = (Ls @ Vt.T) * r
+    Ginv = r[:, None] * (U.T @ Lz.T)
+    return G, Ginv, Ginv.T @ Ginv, lam
 
 
-def _lyap_inv(lam: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve lam o X = D for the symmetric Jordan product."""
-    theta, Q = np.linalg.eigh(lam)
-    Dp = Q.T @ D @ Q
-    X = 2.0 * Dp / (theta[:, None] + theta[None, :])
-    return Q @ X @ Q.T
+def _psd_step(lam: np.ndarray, D: np.ndarray) -> float:
+    """Largest alpha with diag(lam) + alpha D PSD, or with every matrix of a
+    stack D; inf when no eigenvalue binds."""
+    r = 1.0 / np.sqrt(lam)
+    e = float(np.linalg.eigvalsh(D * np.outer(r, r)).min())
+    return -1.0 / e if e < 0 else np.inf
+
+
+def _orthant_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha dv >= 0; inf when no entry decreases."""
+    neg = dv < 0
+    return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
 
 
 class SolveStatus(str, Enum):
@@ -133,38 +150,6 @@ class SolveOptions:
     max_iter: int = 200
 
 
-class _ConeOps:
-    """Blockwise cone operations for one orthant block and one PSD block."""
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self.sd = n * (n + 1) // 2
-
-    def split(self, v):
-        return v[: self.m], smat(v[self.m :], self.n)
-
-    def join(self, vl, Vp):
-        return np.concatenate([vl, svec(Vp)])
-
-    def identity(self, rho: float):
-        return self.join(np.full(self.m, rho), rho * np.eye(self.n))
-
-    def max_step(self, v, dv) -> float:
-        vl, Vp = self.split(v)
-        dl, Dp = self.split(dv)
-        alpha = np.inf
-        neg = dl < 0
-        if neg.any():
-            alpha = float((-vl[neg] / dl[neg]).min())
-        Lc = np.linalg.cholesky(Vp)
-        M = np.linalg.solve(Lc, np.linalg.solve(Lc, Dp).T)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-        if lam_min < 0:
-            alpha = min(alpha, -1.0 / lam_min)
-        return alpha
-
-
 def _problem_arrays(problem: SdpProblem):
     n = problem.gram_dim
     m = len(problem.constraints)
@@ -186,12 +171,7 @@ def _problem_arrays(problem: SdpProblem):
     cvec = np.zeros(nv)
     cvec[var_index[problem.objective_var]] = -1.0
 
-    # Gmat u + s = h with s = (linear slacks, svec(G)), Gmat = [-B; -[I 0]]
-    Gmat = np.zeros((m + sd, nv))
-    Gmat[:m] = -B
-    Gmat[m:, :sd] = -np.eye(sd)
-    h = np.concatenate([d, np.zeros(sd)])
-    return B, Gmat, h, cvec, var_index
+    return B, d, cvec, var_index
 
 
 def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -216,28 +196,30 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
     n = problem.gram_dim
     check_gram_dim(n)
     m = len(problem.constraints)
-    cone = _ConeOps(m, n)
-    B, Gmat, h, cvec, var_index = _problem_arrays(problem)
-    nv = Gmat.shape[1]
-    sd = cone.sd
+    sd = n * (n + 1) // 2
+    B, d, cvec, var_index = _problem_arrays(problem)
+    nv = B.shape[1]
 
-    rho = max(1.0, float(np.abs(h).max()))
+    # h = (d, 0); Gmat is applied through B and the svec slice (module docstring)
+    rho = max(1.0, float(np.abs(d).max(initial=0.0)))
+    ident = svec(np.eye(n))
     u = np.zeros(nv)
-    u[:sd] = svec(rho * np.eye(n))
-    s = cone.identity(rho)
-    z = cone.identity(1.0)
+    u[:sd] = rho * ident
+    s = np.concatenate([np.full(m, rho), rho * ident])
+    z = np.concatenate([np.ones(m), ident])
 
-    h_norm = 1.0 + float(np.linalg.norm(h))
+    h_norm = 1.0 + float(np.linalg.norm(d))
     c_norm = 1.0 + float(np.linalg.norm(cvec))
     deg = m + n
     best = None
 
     def residuals(u, s, z):
-        r_p = h - Gmat @ u - s
-        r_d = -cvec - Gmat.T @ z
+        r_p = np.concatenate([d + B @ u, u[:sd]]) - s
+        r_d = z[:m] @ B - cvec
+        r_d[:sd] += z[m:]
         gap = float(s @ z)
         pobj = float(cvec @ u)
-        dobj = -float(h @ z)
+        dobj = -float(d @ z[:m])
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         return r_p, r_d, gap, rel_gap, pobj, dobj
 
@@ -261,13 +243,14 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
         if not (np.isfinite(s).all() and np.isfinite(z).all() and np.isfinite(u).all()):
             break
         mu = gap / deg
-        sl, Sp = cone.split(s)
-        zl, Zp = cone.split(z)
+        sl, zl = s[:m], z[:m]
         try:
-            R, Rinv, Winv, lam = _nt_scaling_psd(Sp, Zp)
+            G, Ginv, Winv, lam = _nt_scaling_psd(smat(s[m:], n), smat(z[m:], n))
         except np.linalg.LinAlgError:
             break
 
+        frame = np.stack([Ginv, G.T])
+        slzl = np.concatenate([sl, zl])
         zs = zl / sl
         K = skron(Winv)
 
@@ -275,45 +258,48 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
             return np.concatenate([v[:m] * zs, K @ v[m:]])
 
         M = schur_matrix(B, zs, K)
-        M += 1e-14 * np.trace(M) / nv * np.eye(nv)
+        M.flat[:: nv + 1] += 1e-14 * np.trace(M) / nv
         try:
             np.linalg.cholesky(M)  # positive-definiteness guard
         except np.linalg.LinAlgError:
             break
 
         def direction(q):
-            rhs = r_d - Gmat.T @ q + Gmat.T @ winv2(r_p)
+            v = winv2(r_p) - q
+            rhs = r_d - v[:m] @ B
+            rhs[:sd] -= v[m:]
             du = np.linalg.solve(M, rhs)
-            ds = r_p - Gmat @ du
-            dz = q - winv2(ds)
-            return du, ds, dz
+            ds = r_p + np.concatenate([B @ du, du[:sd]])
+            return du, ds, q - winv2(ds)
+
+        def scaled_step(ds, dz):
+            """The direction's PSD parts in the NT frame, G^-1 dS G^-T and
+            G^T dZ G, and the largest step that keeps s and z in the cone."""
+            D = frame @ np.stack([smat(ds[m:], n), smat(dz[m:], n)]) @ frame.transpose(0, 2, 1)
+            alpha = min(_orthant_step(slzl, np.concatenate([ds[:m], dz[:m]])), _psd_step(lam, D))
+            return D[0], D[1], alpha
 
         # predictor (affine) direction: q = -z
         try:
             du_a, ds_a, dz_a = direction(-z)
-            a_p = cone.max_step(s, ds_a)
-            a_d = cone.max_step(z, dz_a)
+            Sa, Za, a_aff = scaled_step(ds_a, dz_a)
         except np.linalg.LinAlgError:
             break
-        alpha_aff = min(1.0, 0.999 * min(a_p, a_d))
+        alpha_aff = min(1.0, 0.999 * a_aff)
         gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
         sigma = min(max((gap_aff / gap) ** 3, 1e-10), 0.99)
 
-        # corrector with Mehrotra second-order terms
-        dsl_a, DSp_a = cone.split(ds_a)
-        dzl_a, DZp_a = cone.split(dz_a)
-        ql = (sigma * mu - dsl_a * dzl_a) / sl - zl
-        Sa = Rinv @ DSp_a @ Rinv
-        Za = R @ DZp_a @ R
-        D = sigma * mu * np.eye(n) - 0.5 * (Sa @ Za + Za @ Sa)
-        Qp = Rinv @ _lyap_inv(lam, 0.5 * (D + D.T)) @ Rinv - Zp
+        # corrector with Mehrotra second-order terms; in the NT frame the
+        # Lyapunov equation diag(lam) o X = D is solved entrywise
+        ql = (sigma * mu - ds_a[:m] * dz_a[:m]) / sl - zl
+        SZ = Sa @ Za
+        X = (2.0 * sigma * mu * np.eye(n) - SZ - SZ.T) / np.add.outer(lam, lam)
+        Qp = Ginv.T @ (X - np.diag(lam)) @ Ginv
         try:
-            du, ds, dz = direction(cone.join(ql, Qp))
-            a_p = cone.max_step(s, ds)
-            a_d = cone.max_step(z, dz)
+            du, ds, dz = direction(np.concatenate([ql, svec(Qp)]))
+            alpha = min(1.0, 0.99 * scaled_step(ds, dz)[2])
         except np.linalg.LinAlgError:
             break
-        alpha = min(1.0, 0.99 * min(a_p, a_d))
         if not np.isfinite(alpha) or alpha <= 1e-14:
             break
         u = u + alpha * du
@@ -324,11 +310,11 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
     if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * opts.tol:
         status = SolveStatus.Optimal
 
-    G = smat(u[:sd], n)
+    gram = smat(u[:sd], n)
     linear_values = {v: float(u[idx]) for v, idx in var_index.items()}
     return SdpSolution(
         objective=linear_values[problem.objective_var],
-        gram=0.5 * (G + G.T),
+        gram=0.5 * (gram + gram.T),
         linear_values=linear_values,
         duals=z[:m].copy(),
         status=status,
@@ -350,7 +336,8 @@ class VerificationReport:
 def verify_solution(
     problem: SdpProblem, solution: SdpSolution, tol: float = 1e-6
 ) -> VerificationReport:
-    """Independent recheck of a solution: slacks, PSD-ness, complementarity."""
+    """Independent recheck of a solution: slacks, PSD-ness, complementarity
+    and duality gap."""
     failures = []
     G = solution.gram
     vals = solution.linear_values
@@ -370,6 +357,8 @@ def verify_solution(
     gap = abs(solution.objective - dobj)
     if comp > 100 * tol * (1.0 + abs(solution.objective)):
         failures.append(f"complementarity residual {comp}")
+    if gap > 100 * tol * (1.0 + abs(solution.objective)):
+        failures.append(f"duality gap {gap}")
     return VerificationReport(
         all_pass=not failures,
         min_slack=min_slack,

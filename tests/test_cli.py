@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypopep import cli
 from hypopep.cli import main, parse_steps
 from hypopep.pep import IndefiniteGram, InterpolationFailure
+from hypopep.sdpsolver import VerificationReport
 
 
 def run(capsys, *argv):
@@ -156,3 +158,33 @@ def test_fit_r_command(capsys):
     rc, out, _ = run(capsys, "fit-r", "--kappa", "-1", "--h", "1.8", "--N", "3:6")
     assert rc == 0
     assert float(grab(out, "r")) > 0.0
+
+
+def _failing_report(sdp, sol):
+    return VerificationReport(False, 0.0, 0.0, 0.0, 1.0, ["duality gap 1.0", "injected"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("pep", "--kappa", "-1", "--steps", "1"),
+    ("fit-r", "--kappa", "-1", "--h", "1.8", "--N", "3:4"),
+])
+def test_failed_verification_exit_code(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "verify_solution", _failing_report)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert "optimum" not in out
+    assert err.strip() == "error: SolverFailure: verification failed: duality gap 1.0; injected"
+
+
+def test_failed_verification_sweep_error_column(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "verify_solution", _failing_report)
+    out = tmp_path / "v.csv"
+    rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa", "-1",
+                   "--h", "1", "--N", "1,2", "--out", str(out))
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["optimum"] == ""
+        assert row["error"] == "SolverFailure: verification failed: duality gap 1.0; injected"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.pep import PepProblem, SdpConstraint, SdpProblem, build_sdp
 from hypopep.sdpsolver import (
     SdpSolution,
+    _nt_scaling_psd,
+    _psd_step,
     SolveOptions,
     SolveStatus,
     schur_matrix,
@@ -64,6 +68,78 @@ def test_schur_matrix_matches_column_by_column_reference(n):
     M_ref = Gmat.T @ T
     M = schur_matrix(B, zl / sl, skron(Winv))
     assert np.linalg.norm(M - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
+
+
+def _random_pd(rng, n, cond):
+    """Random symmetric positive definite matrix with condition number ``cond``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.permutation(np.logspace(0.0, -np.log10(cond), n))
+    return (Q * w) @ Q.T
+
+
+def _cholesky_step(V, D):
+    """Reference step length: the largest alpha with V + alpha D PSD, from
+    chol(V) = L and the eigenvalues of L^-1 D L^-T."""
+    L = np.linalg.cholesky(V)
+    M = np.linalg.solve(L, np.linalg.solve(L, D).T)
+    e = np.linalg.eigvalsh(0.5 * (M + M.T)).min()
+    return -1.0 / e if e < 0 else np.inf
+
+
+COND = [1.0, 1e5, 1e10]
+EPS = np.finfo(float).eps
+
+
+def norm2(A):
+    return np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("cond_s", COND)
+@pytest.mark.parametrize("cond_z", COND)
+def test_nt_scaling_identities(n, cond_s, cond_z):
+    rng = np.random.default_rng([n, int(np.log10(cond_s)), int(np.log10(cond_z))])
+    tol = 1e4 * EPS  # relative to the norms of the factors of each product
+    for _ in range(4):
+        S = _random_pd(rng, n, cond_s)
+        Z = _random_pd(rng, n, cond_z) * 10.0 ** rng.uniform(-3, 3)
+        G, Ginv, Winv, lam = _nt_scaling_psd(S, Z)
+        W = G @ G.T
+        assert np.all(lam > 0)
+        assert np.linalg.norm(W @ Z @ W - S) <= tol * norm2(W) ** 2 * norm2(Z)
+        assert np.linalg.norm(Ginv @ S @ Ginv.T - np.diag(lam)) <= tol * norm2(Winv) * norm2(S)
+        assert np.linalg.norm(G.T @ Z @ G - np.diag(lam)) <= tol * norm2(W) * norm2(Z)
+        assert np.linalg.norm(Ginv @ G - np.eye(n)) <= tol * norm2(G) * norm2(Ginv)
+        assert np.linalg.norm(Winv @ W - np.eye(n)) <= tol * norm2(Winv) * norm2(W)
+
+
+def test_nt_scaling_rejects_indefinite():
+    S = np.diag([1.0, -1e-3])
+    with pytest.raises(np.linalg.LinAlgError):
+        _nt_scaling_psd(S, np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        _nt_scaling_psd(np.eye(2), S)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("cond", COND)
+def test_psd_step_matches_cholesky_reference(n, cond):
+    rng = np.random.default_rng([n, int(np.log10(cond))])
+    for _ in range(4):
+        S = _random_pd(rng, n, cond)
+        Z = _random_pd(rng, n, cond)
+        G, Ginv, _, lam = _nt_scaling_psd(S, Z)
+        X = rng.standard_normal((n, n))
+        dS, dZ = X + X.T, X @ X.T - 0.5 * np.trace(X @ X.T) * np.eye(n)
+        Sa, Za = Ginv @ dS @ Ginv.T, G.T @ dZ @ G
+        a_s, a_z = _psd_step(lam, Sa), _psd_step(lam, Za)
+        assert a_s == pytest.approx(_cholesky_step(S, dS), rel=1e-9)
+        assert a_z == pytest.approx(_cholesky_step(Z, dZ), rel=1e-9)
+        assert _psd_step(lam, np.stack([Sa, Za])) == min(a_s, a_z)
+        # a PSD direction never leaves the cone: no eigenvalue binds
+        assert _psd_step(lam, Ginv @ (X @ X.T) @ Ginv.T) == np.inf == _cholesky_step(S, X @ X.T)
+        # S - alpha S is PSD up to alpha = 1, to the accuracy cond(S) allows
+        assert abs(_psd_step(lam, -Ginv @ S @ Ginv.T) - 1.0) <= 1e3 * EPS * cond
 
 
 @pytest.mark.parametrize("N, iterations", [(1, 9), (8, 11), (12, 14), (16, 15), (20, 17)])
@@ -140,6 +216,20 @@ def test_verify_solution_negative_control():
     report = verify_solution(prob, tampered)
     assert not report.all_pass
     assert report.failures
+
+
+def test_verify_solution_fails_on_duality_gap_alone():
+    prob = trivial_problem()
+    sol = solve(prob)
+    assert verify_solution(prob, sol).all_pass
+    # the objective no longer matches the dual objective; slacks, the Gram
+    # matrix and the multipliers are untouched
+    tampered = dataclasses.replace(sol, objective=sol.objective + 1e-3)
+    report = verify_solution(prob, tampered)
+    assert not report.all_pass
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("duality gap ")
+    assert report.duality_gap > 100 * 1e-6 * (1.0 + abs(tampered.objective))
 
 
 def test_pep_problem_json_roundtrip():
