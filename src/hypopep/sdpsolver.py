@@ -290,7 +290,8 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
         sigma = min(max((gap_aff / gap) ** 3, 1e-10), 0.99)
 
         # corrector with Mehrotra second-order terms; in the NT frame the
-        # Lyapunov equation diag(lam) o X = D is solved entrywise
+        # Lyapunov equation diag(lam) o X = sigma mu I - (Sa Za + Za Sa) / 2
+        # is solved entrywise
         ql = (sigma * mu - ds_a[:m] * dz_a[:m]) / sl - zl
         SZ = Sa @ Za
         X = (2.0 * sigma * mu * np.eye(n) - SZ - SZ.T) / np.add.outer(lam, lam)
