@@ -1,9 +1,13 @@
 """Gradient-method runner, per-step certificate checks and testbed problems.
 
-The runner produces oracle-triplet trajectories for any problem exposing
-value/gradient handles. Testbed factories cover a Huber-on-norm composite
-and an l2-regularized logistic loss with a Lasry-Lions smoothed l0 penalty,
-each with honestly declared curvature bounds.
+A problem is a first-order oracle x -> (f(x), grad f(x)): one call gives
+both the value and the gradient, as one oracle triplet (x, g, f) needs.
+The runner calls it once per iterate and collects the triplets; the
+triplets' own validation is the only finiteness check. Testbed factories
+cover a Huber-on-norm composite and an l2-regularized logistic loss with a
+Lasry-Lions smoothed l0 penalty, each with honestly declared curvature
+bounds; their oracles compute the shared residual, logits and penalty once
+for both outputs.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import numpy as np
 
 from .core import (
     CurvatureClass,
+    NonFiniteTriplet,
     NumeratorKind,
     OracleTriplet,
     StepSchedule,
     ValidationError,
 )
-from .rates import nstep_bound, one_step_p, step_threshold
+from .rates import nstep_bound, one_step_p
 
 
 class NonFiniteValue(RuntimeError):
@@ -49,31 +54,41 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TestProblem:
-    """A differentiable objective with declared curvature bounds."""
+    """A differentiable objective with declared curvature bounds.
+
+    ``oracle(x)`` returns ``(f(x), grad f(x))`` from one evaluation;
+    ``f_eval`` and ``grad_eval`` read one half of it.
+    """
 
     __test__ = False  # not a pytest collection target despite the name
 
     name: str
-    f_eval: Callable[[np.ndarray], float]
-    grad_eval: Callable[[np.ndarray], np.ndarray]
+    oracle: Callable[[np.ndarray], tuple[float, np.ndarray]]
     cls: CurvatureClass
     x0: np.ndarray
     f_star_known: float | None = None
 
+    def f_eval(self, x: np.ndarray) -> float:
+        return self.oracle(x)[0]
+
+    def grad_eval(self, x: np.ndarray) -> np.ndarray:
+        return self.oracle(x)[1]
+
 
 def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
-    """Run x_{i+1} = x_i - (h_i / L) g_i and collect oracle triplets."""
+    """Run x_{i+1} = x_i - (h_i / L) g_i with one oracle call per iterate."""
     L = tp.cls.L
     x = np.atleast_1d(np.asarray(tp.x0, dtype=float)).copy()
     trips = []
     for i in range(sched.n + 1):
-        f = float(tp.f_eval(x))
-        g = np.atleast_1d(np.asarray(tp.grad_eval(x), dtype=float))
-        if not (np.isfinite(f) and np.isfinite(g).all() and np.isfinite(x).all()):
-            raise NonFiniteValue(f"non-finite oracle output at iterate {i}")
-        trips.append(OracleTriplet(x.copy(), g, f))
+        f, g = tp.oracle(x)
+        try:
+            t = OracleTriplet(x, g, float(f))
+        except NonFiniteTriplet as exc:
+            raise NonFiniteValue(f"non-finite oracle output at iterate {i}") from exc
+        trips.append(t)
         if i < sched.n:
-            x = x - (sched.steps[i] / L) * g
+            x = x - (sched.steps[i] / L) * t.g
     norms = [float(t.g @ t.g) for t in trips]
     idx = int(np.argmin(norms))
     return Trajectory(
@@ -213,29 +228,20 @@ def make_huber_problem(
         raise ValidationError("mu_reg cancels the smooth curvature entirely")
     cls = CurvatureClass(mu=mu_reg, L=L_smooth + mu_reg)
 
-    def f_eval(x):
+    def oracle(x):
         r = A @ x - b
         nr = float(np.linalg.norm(r))
         if nr <= delta_h:
             hub = nr * nr / (2.0 * delta_h)
-        else:
-            hub = nr - delta_h / 2.0
-        return hub + 0.5 * mu_reg * float(x @ x)
-
-    def grad_eval(x):
-        r = A @ x - b
-        nr = float(np.linalg.norm(r))
-        if nr <= delta_h:
             g = A.T @ r / delta_h
         else:
+            hub = nr - delta_h / 2.0
             g = A.T @ r / nr
-        return g + mu_reg * x
+        return hub + 0.5 * mu_reg * float(x @ x), g + mu_reg * x
 
     if x0 is None:
         x0 = np.zeros(A.shape[1])
-    return TestProblem(
-        name="huber", f_eval=f_eval, grad_eval=grad_eval, cls=cls, x0=np.asarray(x0, dtype=float)
-    )
+    return TestProblem(name="huber", oracle=oracle, cls=cls, x0=np.asarray(x0, dtype=float))
 
 
 def ll_envelope_l0(x: np.ndarray, lam: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,32 +301,18 @@ def make_logistic_l0_problem(
     def softplus(t):
         return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
-    def f_eval(x):
+    def oracle(x):
         t = A @ x
         loss = float(np.mean(softplus(t) - y * t))
+        g = A.T @ (1.0 / (1.0 + np.exp(-t)) - y) / n_data
         if reg_weight == 0.0:
-            return loss
-        val, _ = ll_envelope_l0(x, lambda_ll, sigma_ll)
-        return loss + reg_weight * float(val.sum())
-
-    def grad_eval(x):
-        t = A @ x
-        sig = 1.0 / (1.0 + np.exp(-t))
-        g = A.T @ (sig - y) / n_data
-        if reg_weight == 0.0:
-            return g
-        _, gv = ll_envelope_l0(x, lambda_ll, sigma_ll)
-        return g + reg_weight * gv
+            return loss, g
+        val, gv = ll_envelope_l0(x, lambda_ll, sigma_ll)
+        return loss + reg_weight * float(val.sum()), g + reg_weight * gv
 
     if x0 is None:
         x0 = np.zeros(A.shape[1])
-    return TestProblem(
-        name="logistic_l0",
-        f_eval=f_eval,
-        grad_eval=grad_eval,
-        cls=cls,
-        x0=np.asarray(x0, dtype=float),
-    )
+    return TestProblem(name="logistic_l0", oracle=oracle, cls=cls, x0=np.asarray(x0, dtype=float))
 
 
 def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:

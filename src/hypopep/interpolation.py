@@ -158,20 +158,6 @@ def check_interpolable(
     )
 
 
-def shift_triplets(ts: TripletSet, mu: float) -> TripletSet:
-    """Curvature-subtraction map: (x, g, f) -> (x, g - mu*x, f - mu/2*|x|^2).
-
-    The original set is (mu, L)-interpolable iff the image is
-    (0, L - mu)-interpolable.
-    """
-    return TripletSet(
-        tuple(
-            OracleTriplet(t.x, t.g - mu * t.x, t.f - 0.5 * mu * float(t.x @ t.x))
-            for t in ts.triplets
-        )
-    )
-
-
 def _simplex_qp_kkt_residual(Q: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> float:
     grad = Q @ alpha + b
     support = alpha > 1e-12

@@ -16,7 +16,6 @@ coefficients, so a row's matrix A_ij satisfies
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,43 +74,6 @@ class SdpProblem:
     var_names: tuple[str, ...]
     constraints: tuple[SdpConstraint, ...]
     objective_var: str = "l"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gram_dim": self.gram_dim,
-                "var_names": list(self.var_names),
-                "objective": self.objective_var,
-                "constraints": [
-                    {
-                        "A": c.A.flatten().tolist(),
-                        "lin": c.lin,
-                        "const": c.const,
-                        "label": c.label,
-                    }
-                    for c in self.constraints
-                ],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SdpProblem":
-        obj = json.loads(text)
-        n = obj["gram_dim"]
-        return SdpProblem(
-            gram_dim=n,
-            var_names=tuple(obj["var_names"]),
-            constraints=tuple(
-                SdpConstraint(
-                    A=np.array(c["A"], dtype=float).reshape(n, n),
-                    lin={k: float(v) for k, v in c["lin"].items()},
-                    const=float(c["const"]),
-                    label=c.get("label", ""),
-                )
-                for c in obj["constraints"]
-            ),
-            objective_var=obj.get("objective", "l"),
-        )
 
 
 def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -40,14 +40,6 @@ class StepOutOfRange(ValidationError):
     pass
 
 
-class MixedSigns(ValidationError):
-    pass
-
-
-class ZeroDenominator(ValidationError):
-    pass
-
-
 class RootNotBracketed(RuntimeError):
     pass
 
@@ -129,20 +121,6 @@ def nstep_bound(
         regime=regime,
         per_step_p=tuple(ps),
     )
-
-
-def meta_combine(p_list: list[float], q: float | None, gap: float) -> float:
-    """Generic rate combinator gap / (q + sum p_i) for same-signed constants."""
-    if not p_list:
-        raise ZeroDenominator("empty p list")
-    sign = math.copysign(1.0, p_list[0])
-    vals = list(p_list) + ([] if q is None else [q])
-    if any(math.copysign(1.0, v) != sign for v in vals):
-        raise MixedSigns("all p_i (and q) must share one sign")
-    denom = sum(p_list) + (0.0 if q is None else q)
-    if denom == 0.0:
-        raise ZeroDenominator("denominator sums to zero")
-    return gap / denom
 
 
 def kappa_bar() -> float:

@@ -220,8 +220,7 @@ def verify_tightness(
     wcf = build_worst_case(cls, sched, delta, kind)
     tp = TestProblem(
         name="worst_case",
-        f_eval=lambda x: wcf.eval(float(x[0]))[0],
-        grad_eval=lambda x: np.array([wcf.eval(float(x[0]))[1]]),
+        oracle=lambda x: wcf.eval(float(x[0])),
         cls=cls,
         x0=np.array([wcf.xs[0]]),
     )

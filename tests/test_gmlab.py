@@ -22,15 +22,14 @@ from hypopep.gmlab import (
 )
 from hypopep.interpolation import quadratic_bounds_check
 from hypopep.rates import nstep_bound
-from hypopep.worstcase import build_worst_case
+from hypopep.worstcase import WorstCaseFunction, build_worst_case, verify_tightness
 
 
 def quadratic_problem(L=1.0):
     cls = CurvatureClass(mu=0.0, L=L)
     return TestProblem(
         name="quad",
-        f_eval=lambda x: 0.5 * L * float(x @ x),
-        grad_eval=lambda x: L * x,
+        oracle=lambda x: (0.5 * L * float(x @ x), L * x),
         cls=cls,
         x0=np.array([1.0]),
         f_star_known=0.0,
@@ -58,12 +57,11 @@ def test_run_gm_recursion_and_min():
 def test_run_gm_detects_nonfinite():
     tp = TestProblem(
         name="bad",
-        f_eval=lambda x: float("nan"),
-        grad_eval=lambda x: x,
+        oracle=lambda x: (float("nan"), x),
         cls=CurvatureClass(mu=0.0, L=1.0),
         x0=np.array([1.0]),
     )
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 0"):
         run_gm(tp, StepSchedule((1.0,)))
 
 
@@ -84,8 +82,7 @@ def test_one_step_certificate_tight_on_worst_case():
     w = build_worst_case(cls, sched, 1.0, NumeratorKind.gap_to_last)
     tp = TestProblem(
         name="wc",
-        f_eval=lambda x: w.eval(float(x[0]))[0],
-        grad_eval=lambda x: np.array([w.eval(float(x[0]))[1]]),
+        oracle=lambda x: w.eval(float(x[0])),
         cls=cls,
         x0=np.array([w.xs[0]]),
     )
@@ -254,3 +251,154 @@ def test_csv_io(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "iter,h,f,grad_norm_sq,min_grad_norm_sq_so_far,bound_so_far"
     assert len(rows) == 4
+
+
+# --- one oracle call per iterate -------------------------------------------
+
+
+def test_run_gm_calls_oracle_once_per_iterate():
+    calls = []
+
+    def oracle(x):
+        calls.append(x.copy())
+        return 0.5 * float(x @ x), x.copy()
+
+    tp = TestProblem(name="count", oracle=oracle, cls=CurvatureClass(mu=0.0, L=1.0),
+                     x0=np.array([1.0, -2.0]))
+    sched = StepSchedule((0.5, 0.7, 0.9, 1.1))
+    traj = run_gm(tp, sched)
+    assert len(calls) == sched.n + 1
+    for x, t in zip(calls, traj.iterates):
+        assert np.array_equal(x, t.x)
+
+
+def test_verify_tightness_evaluates_once_per_iterate(monkeypatch):
+    calls = []
+    original = WorstCaseFunction.eval
+
+    def counting_eval(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(WorstCaseFunction, "eval", counting_eval)
+    sched = StepSchedule((0.3, 1.0, 0.6, 0.9, 0.2))
+    for kind in NumeratorKind:
+        calls.clear()
+        rep = verify_tightness(validate_class(-1.0, 1.0), sched, 1.0, kind)
+        assert rep.passed
+        assert len(calls) == sched.n + 1
+
+
+def _huber_reference(A, b, delta_h, mu_reg):
+    # the two-function arithmetic the one-call oracle must reproduce bitwise
+    def f_eval(x):
+        r = A @ x - b
+        nr = float(np.linalg.norm(r))
+        if nr <= delta_h:
+            hub = nr * nr / (2.0 * delta_h)
+        else:
+            hub = nr - delta_h / 2.0
+        return hub + 0.5 * mu_reg * float(x @ x)
+
+    def grad_eval(x):
+        r = A @ x - b
+        nr = float(np.linalg.norm(r))
+        if nr <= delta_h:
+            g = A.T @ r / delta_h
+        else:
+            g = A.T @ r / nr
+        return g + mu_reg * x
+
+    return f_eval, grad_eval
+
+
+def _logistic_reference(A, y, lam, sigma, reg_weight):
+    n_data = A.shape[0]
+
+    def softplus(t):
+        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+    def f_eval(x):
+        t = A @ x
+        loss = float(np.mean(softplus(t) - y * t))
+        if reg_weight == 0.0:
+            return loss
+        val, _ = ll_envelope_l0(x, lam, sigma)
+        return loss + reg_weight * float(val.sum())
+
+    def grad_eval(x):
+        t = A @ x
+        sig = 1.0 / (1.0 + np.exp(-t))
+        g = A.T @ (sig - y) / n_data
+        if reg_weight == 0.0:
+            return g
+        _, gv = ll_envelope_l0(x, lam, sigma)
+        return g + reg_weight * gv
+
+    return f_eval, grad_eval
+
+
+def _assert_bitwise(tp, f_ref, g_ref, x):
+    f, g = tp.oracle(x)
+    assert isinstance(f, float)
+    assert np.float64(f).tobytes() == np.float64(f_ref(x)).tobytes()
+    expected = np.asarray(g_ref(x))
+    assert g.dtype == expected.dtype and g.shape == expected.shape
+    assert g.tobytes() == expected.tobytes()
+    assert tp.f_eval(x) == f and tp.grad_eval(x).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("mu_reg", [0.0, 0.3, -0.2])
+def test_huber_oracle_bitwise_equals_two_function_form(mu_reg):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((9, 4))
+    x_c = rng.standard_normal(4)
+    b = A @ x_c
+    delta_h = 0.7
+    tp = make_huber_problem(A, b, delta_h, mu_reg)
+    f_ref, g_ref = _huber_reference(A, b, delta_h, mu_reg)
+    branches = set()
+    for scale in (0.0, 1e-3, 1e-2, 0.05, 0.3, 1.0, 10.0):
+        for _ in range(4):
+            x = x_c + scale * rng.standard_normal(4)
+            branches.add(float(np.linalg.norm(A @ x - b)) <= delta_h)
+            _assert_bitwise(tp, f_ref, g_ref, x)
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("reg_weight", [0.0, 0.1, 2.5])
+def test_logistic_oracle_bitwise_equals_two_function_form(reg_weight):
+    rng = np.random.default_rng(12)
+    lam, sigma = 2.0, 1.0
+    A = rng.standard_normal((14, 6))
+    y = (rng.uniform(size=14) < 0.5).astype(float)
+    tp = make_logistic_l0_problem(A, y, lam, sigma, reg_weight=reg_weight)
+    f_ref, g_ref = _logistic_reference(A, y, lam, sigma, reg_weight)
+    # |x| <= 1 is the inner quadratic, 1 < |x| < 2 the cap, |x| >= 2 the constant
+    fixed = np.array([0.5, -1.5, 3.0, -0.2, 1.0, -2.0])
+    _assert_bitwise(tp, f_ref, g_ref, fixed)
+    for scale in (0.1, 1.0, 3.0, 40.0):
+        for _ in range(4):
+            _assert_bitwise(tp, f_ref, g_ref, scale * rng.standard_normal(6))
+
+
+def test_run_gm_nan_gradient_raises_nonfinite():
+    def oracle(x):
+        g = x.copy()
+        if x[0] < 1.0:
+            g[1] = np.nan
+        return 0.5 * float(x @ x), g
+
+    tp = TestProblem(name="nan_g", oracle=oracle, cls=CurvatureClass(mu=0.0, L=1.0),
+                     x0=np.array([2.0, 1.0]))
+    with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 1"):
+        run_gm(tp, StepSchedule((0.9, 0.9)))
+
+
+def test_run_gm_overflowing_iterate_raises_nonfinite():
+    # the step (h / L) g overflows, so x_1 is infinite while f and g stay finite
+    tp = TestProblem(name="overflow", oracle=lambda x: (0.0, np.array([1e308])),
+                     cls=CurvatureClass(mu=0.0, L=1e-3), x0=np.array([-1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 1"):
+            run_gm(tp, StepSchedule((1.0, 1.0)))

@@ -15,7 +15,6 @@ from hypopep.interpolation import (
     eval_interpolating,
     pair_slack,
     quadratic_bounds_check,
-    shift_triplets,
 )
 
 
@@ -65,6 +64,17 @@ def test_minimum_characterization():
     i = report.i_star
     t = ts.triplets[i]
     assert np.allclose(report.x_star, t.x - t.g / cls.L)
+
+
+def shift_triplets(ts, mu):
+    # curvature subtraction (x, g, f) -> (x, g - mu*x, f - mu/2*|x|^2): the
+    # set is (mu, L)-interpolable iff its image is (0, L - mu)-interpolable
+    return TripletSet(
+        tuple(
+            OracleTriplet(t.x, t.g - mu * t.x, t.f - 0.5 * mu * float(t.x @ t.x))
+            for t in ts.triplets
+        )
+    )
 
 
 @given(st.floats(min_value=-5.0, max_value=-0.01))

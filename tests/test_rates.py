@@ -8,19 +8,16 @@ from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.rates import (
     BranchMismatch,
     InsufficientData,
-    MixedSigns,
     OptimalStepBranch,
     OptimalStepMode,
     PositiveKappa,
     StepAboveThreshold,
     StepNonPositive,
     StepOutOfRange,
-    ZeroDenominator,
     conjectured_bound_convex,
     conjectured_bound_third_regime,
     fit_r,
     kappa_bar,
-    meta_combine,
     nstep_bound,
     one_step_p,
     one_step_p_unbounded,
@@ -125,15 +122,6 @@ def test_convex_bound_values():
     cls = validate_class(0.0, 1.0)
     res = nstep_bound(cls, StepSchedule.constant(1.0, 2), 1.0, NumeratorKind.gap_to_optimal)
     assert abs(res.bound - 0.4) < 1e-14
-
-
-def test_meta_combine():
-    assert meta_combine([1.0, 2.0], 1.0, 8.0) == 2.0
-    assert meta_combine([4.0], None, 8.0) == 2.0
-    with pytest.raises(MixedSigns):
-        meta_combine([1.0, -1.0], None, 1.0)
-    with pytest.raises(ZeroDenominator):
-        meta_combine([], None, 1.0)
 
 
 def test_kappa_bar_value():

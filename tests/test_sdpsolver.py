@@ -230,18 +230,3 @@ def test_verify_solution_fails_on_duality_gap_alone():
     assert len(report.failures) == 1
     assert report.failures[0].startswith("duality gap ")
     assert report.duality_gap > 100 * 1e-6 * (1.0 + abs(tampered.objective))
-
-
-def test_pep_problem_json_roundtrip():
-    cls = validate_class(-1.0, 1.0)
-    prob = build_sdp(
-        PepProblem(cls, StepSchedule.constant(1.0, 1), 1.0, NumeratorKind.gap_to_last)
-    )
-    back = SdpProblem.from_json(prob.to_json())
-    assert back.gram_dim == prob.gram_dim
-    assert back.var_names == prob.var_names
-    assert len(back.constraints) == len(prob.constraints)
-    for c0, c1 in zip(prob.constraints, back.constraints):
-        assert np.allclose(c0.A, c1.A)
-        assert c0.lin == c1.lin and c0.const == c1.const and c0.label == c1.label
-    assert abs(solve(back).objective - solve(prob).objective) < 1e-9
