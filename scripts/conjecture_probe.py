@@ -3,27 +3,27 @@
 
 Solves the worst-case SDPs for constant steps beyond the proven threshold
 and tabulates them next to the conjectured values, including the fitted
-linear-branch intercept r. Writes results/conjecture_probe.csv.
+linear-branch intercept r. Every optimum passes ``verify_solution`` (a
+failed solve raises ``SolverFailure``). Writes results/conjecture_probe.csv.
 """
 
 import csv
 import pathlib
 
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
-from hypopep.pep import PepProblem, build_sdp
+from hypopep.pep import PepProblem, solve_pep
 from hypopep.rates import (
     conjectured_bound_convex,
     conjectured_bound_third_regime,
     fit_r,
 )
-from hypopep.sdpsolver import solve
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 KIND = NumeratorKind.gap_to_optimal
 
 
 def pep_opt(cls, h, n):
-    return solve(build_sdp(PepProblem(cls, StepSchedule.constant(h, n), 1.0, KIND))).objective
+    return solve_pep(PepProblem(cls, StepSchedule.constant(h, n), 1.0, KIND)).objective
 
 
 def main():

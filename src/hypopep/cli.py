@@ -29,8 +29,9 @@ from .pep import (
     IndefiniteGram,
     InterpolationFailure,
     PepProblem,
-    build_sdp,
+    SolverFailure,
     extract_triplets,
+    solve_pep,
 )
 from .rates import (
     conjectured_bound_convex,
@@ -39,12 +40,7 @@ from .rates import (
     optimal_step,
     step_threshold,
 )
-from .sdpsolver import SolveStatus, check_gram_dim, solve, verify_solution
 from .worstcase import build_worst_case, verify_tightness
-
-
-class SolverFailure(RuntimeError):
-    pass
 
 
 class CheckFailure(RuntimeError):
@@ -121,47 +117,32 @@ def cmd_optstep(args) -> int:
     return 0
 
 
-def _solve_pep(cls, sched, delta, kind):
-    """Solve the PEP; only an Optimal solution that passes verify_solution is returned."""
-    p = PepProblem(cls, sched, delta, kind)
-    check_gram_dim(p.gram_dim)  # before assembling O(N^2) dense rows
-    sdp = build_sdp(p)
-    sol = solve(sdp)
-    if sol.status != SolveStatus.Optimal:
-        raise SolverFailure(f"solver status {sol.status.value}")
-    report = verify_solution(sdp, sol)
-    if not report.all_pass:
-        raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    return sol
+def _reference_bound(p: PepProblem):
+    """Analytic or conjectured reference for a PEP optimum, if one exists.
 
-
-def _reference_bound(cls, sched, delta, kind):
-    """Analytic or conjectured reference for a PEP optimum, if one exists."""
-    kappa = cls.kappa
-    h_bar = step_threshold(kappa)
-    if all(h <= h_bar for h in sched.steps):
-        return nstep_bound(cls, sched, delta, kind).bound
-    hs = set(sched.steps)
-    if kappa == 0.0 and len(hs) == 1:
-        h = sched.steps[0]
-        if 1.5 < h < 2.0:
-            return conjectured_bound_convex(h, sched.n, cls.L, delta, kind).bound
+    The analytic rate is returned only where it is exact: every step at most
+    h_bar, and either every step at most 1 or every step at least 1. For a
+    schedule that straddles h = 1 it is only an upper bound.
+    """
+    kappa, steps = p.cls.kappa, p.sched.steps
+    if max(steps) <= step_threshold(kappa) and (max(steps) <= 1.0 or min(steps) >= 1.0):
+        return nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
+    if kappa == 0.0 and len(set(steps)) == 1 and 1.5 < steps[0] < 2.0:
+        return conjectured_bound_convex(steps[0], p.sched.n, p.cls.L, p.delta, p.init_kind).bound
     return None
 
 
 def cmd_pep(args) -> int:
-    cls = _cls(args)
-    sched = _schedule_from_args(args)
-    kind = _kind(args)
-    sol = _solve_pep(cls, sched, args.delta, kind)
+    p = PepProblem(_cls(args), _schedule_from_args(args), args.delta, _kind(args))
+    sol = solve_pep(p)
     print(f"optimum {_fmt(sol.objective)}")
     print(f"iterations {sol.iterations}")
-    ref = _reference_bound(cls, sched, args.delta, kind)
+    ref = _reference_bound(p)
     if ref is not None:
         print(f"reference {_fmt(ref)}")
         print(f"rel_error {_fmt(abs(sol.objective - ref) / ref)}")
     if args.emit_triplets:
-        ts = extract_triplets(PepProblem(cls, sched, args.delta, kind), sol)
+        ts = extract_triplets(p, sol)
         with open(args.emit_triplets, "w") as fh:
             fh.write(ts.to_json())
         print(f"triplets {args.emit_triplets}")
@@ -242,8 +223,9 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
             res = nstep_bound(cls, sched, delta, kind)
             row.update(bound=_fmt(res.bound), denominator=_fmt(res.denominator), error="")
         else:
-            sol = _solve_pep(cls, sched, delta, kind)
-            ref = _reference_bound(cls, sched, delta, kind)
+            p = PepProblem(cls, sched, delta, kind)
+            sol = solve_pep(p)
+            ref = _reference_bound(p)
             row.update(
                 optimum=_fmt(sol.objective),
                 reference="" if ref is None else _fmt(ref),
@@ -301,7 +283,7 @@ def cmd_fit_r(args) -> int:
     kind = _kind(args)
     values = []
     for n in range(lo, hi + 1):
-        sol = _solve_pep(cls, StepSchedule.constant(args.h, n), args.delta, kind)
+        sol = solve_pep(PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind))
         values.append((n, sol.objective))
         print(f"N={n} optimum {_fmt(sol.objective)}")
     res = fit_r(cls, args.h, values, delta=args.delta)

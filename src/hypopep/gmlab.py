@@ -244,6 +244,7 @@ def make_huber_problem(
     return TestProblem(name="huber", oracle=oracle, cls=cls, x0=np.asarray(x0, dtype=float))
 
 
+@np.errstate(over="ignore")  # every branch is evaluated; unused ones may overflow
 def ll_envelope_l0(x: np.ndarray, lam: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Lasry-Lions smoothing of the l0 penalty, applied elementwise.
 
@@ -256,18 +257,11 @@ def ll_envelope_l0(x: np.ndarray, lam: float, sigma: float) -> tuple[np.ndarray,
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     t = math.sqrt(2.0 * lam)
-    inner = (1.0 - sigma / lam) * t
-    val = np.empty_like(ax)
-    grad = np.empty_like(ax)
-    m1 = ax <= inner
-    m3 = ax >= t
-    m2 = ~m1 & ~m3
-    val[m1] = x[m1] ** 2 / (2.0 * (lam - sigma))
-    grad[m1] = x[m1] / (lam - sigma)
-    val[m2] = 1.0 - (ax[m2] - t) ** 2 / (2.0 * sigma)
-    grad[m2] = -np.sign(x[m2]) * (ax[m2] - t) / sigma
-    val[m3] = 1.0
-    grad[m3] = 0.0
+    inner = ax <= (1.0 - sigma / lam) * t
+    flat = ax >= t
+    val = np.where(inner, x**2 / (2.0 * (lam - sigma)),
+                   np.where(flat, 1.0, 1.0 - (ax - t) ** 2 / (2.0 * sigma)))
+    grad = np.where(inner, x / (lam - sigma), np.where(flat, 0.0, -np.sign(x) * (ax - t) / sigma))
     return val, grad
 
 

@@ -8,6 +8,14 @@ Search directions use Nesterov-Todd scaling with a Mehrotra
 predictor-corrector; the Newton system is reduced to a dense positive
 definite system in the primal variables u = (svec(G), y).
 
+This module defines the input format. An ``SdpProblem`` holds the Gram
+dimension n, the names of the scalar variables y (the objective variable
+``l`` among them) and one ``SdpRows``: the m rows stacked as arrays, ``A``
+(m x n x n), ``lin`` (m x len(y)), ``const`` (m) and one label per row.
+``solve`` stops when the relative primal and dual residuals and the
+relative gap are all below ``TOL``, or after ``MAX_ITER`` iterations;
+``verify_solution`` rechecks a solution against the rows at ``VERIFY_TOL``.
+
 The constraints read Gmat u + s = h with s = (orthant slacks, svec(G)) and
 Gmat = [-B; -[I 0]], where B is the row matrix of the constraints. Gmat
 is never formed: it and its transpose are applied through B and the svec
@@ -45,11 +53,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ValidationError
-from .pep import SdpProblem
 
 _SQRT2 = np.sqrt(2.0)
 
 MAX_GRAM_DIM = 64
+TOL = 1e-9  # KKT residuals and relative gap at which solve stops
+MAX_ITER = 200
+VERIFY_TOL = 1e-6  # slack and eigenvalue floor of verify_solution
+OBJECTIVE = "l"  # the variable the SDP maximizes
 
 
 class ProblemTooLarge(ValidationError):
@@ -128,6 +139,29 @@ def _orthant_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
 
 
+@dataclass(frozen=True)
+class SdpRows:
+    """Affine rows <A[c], G> + lin[c] @ y + const[c] >= 0, stacked.
+
+    ``A`` is m x n x n, ``lin`` is m x len(var_names), ``const`` has length m.
+    """
+
+    A: np.ndarray
+    lin: np.ndarray
+    const: np.ndarray
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True)
+class SdpProblem:
+    gram_dim: int
+    var_names: tuple[str, ...]
+    constraints: SdpRows
+
+
 class SolveStatus(str, Enum):
     Optimal = "Optimal"
     MaxIter = "MaxIter"
@@ -144,34 +178,15 @@ class SdpSolution:
     iterations: int = 0
 
 
-@dataclass
-class SolveOptions:
-    tol: float = 1e-9
-    max_iter: int = 200
-
-
 def _problem_arrays(problem: SdpProblem):
-    n = problem.gram_dim
-    m = len(problem.constraints)
-    sd = n * (n + 1) // 2
-    k = len(problem.var_names)
-    nv = sd + k
-    var_index = {v: sd + i for i, v in enumerate(problem.var_names)}
-    rows, cols, scale = _triu(n)
-
-    A = np.array([c.A for c in problem.constraints], dtype=float).reshape(m, n, n)
-    B = np.zeros((m, nv))
-    B[:, :sd] = 0.5 * (A[:, rows, cols] + A[:, cols, rows]) * scale
-    for ci, c in enumerate(problem.constraints):
-        for vname, coef in c.lin.items():
-            B[ci, var_index[vname]] = coef
-    d = np.array([c.const for c in problem.constraints], dtype=float)
-
-    # minimize cvec.u == maximize the objective variable
-    cvec = np.zeros(nv)
-    cvec[var_index[problem.objective_var]] = -1.0
-
-    return B, d, cvec, var_index
+    """Row matrix B = [svec(A_c), lin_c], offsets d and cost cvec over u = (svec(G), y)."""
+    i, j, scale = _triu(problem.gram_dim)
+    rows = problem.constraints
+    B = np.hstack([0.5 * (rows.A[:, i, j] + rows.A[:, j, i]) * scale, rows.lin])
+    # minimize cvec.u == maximize the objective variable; y follows svec(G)
+    cvec = np.zeros(B.shape[1])
+    cvec[len(i) + problem.var_names.index(OBJECTIVE)] = -1.0
+    return B, rows.const, cvec
 
 
 def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -186,18 +201,14 @@ def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray) -> np.ndarray:
     return M
 
 
-def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
-    """Solve the SDP to KKT residuals below ``opts.tol`` or report status."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_inner(problem, opts or SolveOptions())
-
-
-def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
+@np.errstate(over="ignore", invalid="ignore")
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve the SDP to KKT residuals below ``TOL`` or report status."""
     n = problem.gram_dim
     check_gram_dim(n)
     m = len(problem.constraints)
     sd = n * (n + 1) // 2
-    B, d, cvec, var_index = _problem_arrays(problem)
+    B, d, cvec = _problem_arrays(problem)
     nv = B.shape[1]
 
     # h = (d, 0); Gmat is applied through B and the svec slice (module docstring)
@@ -226,7 +237,7 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
     status = SolveStatus.MaxIter
     it = 0
     best_it = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r_p, r_d, gap, rel_gap, pobj, dobj = residuals(u, s, z)
         pres = float(np.linalg.norm(r_p)) / h_norm
         dres = float(np.linalg.norm(r_d)) / c_norm
@@ -234,7 +245,7 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
         if best is None or score < best[0]:
             best = (score, u.copy(), s.copy(), z.copy(), pres, dres, rel_gap)
             best_it = it
-        if pres <= opts.tol and dres <= opts.tol and rel_gap <= opts.tol:
+        if pres <= TOL and dres <= TOL and rel_gap <= TOL:
             status = SolveStatus.Optimal
             break
         if it - best_it > 15:
@@ -308,13 +319,13 @@ def _solve_inner(problem: SdpProblem, opts: SolveOptions) -> SdpSolution:
         z = z + alpha * dz
 
     _, u, s, z, pres, dres, rel_gap = best
-    if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * opts.tol:
+    if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * TOL:
         status = SolveStatus.Optimal
 
     gram = smat(u[:sd], n)
-    linear_values = {v: float(u[idx]) for v, idx in var_index.items()}
+    linear_values = {v: float(y) for v, y in zip(problem.var_names, u[sd:])}
     return SdpSolution(
-        objective=linear_values[problem.objective_var],
+        objective=linear_values[OBJECTIVE],
         gram=0.5 * (gram + gram.T),
         linear_values=linear_values,
         duals=z[:m].copy(),
@@ -334,31 +345,25 @@ class VerificationReport:
     failures: list[str] = field(default_factory=list)
 
 
-def verify_solution(
-    problem: SdpProblem, solution: SdpSolution, tol: float = 1e-6
-) -> VerificationReport:
-    """Independent recheck of a solution: slacks, PSD-ness, complementarity
-    and duality gap."""
+def verify_solution(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
+    """Independent recheck of a solution against the rows' ``A``, not the
+    solver's ``B``: slacks, PSD-ness, complementarity and duality gap."""
     failures = []
     G = solution.gram
-    vals = solution.linear_values
-    slacks = []
-    for c in problem.constraints:
-        slack = float(np.sum(c.A * G)) + sum(vals[v] * coef for v, coef in c.lin.items()) + c.const
-        slacks.append(slack)
-    slacks = np.array(slacks)
+    rows = problem.constraints
+    y = np.array([solution.linear_values[v] for v in problem.var_names])
+    slacks = np.einsum("cij,ij->c", rows.A, G) + rows.lin @ y + rows.const
     min_slack = float(slacks.min())
-    if min_slack < -tol:
-        failures.append(f"constraint slack {min_slack} below -{tol}")
+    if min_slack < -VERIFY_TOL:
+        failures.append(f"constraint slack {min_slack} below -{VERIFY_TOL}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
-    if min_eig < -tol:
-        failures.append(f"gram eigenvalue {min_eig} below -{tol}")
+    if min_eig < -VERIFY_TOL:
+        failures.append(f"gram eigenvalue {min_eig} below -{VERIFY_TOL}")
     comp = float(np.abs(slacks * solution.duals).max()) if len(slacks) else 0.0
-    dobj = float(sum(c.const * zc for c, zc in zip(problem.constraints, solution.duals)))
-    gap = abs(solution.objective - dobj)
-    if comp > 100 * tol * (1.0 + abs(solution.objective)):
+    gap = abs(solution.objective - float(rows.const @ solution.duals))
+    if comp > 100 * VERIFY_TOL * (1.0 + abs(solution.objective)):
         failures.append(f"complementarity residual {comp}")
-    if gap > 100 * tol * (1.0 + abs(solution.objective)):
+    if gap > 100 * VERIFY_TOL * (1.0 + abs(solution.objective)):
         failures.append(f"duality gap {gap}")
     return VerificationReport(
         all_pass=not failures,

@@ -27,7 +27,7 @@ from .core import (
     ValidationError,
 )
 from .interpolation import check_interpolable
-from .rates import one_step_p
+from .rates import nstep_bound
 
 
 class StepAboveOne(ValidationError):
@@ -137,12 +137,10 @@ def build_worst_case(
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")
     mu, L = cls.mu, cls.L
     N = sched.n
-    ps = [one_step_p(h, kappa) for h in sched.steps]
-    denom = sum(ps)
+    res = nstep_bound(cls, sched, delta, kind)
+    ps = res.per_step_p
+    U = math.sqrt(res.bound)
     opt = kind == NumeratorKind.gap_to_optimal
-    if opt:
-        denom += 1.0
-    U = math.sqrt(2.0 * L * delta / denom)
 
     # iterates: x_N is 0 (last) or U/L (optimal, one more step to the minimum)
     base = U / L if opt else 0.0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hypopep import cli
+from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
 from hypopep.pep import IndefiniteGram, InterpolationFailure
 from hypopep.sdpsolver import VerificationReport
@@ -62,6 +62,25 @@ def test_pep_command_matches_analytic(capsys, tmp_path):
     assert float(grab(out, "rel_error")) < 1e-6
     data = json.loads(trip.read_text())
     assert len(data["triplets"]) == 3
+
+
+@pytest.mark.parametrize("steps, kind, exact", [
+    # straddles h = 1 below h_bar(-2) = 1.8228...: the rate is only an upper bound
+    ("1.8228756555322951,0.3", "last", False),
+    ("0.4,1.2", "opt", False),
+    ("1.3", "last", True),  # constant, beyond 1
+    ("0.3,0.9,1.0", "opt", True),  # every step at most 1
+    ("1.2,1.7", "last", True),  # every step in [1, h_bar]
+])
+def test_pep_reference_only_where_the_rate_is_exact(capsys, steps, kind, exact):
+    rc, out, _ = run(capsys, "pep", "--kappa", "-2", "--steps", steps, "--kind", kind)
+    assert rc == 0
+    keys = [line.split()[0] for line in out.splitlines()]
+    if exact:
+        assert keys == ["optimum", "iterations", "reference", "rel_error"]
+        assert float(grab(out, "rel_error")) < 1e-8
+    else:
+        assert keys == ["optimum", "iterations"]
 
 
 @pytest.mark.parametrize(
@@ -169,7 +188,7 @@ def _failing_report(sdp, sol):
     ("fit-r", "--kappa", "-1", "--h", "1.8", "--N", "3:4"),
 ])
 def test_failed_verification_exit_code(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "verify_solution", _failing_report)
+    monkeypatch.setattr(pep, "verify_solution", _failing_report)
     rc, out, err = run(capsys, *argv)
     assert rc == 3
     assert "optimum" not in out
@@ -177,7 +196,7 @@ def test_failed_verification_exit_code(capsys, monkeypatch, argv):
 
 
 def test_failed_verification_sweep_error_column(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "verify_solution", _failing_report)
+    monkeypatch.setattr(pep, "verify_solution", _failing_report)
     out = tmp_path / "v.csv"
     rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa", "-1",
                    "--h", "1", "--N", "1,2", "--out", str(out))

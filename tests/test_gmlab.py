@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,41 @@ def test_envelope_class_membership():
         tol=1e-9,
     )
     assert ok
+
+
+def _masked_envelope(x, lam, sigma):
+    # one gather and one scatter per branch; ll_envelope_l0 must match it bitwise
+    ax = np.abs(x)
+    t = math.sqrt(2.0 * lam)
+    m1 = ax <= (1.0 - sigma / lam) * t
+    m3 = ax >= t
+    m2 = ~m1 & ~m3
+    val, grad = np.empty_like(ax), np.empty_like(ax)
+    val[m1] = x[m1] ** 2 / (2.0 * (lam - sigma))
+    grad[m1] = x[m1] / (lam - sigma)
+    val[m2] = 1.0 - (ax[m2] - t) ** 2 / (2.0 * sigma)
+    grad[m2] = -np.sign(x[m2]) * (ax[m2] - t) / sigma
+    val[m3] = 1.0
+    grad[m3] = 0.0
+    return val, grad
+
+
+@pytest.mark.parametrize("lam, sig", [(2.0, 1.0), (0.7, 0.05), (3.3, 3.2)])
+def test_envelope_bitwise_equal_to_masked_branches(lam, sig):
+    t = math.sqrt(2.0 * lam)
+    inner = (1.0 - sig / lam) * t
+    edges = np.array([0.0, -0.0, inner, -inner, t, -t, np.nextafter(inner, 0.0),
+                      np.nextafter(t, 0.0), np.nextafter(t, 9.0), 1e200, -1e300])
+    x = np.concatenate([edges, np.random.default_rng(7).uniform(-1.5 * t, 1.5 * t, 400)])
+    ref_val, ref_grad = _masked_envelope(x, lam, sig)
+    assert {"inner", "cap", "flat"} <= {
+        "inner" if abs(v) <= inner else "flat" if abs(v) >= t else "cap" for v in x
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow from the unused branches
+        val, grad = ll_envelope_l0(x, lam, sig)
+    assert val.tobytes() == ref_val.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_envelope_rejects_bad_params():

@@ -1,11 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hypopep import pep, sdpsolver
 from hypopep.core import NumeratorKind, StepSchedule, ValidationError, validate_class
 from hypopep.interpolation import check_interpolable, slack_matrix
-from hypopep.pep import PepProblem, build_sdp, extract_triplets
+from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
 from hypopep.rates import nstep_bound, one_step_p
-from hypopep.sdpsolver import solve
+from hypopep.sdpsolver import (
+    ProblemTooLarge,
+    SolveStatus,
+    VerificationReport,
+    _problem_arrays,
+    solve,
+    svec,
+)
 
 
 def make(kappa, steps, delta=1.0, kind=NumeratorKind.gap_to_optimal, L=1.0):
@@ -14,7 +24,7 @@ def make(kappa, steps, delta=1.0, kind=NumeratorKind.gap_to_optimal, L=1.0):
 
 
 def count_labels(prob, prefix):
-    return sum(1 for c in prob.constraints if c.label.startswith(prefix))
+    return sum(1 for label in prob.constraints.labels if label.startswith(prefix))
 
 
 def test_constraint_counts_one_step_last():
@@ -132,10 +142,11 @@ def gram_points(p):
 
 
 def interp_rows(sdp):
-    for c in sdp.constraints:
-        if c.label.startswith("interp["):
-            a, b = c.label[len("interp["):-1].split(",")
-            yield a, b, c
+    """(a, b, row index) of every interpolation row."""
+    for r, label in enumerate(sdp.constraints.labels):
+        if label.startswith("interp["):
+            a, b = label[len("interp["):-1].split(",")
+            yield a, b, r
 
 
 def reference_interp_matrix(pi, pj, cls):
@@ -160,14 +171,16 @@ def test_interp_rows_match_per_pair_reference(kappa, kind, steps, L):
     pts = gram_points(p)
     rows = list(interp_rows(sdp))
     assert [(a, b) for a, b, _ in rows] == [(a, b) for a in pts for b in pts if a != b]
-    for a, b, c in rows:
+    c = sdp.constraints
+    for a, b, r in rows:
         ref = reference_interp_matrix(pts[a], pts[b], p.cls)
         if kappa in (0.0, -1.0):  # 2(1 - kappa) is a power of two
-            assert np.array_equal(c.A, ref)
+            assert np.array_equal(c.A[r], ref)
         else:
-            assert np.abs(c.A - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert np.abs(c.A[r] - ref).max() <= 1e-15 * np.abs(ref).max()
         lin = {f"f_{v}": s for v, s in ((a, 1.0), (b, -1.0)) if f"f_{v}" in sdp.var_names}
-        assert c.lin == lin and c.const == 0.0
+        assert np.array_equal(c.lin[r], [lin.get(v, 0.0) for v in sdp.var_names])
+        assert c.const[r] == 0.0
 
 
 @pytest.mark.parametrize("kappa,kind,steps,L", CASES)
@@ -186,7 +199,125 @@ def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
         S = slack_matrix(X, G, f, p.cls)
         index = {name: i for i, name in enumerate(pts)}
         gram = P.T @ P
-        for a, b, c in interp_rows(sdp):
-            row = np.sum(c.A * gram) + sum(s * values[v] for v, s in c.lin.items()) + c.const
+        c = sdp.constraints
+        y = np.array([values[v] for v in sdp.var_names])
+        for a, b, r in interp_rows(sdp):
+            row = np.sum(c.A[r] * gram) + c.lin[r] @ y + c.const[r]
             slack = S[index[a], index[b]]
             assert abs(row - slack) <= 1e-12 * max(1.0, abs(slack))
+
+
+def reference_rows(p, sdp):
+    """Per-row (A, lin, const) from each row's label, with the pairwise
+    inequality from ``reference_interp_matrix`` and the points from
+    ``gram_points``."""
+    pts = gram_points(p)
+    N, n, L = p.sched.n, p.gram_dim, p.cls.L
+    for label in sdp.constraints.labels:
+        kind, _, arg = label.partition("[")
+        arg = arg.rstrip("]")
+        if kind == "interp":
+            a, b = arg.split(",")
+            A = reference_interp_matrix(pts[a], pts[b], p.cls)
+            lin, const = {f"f_{a}": 1.0, f"f_{b}": -1.0}, 0.0
+        elif kind == "descent":
+            g = pts[arg][0]
+            A, lin, const = -np.outer(g, g) / (2.0 * L), {f"f_{arg}": 1.0}, 0.0
+        elif kind == "initial":
+            A, lin, const = np.zeros((n, n)), {"f_0": -1.0}, p.delta
+        else:
+            g = pts[arg][0]
+            A, lin, const = np.outer(g, g), {"l": -1.0}, 0.0
+        yield A, [lin.get(v, 0.0) for v in sdp.var_names], const
+
+
+@pytest.mark.parametrize("kappa,kind,steps,L", CASES)
+def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
+    p = make(kappa, steps, kind=kind, L=L, delta=2.5)
+    sdp = build_sdp(p)
+    N = p.sched.n
+    pts = list(gram_points(p))
+    labels = [f"interp[{a},{b}]" for a in pts for b in pts if a != b]
+    if kind == NumeratorKind.gap_to_optimal:
+        labels += [f"descent[{i}]" for i in range(N + 1)]
+    labels += ["initial"] + [f"epigraph[{i}]" for i in range(N + 1)]
+    assert list(sdp.constraints.labels) == labels
+    assert len(sdp.constraints) == len(labels)
+
+    B, d, cvec = _problem_arrays(sdp)
+    ref = list(reference_rows(p, sdp))
+    B_ref = np.array([np.concatenate([svec(A), lin]) for A, lin, _ in ref])
+    assert B.shape == B_ref.shape
+    if kappa in (0.0, -1.0):  # 2(1 - kappa) is a power of two
+        assert np.array_equal(B, B_ref)
+    else:
+        assert np.abs(B - B_ref).max() <= 1e-15 * np.abs(B_ref).max()
+    assert np.array_equal(d, [const for _, _, const in ref])
+    assert sdp.var_names[-1] == "l"
+    assert np.array_equal(cvec, np.r_[np.zeros(len(cvec) - 1), -1.0])  # maximize l
+
+
+def recursion_triplets(p, sol):
+    """Triplets from the factor of the Gram matrix and the step recursion
+    x_{i+1} = x_i - (h_i / L) g_i."""
+    G = sol.gram
+    w, V = np.linalg.eigh(0.5 * (G + G.T))
+    w = np.clip(w, 0.0, None)
+    keep = w > 1e-7 * max(w.max(), 1.0)
+    P = np.sqrt(w[keep])[:, None] * V[:, keep].T
+    N = p.sched.n
+    xs, gs = [P[:, N + 1]], [P[:, i] for i in range(N + 1)]
+    for i in range(N):
+        xs.append(xs[-1] - (p.sched.steps[i] / p.cls.L) * gs[i])
+    fs = [sol.linear_values.get(f"f_{i}", 0.0) for i in range(N + 1)]
+    if p.init_kind == NumeratorKind.gap_to_optimal:
+        xs, gs, fs = xs + [np.zeros(len(P))], gs + [np.zeros(len(P))], fs + [0.0]
+    return xs, gs, fs
+
+
+@pytest.mark.parametrize("kappa,kind,steps,L", [c for c in CASES if max(c[2]) <= 1.5])
+def test_extract_triplets_match_step_recursion(kappa, kind, steps, L):
+    p = make(kappa, steps, kind=kind, L=L)
+    sol = solve(build_sdp(p))
+    ts = extract_triplets(p, sol)
+    xs, gs, fs = recursion_triplets(p, sol)
+    assert len(ts) == len(xs)
+    scale = max(np.abs(x).max() for x in xs)
+    for t, x, g, f in zip(ts.triplets, xs, gs, fs):
+        assert t.g.tobytes() == g.tobytes()
+        assert t.f == f
+        assert np.abs(t.x - x).max() <= 1e-15 * scale
+
+
+def test_solve_pep_returns_verified_optimum():
+    p = make(-1.0, [1.0, 0.5])
+    sol = solve_pep(p)
+    assert sol.status == SolveStatus.Optimal
+    assert sol.objective == solve(build_sdp(p)).objective
+
+
+def test_solve_pep_raises_on_max_iter(monkeypatch):
+    def stalled(sdp):
+        return dataclasses.replace(sdpsolver.solve(sdp), status=SolveStatus.MaxIter)
+
+    monkeypatch.setattr(pep, "solve", stalled)
+    with pytest.raises(SolverFailure, match="^solver status MaxIter$"):
+        solve_pep(make(-1.0, [1.0]))
+
+
+def test_solve_pep_raises_on_failed_verification(monkeypatch):
+    def failing(sdp, sol):
+        return VerificationReport(False, 0.0, 0.0, 0.0, 1.0, ["duality gap 1.0", "injected"])
+
+    monkeypatch.setattr(pep, "verify_solution", failing)
+    with pytest.raises(SolverFailure, match="^verification failed: duality gap 1.0; injected$"):
+        solve_pep(make(-1.0, [1.0]))
+
+
+def test_build_sdp_rejects_gram_dim_above_cap(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows assembled before the size check")
+
+    monkeypatch.setattr(pep, "interpolation_slack", no_rows)
+    with pytest.raises(ProblemTooLarge, match="got 65"):
+        build_sdp(make(-1.0, [1.0] * 63))

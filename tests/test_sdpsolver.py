@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
-from hypopep.pep import PepProblem, SdpConstraint, SdpProblem, build_sdp
+from hypopep.pep import PepProblem, build_sdp
 from hypopep.sdpsolver import (
+    TOL,
+    SdpProblem,
+    SdpRows,
     SdpSolution,
     _nt_scaling_psd,
     _psd_step,
-    SolveOptions,
     SolveStatus,
     schur_matrix,
     skron,
@@ -22,14 +24,14 @@ from hypopep.sdpsolver import (
 
 def trivial_problem(scale=1.0):
     # maximize l subject to G_00 >= l and G_00 <= 1 (optimum l = 1)
-    A1 = np.array([[scale]])
-    A2 = np.array([[-scale]])
     return SdpProblem(
         gram_dim=1,
         var_names=("l",),
-        constraints=(
-            SdpConstraint(A=A1, lin={"l": -scale}, const=0.0, label="epi"),
-            SdpConstraint(A=A2, lin={}, const=scale, label="cap"),
+        constraints=SdpRows(
+            A=np.array([[[scale]], [[-scale]]]),
+            lin=np.array([[-scale], [0.0]]),
+            const=np.array([0.0, scale]),
+            labels=("epi", "cap"),
         ),
     )
 
@@ -172,10 +174,10 @@ def test_duality_gap_within_tolerance():
     prob = build_sdp(
         PepProblem(cls, StepSchedule.constant(1.0, 2), 1.0, NumeratorKind.gap_to_optimal)
     )
-    opts = SolveOptions(tol=1e-9)
-    sol = solve(prob, opts)
+    assert TOL == 1e-9
+    sol = solve(prob)
     assert sol.status == SolveStatus.Optimal
-    assert sol.kkt_residuals["gap"] <= 10 * opts.tol
+    assert sol.kkt_residuals["gap"] <= 10 * TOL
     report = verify_solution(prob, sol)
     assert report.all_pass
     assert report.duality_gap < 1e-6
@@ -230,3 +232,26 @@ def test_verify_solution_fails_on_duality_gap_alone():
     assert len(report.failures) == 1
     assert report.failures[0].startswith("duality gap ")
     assert report.duality_gap > 100 * 1e-6 * (1.0 + abs(tampered.objective))
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+@pytest.mark.parametrize("h", [0.6, 1.0, 1.7])
+def test_verify_solution_matches_per_row_loop(kind, h):
+    # the stacked einsum against one row at a time; the summation order
+    # differs, so the numbers agree to a few ulps of each row's magnitude
+    prob = build_sdp(PepProblem(validate_class(-0.8, 1.0), StepSchedule.constant(h, 5), 1.0, kind))
+    sol = solve(prob)
+    rows = prob.constraints
+    y = np.array([sol.linear_values[v] for v in prob.var_names])
+    slacks, size = [], []
+    for A, lin, const in zip(rows.A, rows.lin, rows.const):
+        terms = np.concatenate([(A * sol.gram).ravel(), lin * y, [const]])
+        slacks.append(float(np.sum(A * sol.gram)) + sum(lin * y) + const)
+        size.append(np.abs(terms).sum())
+    slacks, tol = np.array(slacks), 64 * EPS * max(size)
+    report = verify_solution(prob, sol)
+    assert abs(report.min_slack - slacks.min()) <= tol
+    assert abs(report.complementarity - np.abs(slacks * sol.duals).max()) <= tol * np.abs(sol.duals).max()
+    dobj = sum(c * z for c, z in zip(rows.const, sol.duals))
+    assert abs(report.duality_gap - abs(sol.objective - dobj)) <= 64 * EPS * abs(sol.objective)
+    assert report.all_pass

@@ -6,6 +6,7 @@ import pytest
 
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.interpolation import quadratic_bounds_check
+from hypopep.rates import nstep_bound
 from hypopep.worstcase import StepAboveOne, build_worst_case, verify_tightness
 
 
@@ -14,6 +15,17 @@ def test_reference_U_star():
         validate_class(-1.0, 1.0), StepSchedule((1.0,)), 1.0, NumeratorKind.gap_to_optimal
     )
     assert abs(w.U - math.sqrt(0.8)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+def test_U_and_values_come_from_the_rate(kind):
+    # U^2 is the rate bound and f_i spends U^2/(2L) p_j per step, to the bit
+    cls, sched, delta = validate_class(-1.3, 2.5), StepSchedule((0.3, 1.0, 0.77, 0.05)), 1.7
+    res = nstep_bound(cls, sched, delta, kind)
+    w = build_worst_case(cls, sched, delta, kind)
+    assert w.U == math.sqrt(res.bound)
+    step = w.U * w.U / (2.0 * cls.L)
+    assert w.fs == tuple(delta - step * sum(res.per_step_p[:i]) for i in range(sched.n + 1))
 
 
 def test_optimal_variant_minimizer_at_origin():
