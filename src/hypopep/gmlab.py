@@ -2,8 +2,11 @@
 
 A problem is a first-order oracle x -> (f(x), grad f(x)): one call gives
 both the value and the gradient, as one oracle triplet (x, g, f) needs.
-The runner calls it once per iterate and collects the triplets; the
-triplets' own validation is the only finiteness check. Testbed factories
+One kernel runs the method: it calls the oracle once per iterate, writes
+iterates, gradients and values into stacked rows, checks each gradient's
+shape as it arrives and checks finiteness once over all rows at the end.
+``run_gm`` wraps the rows into oracle triplets; ``estimate_f_star`` reads
+them directly and builds no triplet. Testbed factories
 cover a Huber-on-norm composite and an l2-regularized logistic loss with a
 Lasry-Lions smoothed l0 penalty, each with honestly declared curvature
 bounds; their oracles compute the shared residual, logits and penalty once
@@ -21,7 +24,7 @@ import numpy as np
 
 from .core import (
     CurvatureClass,
-    NonFiniteTriplet,
+    DimensionMismatch,
     NumeratorKind,
     OracleTriplet,
     StepSchedule,
@@ -75,24 +78,70 @@ class TestProblem:
         return self.oracle(x)[1]
 
 
-def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
-    """Run x_{i+1} = x_i - (h_i / L) g_i with one oracle call per iterate."""
-    L = tp.cls.L
-    x = np.atleast_1d(np.asarray(tp.x0, dtype=float)).copy()
-    trips = []
-    for i in range(sched.n + 1):
+def _first_nonfinite(X: np.ndarray, G: np.ndarray, F: np.ndarray) -> int | None:
+    """Index of the first row with a NaN or infinite x, g or f, if any."""
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(G).all(axis=1) & np.isfinite(F))
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iterates, gradients and values of x_{i+1} = x_i - (h_i / L) g_i, one row per iterate.
+
+    The oracle gets row i of the iterate array. A gradient whose shape is
+    not x's raises DimensionMismatch at once; the run stops at the first
+    non-finite value, so the oracle is never called after it. Finiteness of
+    every x, g and f is then checked in one pass over the rows, and the
+    first bad iterate raises NonFiniteValue.
+    """
+    x0 = np.atleast_1d(np.asarray(tp.x0, dtype=float))
+    if x0.ndim != 1:
+        raise DimensionMismatch(f"x0 must be a vector, got shape {x0.shape}")
+    n, shape = sched.n, x0.shape
+    X = np.empty((n + 1, x0.size))
+    G = np.empty_like(X)
+    F = np.empty(n + 1)
+    X[0] = x0
+    step = [h / tp.cls.L for h in sched.steps]
+    for i in range(n + 1):
+        x = X[i]
         f, g = tp.oracle(x)
-        try:
-            t = OracleTriplet(x, g, float(f))
-        except NonFiniteTriplet as exc:
-            raise NonFiniteValue(f"non-finite oracle output at iterate {i}") from exc
-        trips.append(t)
-        if i < sched.n:
-            x = x - (sched.steps[i] / L) * t.g
-    norms = [float(t.g @ t.g) for t in trips]
+        F[i] = f = float(f)
+        # explicit, since the row assignment would broadcast a length-1 gradient
+        if np.shape(g) != shape and np.atleast_1d(g).shape != shape:
+            bad = _first_nonfinite(X[:i], G[:i], F[:i])
+            if bad is not None:
+                raise NonFiniteValue(f"non-finite oracle output at iterate {bad}")
+            raise DimensionMismatch(f"x shape {shape} != g shape {np.atleast_1d(g).shape}")
+        G[i] = g
+        if not math.isfinite(f):
+            n = i
+            break
+        if i < n:
+            np.subtract(x, step[i] * G[i], out=X[i + 1])
+    bad = _first_nonfinite(X[: n + 1], G[: n + 1], F[: n + 1])
+    if bad is not None:
+        raise NonFiniteValue(f"non-finite oracle output at iterate {bad}")
+    return X, G, F
+
+
+def _grad_sq(G: np.ndarray) -> list[float]:
+    # one dot per row, the arithmetic of g @ g on each gradient alone
+    return [float(g @ g) for g in G]
+
+
+def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
+    """Run x_{i+1} = x_i - (h_i / L) g_i with one oracle call per iterate.
+
+    The kernel's shape and finiteness checks raise DimensionMismatch and
+    NonFiniteValue; each row then becomes an OracleTriplet, which runs its
+    own validation.
+    """
+    X, G, F = _gm_rows(tp, sched)
+    trips = tuple(OracleTriplet(x, g, f) for x, g, f in zip(X, G, F.tolist()))
+    norms = _grad_sq(G)
     idx = int(np.argmin(norms))
     return Trajectory(
-        iterates=tuple(trips),
+        iterates=trips,
         sched=sched,
         min_grad_sq=norms[idx],
         min_grad_index=idx,
@@ -297,7 +346,7 @@ def make_logistic_l0_problem(
 
     def oracle(x):
         t = A @ x
-        loss = float(np.mean(softplus(t) - y * t))
+        loss = float(np.add.reduce(softplus(t) - y * t) / n_data)
         g = A.T @ (1.0 / (1.0 + np.exp(-t)) - y) / n_data
         if reg_weight == 0.0:
             return loss, g
@@ -314,10 +363,12 @@ def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:
 
     Refines the best observed value with the descent bound
     min_i {f_i - |g_i|^2 / (2L)}, which can only under-estimate, so
-    one-sided bound comparisons built on it stay conservative.
+    one-sided bound comparisons built on it stay conservative. The run
+    reads the kernel's rows and builds no oracle triplet; the kernel's
+    shape and finiteness checks are the same as ``run_gm``'s.
     """
-    traj = run_gm(tp, StepSchedule.constant(1.0, n_iter))
-    return min(t.f - float(t.g @ t.g) / (2.0 * tp.cls.L) for t in traj.iterates)
+    _, G, F = _gm_rows(tp, StepSchedule.constant(1.0, n_iter))
+    return min(f - gsq / (2.0 * tp.cls.L) for f, gsq in zip(F.tolist(), _grad_sq(G)))
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

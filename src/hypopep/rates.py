@@ -40,6 +40,10 @@ class StepOutOfRange(ValidationError):
     pass
 
 
+class BoundOverflow(ValidationError):
+    """The bound 2 L delta / D exceeds the largest double."""
+
+
 class RootNotBracketed(RuntimeError):
     pass
 
@@ -97,7 +101,9 @@ def nstep_bound(
     """N-step upper bound 2*L*delta / D on the minimum squared gradient norm.
 
     D is the sum of per-step constants p(h_i, kappa), plus 1 for the
-    gap-to-optimal initial condition.
+    gap-to-optimal initial condition. A bound that overflows a double, as
+    with a subnormal step sum and the gap to the last iterate, raises
+    BoundOverflow.
     """
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
@@ -113,9 +119,12 @@ def nstep_bound(
     denom = sum(ps)
     if kind == NumeratorKind.gap_to_optimal:
         denom += 1.0
+    bound = 2.0 * cls.L * delta / denom
+    if math.isinf(bound):
+        raise BoundOverflow(f"2*L*delta/D overflows with D={denom!r}, L={cls.L!r}, delta={delta!r}")
     regime = RateRegime.short if max(sched.steps) <= 1.0 else RateRegime.mid
     return RateResult(
-        bound=2.0 * cls.L * delta / denom,
+        bound=bound,
         denominator=denom,
         numerator_kind=kind,
         regime=regime,

@@ -47,6 +47,13 @@ def test_rate_validation_exit_code(capsys):
     assert "StepAboveThreshold" in err
 
 
+def test_rate_overflow_exit_code(capsys):
+    # a subnormal step sum makes 2 L delta / D overflow a double
+    rc, out, err = run(capsys, "rate", "--kappa", "-1", "--steps", "1e-310", "--kind", "last")
+    assert rc == 2
+    assert "BoundOverflow" in err and "bound" not in out
+
+
 def test_optstep_command(capsys):
     rc, out, _ = run(capsys, "optstep", "--kappa", "-1")
     assert rc == 0

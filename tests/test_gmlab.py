@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hypopep.core import CurvatureClass, NumeratorKind, StepSchedule, validate_class
+from hypopep.core import (
+    CurvatureClass,
+    DimensionMismatch,
+    NumeratorKind,
+    OracleTriplet,
+    StepSchedule,
+    validate_class,
+)
 from hypopep.gmlab import (
     BadEnvelopeParams,
     NonFiniteValue,
@@ -438,3 +445,77 @@ def test_run_gm_overflowing_iterate_raises_nonfinite():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 1"):
             run_gm(tp, StepSchedule((1.0, 1.0)))
+
+
+# --- the stacked-row kernel ------------------------------------------------
+
+
+def test_length_one_gradient_raises_dimension_mismatch():
+    # a row assignment would broadcast the length-1 gradient over the 3-vector
+    tp = TestProblem(name="short_g", oracle=lambda x: (0.0, np.array([1.0])),
+                     cls=CurvatureClass(mu=0.0, L=1.0), x0=np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        run_gm(tp, StepSchedule((0.5, 0.5)))
+    with pytest.raises(DimensionMismatch):
+        estimate_f_star(tp, n_iter=5)
+
+
+def test_run_gm_stops_calling_the_oracle_at_a_nan_value():
+    calls = []
+
+    def oracle(x):
+        calls.append(x.copy())
+        return (float("nan") if len(calls) == 3 else 0.5 * float(x @ x)), x.copy()
+
+    tp = TestProblem(name="nan_f", oracle=oracle, cls=CurvatureClass(mu=0.0, L=1.0),
+                     x0=np.array([1.0, -2.0]))
+    with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 2"):
+        run_gm(tp, StepSchedule((0.5,) * 5))
+    assert len(calls) == 3
+
+
+def _run_gm_reference(tp, sched):
+    # the per-triplet loop the kernel replaced; run_gm must reproduce it bitwise
+    x = np.atleast_1d(np.asarray(tp.x0, dtype=float)).copy()
+    trips = []
+    for i in range(sched.n + 1):
+        f, g = tp.oracle(x)
+        trips.append(OracleTriplet(x, g, float(f)))
+        if i < sched.n:
+            x = x - (sched.steps[i] / tp.cls.L) * trips[-1].g
+    return trips, [float(t.g @ t.g) for t in trips]
+
+
+def _kernel_test_problems():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((30, 7))
+    w = rng.standard_normal(7)
+    huber = make_huber_problem(A, A @ w + 0.1 * rng.standard_normal(30), delta_h=1.0,
+                               mu_reg=-1.0)
+    y = (rng.uniform(size=30) < 1.0 / (1.0 + np.exp(-A @ w))).astype(float)
+    logistic = make_logistic_l0_problem(A, y, 2.0, 1.0, reg_weight=0.1,
+                                        x0=rng.standard_normal(7))
+    cls = validate_class(-1.0, 1.0)
+    wcf = build_worst_case(cls, StepSchedule((0.3, 1.0, 0.6, 0.9)), 1.0,
+                           NumeratorKind.gap_to_optimal)
+    worst = TestProblem(name="worst_case", oracle=lambda x: wcf.eval(float(x[0])), cls=cls,
+                        x0=np.array([wcf.xs[0]]))
+    return {"huber": huber, "logistic_l0": logistic, "worst_case": worst}
+
+
+@pytest.mark.parametrize("name", ["huber", "logistic_l0", "worst_case"])
+def test_kernel_bitwise_equals_per_triplet_loop(name):
+    tp = _kernel_test_problems()[name]
+    sched = StepSchedule(tuple(np.random.default_rng(14).uniform(0.2, 1.2, size=25)))
+    traj = run_gm(tp, sched)
+    trips, norms = _run_gm_reference(tp, sched)
+    assert len(traj.iterates) == len(trips)
+    for t, r in zip(traj.iterates, trips):
+        assert t.x.tobytes() == r.x.tobytes() and t.g.tobytes() == r.g.tobytes()
+        assert type(t.f) is float and np.float64(t.f).tobytes() == np.float64(r.f).tobytes()
+    idx = int(np.argmin(norms))
+    assert (traj.min_grad_sq, traj.min_grad_index) == (norms[idx], idx)
+
+    trips, norms = _run_gm_reference(tp, StepSchedule.constant(1.0, 300))
+    ref = min(t.f - gsq / (2.0 * tp.cls.L) for t, gsq in zip(trips, norms))
+    assert np.float64(estimate_f_star(tp, n_iter=300)).tobytes() == np.float64(ref).tobytes()
