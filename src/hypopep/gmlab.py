@@ -279,7 +279,7 @@ def make_huber_problem(
 
     def oracle(x):
         r = A @ x - b
-        nr = float(np.linalg.norm(r))
+        nr = math.sqrt(float(r.dot(r)))
         if nr <= delta_h:
             hub = nr * nr / (2.0 * delta_h)
             g = A.T @ r / delta_h

@@ -42,6 +42,12 @@ where W^-1 (x) W^-1 is the symmetric Kronecker product in svec
 coordinates, filled in one indexing pass over the upper triangle: entry
 ((i,j),(k,l)) is s_ij s_kl (V_ik V_jl + V_il V_jk) / 2 with V = W^-1 and
 s = sqrt(2) off the diagonal, 1 on it.
+
+M is factored once per iteration. Its Cholesky factor M = L L^T is the
+positive-definiteness guard (a failure ends the iteration) and also the
+factor of both Newton solves, the predictor's and the corrector's: with
+Li = L^-1, formed by 2x2 block recursion, each solve is two
+matrix-vector products, M^-1 r = Li^T (Li r).
 """
 
 from __future__ import annotations
@@ -82,6 +88,15 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, scale
 
 
+@lru_cache(maxsize=None)
+def _skron_weight(n: int) -> np.ndarray:
+    """0.5 s_ij s_kl for every pair of upper-triangle entries (see ``skron``)."""
+    scale = _triu(n)[2]
+    w = 0.5 * np.outer(scale, scale)
+    w.flags.writeable = False
+    return w
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Scaled vectorization of a symmetric matrix: svec(X).svec(Y) = <X, Y>."""
     rows, cols, scale = _triu(S.shape[0])
@@ -102,11 +117,47 @@ def skron(V: np.ndarray) -> np.ndarray:
 
     ``skron(V) @ svec(X) == svec(V @ X @ V)`` for symmetric V and X.
     """
-    rows, cols, scale = _triu(V.shape[0])
+    n = V.shape[0]
+    rows, cols, _ = _triu(n)
     Vr, Vc = V[rows], V[cols]
-    K = Vr[:, rows] * Vc[:, cols] + Vr[:, cols] * Vc[:, rows]
-    K *= 0.5 * np.outer(scale, scale)
+    K = Vr[:, rows]
+    K *= Vc[:, cols]
+    T = Vr[:, cols]
+    T *= Vc[:, rows]
+    K += T
+    K *= _skron_weight(n)
     return K
+
+
+_TRIL_LEAF = 32  # largest block inverted by np.linalg.inv in _tril_inv
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion,
+
+        [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+
+    with np.linalg.inv on the diagonal blocks of at most ``_TRIL_LEAF`` rows.
+    Each leaf is inverted through its transpose: the LU factorization of an
+    upper-triangular matrix needs no row exchange, so the strict upper
+    triangle of the result is exactly zero.
+    """
+    Li = np.zeros_like(L)
+
+    def fill(L, Li):
+        n = L.shape[0]
+        if n <= _TRIL_LEAF:
+            Li[...] = np.linalg.inv(L.T).T
+            return
+        k = n // 2
+        fill(L[:k, :k], Li[:k, :k])
+        fill(L[k:, k:], Li[k:, k:])
+        T = L[k:, :k] @ Li[:k, :k]
+        np.negative(T, out=T)
+        np.matmul(Li[k:, k:], T, out=Li[k:, :k])
+
+    fill(L, Li)
+    return Li
 
 
 def _nt_scaling_psd(S: np.ndarray, Z: np.ndarray):
@@ -271,7 +322,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         M = schur_matrix(B, zs, K)
         M.flat[:: nv + 1] += 1e-14 * np.trace(M) / nv
         try:
-            np.linalg.cholesky(M)  # positive-definiteness guard
+            Li = _tril_inv(np.linalg.cholesky(M))  # positive-definiteness guard; M^-1 = Li^T Li
         except np.linalg.LinAlgError:
             break
 
@@ -279,7 +330,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             v = winv2(r_p) - q
             rhs = r_d - v[:m] @ B
             rhs[:sd] -= v[m:]
-            du = np.linalg.solve(M, rhs)
+            du = (Li @ rhs) @ Li
             ds = r_p + np.concatenate([B @ du, du[:sd]])
             return du, ds, q - winv2(ds)
 

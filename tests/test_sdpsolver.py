@@ -3,15 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hypopep import cli, sdpsolver
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
-from hypopep.pep import PepProblem, build_sdp
+from hypopep.pep import PepProblem, SolverFailure, build_sdp, solve_pep
+from hypopep.rates import nstep_bound
 from hypopep.sdpsolver import (
+    _TRIL_LEAF,
     TOL,
     SdpProblem,
     SdpRows,
     SdpSolution,
     _nt_scaling_psd,
     _psd_step,
+    _tril_inv,
     SolveStatus,
     schur_matrix,
     skron,
@@ -72,6 +76,25 @@ def test_schur_matrix_matches_column_by_column_reference(n):
     assert np.linalg.norm(M - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
 
 
+def _skron_reference(V):
+    """The symmetric Kronecker product as one expression with temporaries."""
+    rows, cols = np.triu_indices(V.shape[0])
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    Vr, Vc = V[rows], V[cols]
+    K = Vr[:, rows] * Vc[:, cols] + Vr[:, cols] * Vc[:, rows]
+    K *= 0.5 * np.outer(scale, scale)
+    return K
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 22])
+def test_skron_in_place_is_bitwise_reference(n):
+    rng = np.random.default_rng([n, 7])
+    for _ in range(5):
+        X = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8)
+        V = X @ X.T
+        assert np.array_equal(skron(V), _skron_reference(V))
+
+
 def _random_pd(rng, n, cond):
     """Random symmetric positive definite matrix with condition number ``cond``."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -94,6 +117,51 @@ EPS = np.finfo(float).eps
 
 def norm2(A):
     return np.linalg.norm(A, 2)
+
+
+def _pep_h1(N):
+    """The PEP of the ROADMAP table: kappa = -1, N steps h = 1, gap to optimal."""
+    cls, sched = validate_class(-1.0, 1.0), StepSchedule.constant(1.0, N)
+    return PepProblem(cls, sched, 1.0, NumeratorKind.gap_to_optimal)
+
+
+@pytest.mark.parametrize("n", [1, _TRIL_LEAF, _TRIL_LEAF + 1, 2 * _TRIL_LEAF + 1, 300])
+@pytest.mark.parametrize("cond", COND + [1e14])
+def test_tril_inv_matches_inverse(n, cond):
+    # L is the Cholesky factor of an M with condition number cond, as in solve
+    rng = np.random.default_rng([n, int(np.log10(cond))])
+    L = np.linalg.cholesky(_random_pd(rng, n, cond))
+    Li = _tril_inv(L)
+    ref = np.linalg.inv(L)
+    assert np.linalg.norm(Li - ref) <= n * EPS * np.linalg.cond(L) * np.linalg.norm(ref)
+    assert not np.triu(Li, 1).any()
+
+
+def _pep_schur_matrices(N):
+    """Every Newton matrix M, diagonal shift included, of one PEP solve."""
+    recorded = []
+
+    def recording(*args):
+        recorded.append(schur_matrix(*args))
+        return recorded[-1]
+
+    prob = build_sdp(_pep_h1(N))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdpsolver, "schur_matrix", recording)
+        assert solve(prob).status == SolveStatus.Optimal
+    return recorded
+
+
+def test_newton_solve_from_factor_matches_lu_solve():
+    # the Newton matrices of the N=20 PEP reach condition numbers near 1e16
+    Ms = _pep_schur_matrices(20)
+    assert Ms[0].shape == (275, 275)
+    rng = np.random.default_rng(20)
+    for M in Ms:
+        rhs = rng.standard_normal(M.shape[0])
+        Li = _tril_inv(np.linalg.cholesky(M))
+        ref = np.linalg.solve(M, rhs)
+        assert np.linalg.norm((Li @ rhs) @ Li - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -153,6 +221,67 @@ def test_roadmap_iteration_table(N, iterations):
     sol = solve(prob)
     assert sol.status == SolveStatus.Optimal
     assert sol.iterations == iterations
+
+
+def test_newton_matrix_factored_once_per_iteration(monkeypatch):
+    cholesky = np.linalg.cholesky
+    factored = []
+
+    def counting(a):
+        if a.ndim == 2:
+            factored.append(a.shape)
+        return cholesky(a)
+
+    def no_lu_solve(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(np.linalg, "solve", no_lu_solve)
+    sol = solve(build_sdp(_pep_h1(8)))
+    assert sol.status == SolveStatus.Optimal
+    # the last iteration stops on its residuals before it factors
+    assert factored == [(65, 65)] * (sol.iterations - 1)
+
+
+@pytest.fixture
+def indefinite_schur(monkeypatch):
+    """Newton matrices with a negative diagonal entry: the Cholesky guard fails."""
+
+    def indefinite(*args):
+        M = schur_matrix(*args)
+        M[0, 0] = -1.0
+        return M
+
+    monkeypatch.setattr(sdpsolver, "schur_matrix", indefinite)
+
+
+def test_failed_guard_ends_solve_with_max_iter(indefinite_schur):
+    sol = solve(trivial_problem())
+    assert sol.status == SolveStatus.MaxIter
+    assert sol.iterations == 1
+
+
+def test_failed_guard_raises_solver_failure(indefinite_schur):
+    with pytest.raises(SolverFailure, match="^solver status MaxIter$"):
+        solve_pep(_pep_h1(2))
+
+
+def test_failed_guard_cli_exit_code(indefinite_schur, capsys):
+    assert cli.main(["pep", "--kappa", "-1", "--steps", "1,1"]) == 3
+    out = capsys.readouterr()
+    assert "optimum" not in out.out
+    assert out.err.strip() == "error: SolverFailure: solver status MaxIter"
+
+
+def test_pep_n30_matches_rate():
+    # nv = 560: five levels of the triangular-inverse recursion, one more than at N=20
+    p = _pep_h1(30)
+    prob = build_sdp(p)
+    sol = solve(prob)
+    assert sol.status == SolveStatus.Optimal
+    assert verify_solution(prob, sol).all_pass
+    rate = nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
+    assert abs(sol.objective - rate) <= 1e-8 * rate
 
 
 def test_trivial_problem_solves_to_one():
