@@ -34,6 +34,7 @@ from .pep import (
     solve_pep,
 )
 from .rates import (
+    BranchMismatch,
     conjectured_bound_convex,
     fit_r,
     nstep_bound,
@@ -414,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverFailure, NonFiniteValue, IndefiniteGram) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (CheckFailure, InterpolationFailure) as exc:
+    except (CheckFailure, InterpolationFailure, BranchMismatch) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

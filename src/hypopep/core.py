@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +40,7 @@ class NonFiniteTriplet(ValidationError):
 
 @dataclass(frozen=True)
 class CurvatureClass:
-    """A curvature interval [mu, L] with L > 0 and mu <= 0.
+    """A curvature interval [mu, L] with finite L > 0 and finite mu <= L.
 
     ``unbounded_below=True`` means mu = -infinity; rate formulas then use
     their analytic limits instead of floating-point overflow, so ``mu``
@@ -51,10 +52,12 @@ class CurvatureClass:
     unbounded_below: bool = False
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise NonPositiveL(f"L must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise NonPositiveL(f"L must be positive and finite, got {self.L}")
         if self.unbounded_below:
             return
+        if not math.isfinite(self.mu):
+            raise ValidationError(f"mu must be finite, got {self.mu}")
         if self.mu > self.L:
             raise MuAboveL(f"mu={self.mu} exceeds L={self.L}")
 
@@ -74,6 +77,12 @@ def validate_class(mu: float, L: float, *, unbounded_below: bool = False) -> Cur
     if not unbounded_below and mu > 0:
         raise PositiveMu(f"rate analysis requires mu <= 0, got mu={mu}")
     return cls
+
+
+def validate_delta(delta: float) -> None:
+    """Reject an initial gap delta that is not positive and finite."""
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,6 @@ class TripletSet:
                     {"x": t.x.tolist(), "g": t.g.tolist(), "f": t.f} for t in self.triplets
                 ],
             }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TripletSet":
-        obj = json.loads(text)
-        return TripletSet(
-            tuple(
-                OracleTriplet(np.array(t["x"], dtype=float), np.array(t["g"], dtype=float), float(t["f"]))
-                for t in obj["triplets"]
-            )
         )
 
 

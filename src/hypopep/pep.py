@@ -34,6 +34,7 @@ from .core import (
     StepSchedule,
     TripletSet,
     ValidationError,
+    validate_delta,
 )
 from .interpolation import check_interpolable, interpolation_slack
 from .sdpsolver import (
@@ -70,8 +71,7 @@ class PepProblem:
     init_kind: NumeratorKind
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        validate_delta(self.delta)
         if self.cls.unbounded_below:
             raise ValidationError("PEP assembly requires a finite lower curvature")
 

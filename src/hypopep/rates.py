@@ -19,6 +19,7 @@ from .core import (
     RateResult,
     StepSchedule,
     ValidationError,
+    validate_delta,
 )
 
 
@@ -56,6 +57,11 @@ class BranchMismatch(RuntimeError):
     pass
 
 
+def _check_kappa(kappa: float) -> None:
+    if not -math.inf < kappa <= 0.0:
+        raise PositiveKappa(f"kappa must be finite and <= 0, got {kappa}")
+
+
 def step_threshold(kappa: float, *, unbounded_below: bool = False) -> float:
     """Largest admissible normalized step h_bar(kappa) in [3/2, 2).
 
@@ -63,16 +69,14 @@ def step_threshold(kappa: float, *, unbounded_below: bool = False) -> float:
     """
     if unbounded_below:
         return 2.0
-    if kappa > 0:
-        raise PositiveKappa(f"kappa must be <= 0, got {kappa}")
+    _check_kappa(kappa)
     return 3.0 / (1.0 + kappa + math.sqrt(1.0 - kappa + kappa * kappa))
 
 
 def one_step_p(h: float, kappa: float) -> float:
     """Two-branch per-step constant p(h, kappa), the denominator contribution
     (scaled by 2L) of one gradient step; both branches agree at h = 1."""
-    if kappa > 0:
-        raise PositiveKappa(f"kappa must be <= 0, got {kappa}")
+    _check_kappa(kappa)
     if h <= 0:
         raise StepNonPositive(f"step must be positive, got {h}")
     h_bar = step_threshold(kappa)
@@ -105,8 +109,7 @@ def nstep_bound(
     with a subnormal step sum and the gap to the last iterate, raises
     BoundOverflow.
     """
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
+    validate_delta(delta)
     ps = []
     for i, h in enumerate(sched.steps):
         try:
@@ -195,8 +198,7 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     (conjectured large-step regime) and returns the cubic root on [1, 2).
     """
     mode = OptimalStepMode(mode)
-    if kappa > 0:
-        raise PositiveKappa(f"kappa must be <= 0, got {kappa}")
+    _check_kappa(kappa)
     if mode == OptimalStepMode.asymptotic:
         if kappa >= 0:
             raise PositiveKappa("asymptotic mode requires kappa < 0")

@@ -25,6 +25,7 @@ from .core import (
     StepSchedule,
     TripletSet,
     ValidationError,
+    validate_delta,
 )
 from .interpolation import check_interpolable
 from .rates import nstep_bound
@@ -130,8 +131,7 @@ def build_worst_case(
     kappa = cls.kappa
     if kappa > 0:
         raise ValidationError(f"construction requires kappa <= 0, got {kappa}")
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
+    validate_delta(delta)
     for i, h in enumerate(sched.steps):
         if h > 1.0:
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")

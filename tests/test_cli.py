@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
@@ -186,6 +193,76 @@ def test_fit_r_command(capsys):
     assert float(grab(out, "r")) > 0.0
 
 
+def test_fit_r_branch_mismatch_exit_code(capsys):
+    # h = 0.5 is below h_bar, so the optima do not grow at the third-regime slope
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "0.5", "--N", "2:5")
+    assert rc == 4
+    assert "r " not in out
+    assert err.startswith("error: BranchMismatch: observed slope")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--kappa", "nan", "--steps", "0.5"),
+    ("rate", "--kappa", "-1", "--L", "inf", "--steps", "0.5"),
+    ("rate", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
+    ("worstcase", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
+    ("optstep", "--kappa", "nan"),
+    ("optstep", "--kappa=-inf"),
+    ("tightness", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
+])
+def test_non_finite_input_exit_code(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == "" and err.startswith("error: ")
+
+
+_kappas = st.one_of(st.floats(-1e6, 0.0), st.sampled_from([math.nan, math.inf, -math.inf, 0.5]))
+_scales = st.one_of(
+    st.floats(1e-6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+)
+_steps = st.lists(
+    st.one_of(
+        st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, 2.0, -0.5, 2.5]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    cmd = draw(st.sampled_from(["rate", "rate --unbounded-below", "optstep theorem",
+                                "optstep asymptotic", "tightness", "worstcase"]))
+    name, _, extra = cmd.partition(" ")
+    argv = [name, f"--kappa={draw(_kappas)!r}"]
+    if name == "optstep":
+        return argv + ["--mode", extra]
+    steps = ",".join(repr(h) for h in draw(_steps))
+    argv += [f"--L={draw(_scales)!r}", f"--delta={draw(_scales)!r}", f"--steps={steps}",
+             "--kind", draw(st.sampled_from(["last", "opt"]))]
+    return argv + ([extra] if extra else [])
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_exit_codes_and_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    if rc == 0:
+        for token in re.split(r"[\s=,]+", out.getvalue()):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (argv, out.getvalue())
+
+
 def _failing_report(sdp, sol):
     return VerificationReport(False, 0.0, 0.0, 0.0, 1.0, ["duality gap 1.0", "injected"])
 
@@ -214,3 +291,13 @@ def test_failed_verification_sweep_error_column(capsys, monkeypatch, tmp_path):
     for row in rows:
         assert row["optimum"] == ""
         assert row["error"] == "SolverFailure: verification failed: duality gap 1.0; injected"
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("hypopep ")]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        rc, _, err = run(capsys, *shlex.split(line)[1:])
+        assert rc == 0, (line, err)

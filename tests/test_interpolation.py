@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, OracleTriplet, TripletSet, validate_class
-from hypopep.interpolation import (
-    MAX_EVAL_TRIPLETS,
-    DegenerateClass,
-    NotInterpolable,
-    TooManyTriplets,
-    check_interpolable,
-    eval_interpolating,
-    pair_slack,
-    quadratic_bounds_check,
-)
+from hypopep.interpolation import DegenerateClass, check_interpolable, quadratic_bounds_check
 
 
 def sample_quadratic_triplets(curv, xs):
@@ -52,20 +43,6 @@ def test_degenerate_class_rejected():
         check_interpolable(ts, CurvatureClass(mu=1.0, L=1.0))
 
 
-def test_minimum_characterization():
-    # for a quadratic, f_* found through f_i - |g_i|^2 / (2L) at the best
-    # triplet lower-bounds the true minimum 0
-    rng = np.random.default_rng(1)
-    xs = [rng.standard_normal(2) for _ in range(4)]
-    ts = sample_quadratic_triplets(1.0, xs)
-    cls = validate_class(-1.0, 1.0)
-    report = check_interpolable(ts, cls)
-    assert report.f_star <= 0.0 + 1e-12
-    i = report.i_star
-    t = ts.triplets[i]
-    assert np.allclose(report.x_star, t.x - t.g / cls.L)
-
-
 def shift_triplets(ts, mu):
     # curvature subtraction (x, g, f) -> (x, g - mu*x, f - mu/2*|x|^2): the
     # set is (mu, L)-interpolable iff its image is (0, L - mu)-interpolable
@@ -89,71 +66,6 @@ def test_shift_equivalence(mu):
     r1 = check_interpolable(shifted, CurvatureClass(mu=0.0, L=1.0 - mu))
     assert r0.feasible == r1.feasible
     assert abs(r0.worst_violation - r1.worst_violation) < 1e-9
-
-
-def test_pair_slack_zero_for_matching_quadratic():
-    # both inequalities are tight when the function is the extreme quadratic
-    cls = validate_class(-1.0, 1.0)
-    x0, x1 = np.array([0.0]), np.array([1.0])
-    ts = sample_quadratic_triplets(cls.L, [x0, x1])
-    s = pair_slack(ts.triplets[0], ts.triplets[1], cls)
-    assert abs(s) < 1e-12
-
-
-def test_eval_reproduces_triplet_values():
-    rng = np.random.default_rng(3)
-    xs = [rng.standard_normal(2) for _ in range(4)]
-    ts = sample_quadratic_triplets(0.4, xs)
-    cls = validate_class(-1.0, 1.0)
-    for t in ts:
-        val, alpha = eval_interpolating(ts, cls, t.x)
-        assert abs(val - t.f) < 1e-9
-        assert abs(alpha.sum() - 1.0) < 1e-12
-
-
-def test_eval_attains_reported_minimum():
-    rng = np.random.default_rng(4)
-    xs = [rng.standard_normal(2) for _ in range(3)]
-    ts = sample_quadratic_triplets(0.7, xs)
-    cls = validate_class(-0.5, 1.0)
-    report = check_interpolable(ts, cls)
-    val, _ = eval_interpolating(ts, cls, report.x_star)
-    assert val <= report.f_star + 1e-9
-
-
-def test_eval_rejects_infeasible_set():
-    ts = sample_quadratic_triplets(3.0, [np.array([0.0]), np.array([1.0])])
-    cls = validate_class(-1.0, 1.0)
-    with pytest.raises(NotInterpolable):
-        eval_interpolating(ts, cls, np.array([0.5]))
-
-
-def test_eval_size_limit():
-    # the active-set enumeration takes up to 12 triplets (README)
-    assert MAX_EVAL_TRIPLETS == 12
-    cls = validate_class(-1.0, 1.0)
-    xs = [np.array([float(i)]) for i in range(13)]
-    ts = sample_quadratic_triplets(0.5, xs[:-1])
-    val, alpha = eval_interpolating(ts, cls, xs[3])
-    assert abs(val - ts.triplets[3].f) < 1e-9 and abs(alpha.sum() - 1.0) < 1e-12
-    with pytest.raises(TooManyTriplets):
-        eval_interpolating(sample_quadratic_triplets(0.5, xs), cls, np.array([0.5]))
-
-
-def test_interpolant_respects_class_bounds():
-    rng = np.random.default_rng(5)
-    xs = [rng.standard_normal(1) for _ in range(4)]
-    ts = sample_quadratic_triplets(0.6, xs)
-    cls = validate_class(-1.0, 1.0)
-
-    def f(x):
-        return eval_interpolating(ts, cls, x)[0]
-
-    def g(x, eps=1e-6):
-        return np.array([(f(x + eps) - f(x - eps)) / (2 * eps)])
-
-    pairs = [(rng.standard_normal(1), rng.standard_normal(1)) for _ in range(30)]
-    assert quadratic_bounds_check(f, g, cls, pairs, tol=1e-5)
 
 
 def test_quadratic_bounds_check_negative_control():
@@ -193,23 +105,17 @@ def reference_check(ts, cls, tol=1e-9):
             if s < worst:
                 worst = s
                 worst_pair = (a, b)
-    descents = [t.f - float(t.g @ t.g) / (2.0 * cls.L) for t in trip]
-    i_star = int(np.argmin(descents))
-    return worst >= -tol, worst, worst_pair, descents[i_star], i_star
+    return worst >= -tol, worst, worst_pair
 
 
 def assert_matches_reference(ts, cls, exact):
     rep = check_interpolable(ts, cls)
-    feasible, worst, pair, f_star, i_star = reference_check(ts, cls)
-    assert (rep.feasible, rep.violating_pair, rep.i_star) == (feasible, pair, i_star)
+    feasible, worst, pair = reference_check(ts, cls)
+    assert (rep.feasible, rep.violating_pair) == (feasible, pair)
     if exact:
         assert rep.worst_violation == worst
-        assert rep.f_star == f_star
     else:
         assert abs(rep.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
-        assert abs(rep.f_star - f_star) <= 1e-12 * max(1.0, abs(f_star))
-    t = ts.triplets[i_star]
-    assert np.array_equal(rep.x_star, t.x - t.g / cls.L)
     return rep
 
 
@@ -253,7 +159,7 @@ def test_tied_violations_break_in_loop_order():
     )
     ts = TripletSet(trips)
     cls = validate_class(-1.0, 1.0)
-    assert pair_slack(trips[1], trips[0], cls) == pair_slack(trips[0], trips[2], cls) == -0.75
+    assert reference_slack(trips[1], trips[0], cls) == reference_slack(trips[0], trips[2], cls) == -0.75
     rep = assert_matches_reference(ts, cls, exact=True)
     assert rep.violating_pair == (1, 0)
     assert rep.worst_violation == -0.75
@@ -266,7 +172,7 @@ def test_tie_within_a_pair_reports_i_before_j():
         OracleTriplet(np.array([1.0]), np.array([2.0]), 0.0),
     )
     cls = validate_class(-1.0, 1.0)
-    assert pair_slack(trips[0], trips[1], cls) == pair_slack(trips[1], trips[0], cls) < 0.0
+    assert reference_slack(trips[0], trips[1], cls) == reference_slack(trips[1], trips[0], cls) < 0.0
     rep = assert_matches_reference(TripletSet(trips), cls, exact=True)
     assert rep.violating_pair == (0, 1)
 
