@@ -34,6 +34,7 @@ from .pep import (
     solve_pep,
 )
 from .rates import (
+    KAPPA_MIN,
     BranchMismatch,
     conjectured_bound_convex,
     fit_r,
@@ -123,9 +124,12 @@ def _reference_bound(p: PepProblem):
 
     The analytic rate is returned only where it is exact: every step at most
     h_bar, and either every step at most 1 or every step at least 1. For a
-    schedule that straddles h = 1 it is only an upper bound.
+    schedule that straddles h = 1 it is only an upper bound. Below
+    KAPPA_MIN the closed forms refuse kappa, so there is no reference.
     """
     kappa, steps = p.cls.kappa, p.sched.steps
+    if kappa < KAPPA_MIN:
+        return None
     if max(steps) <= step_threshold(kappa) and (max(steps) <= 1.0 or min(steps) >= 1.0):
         return nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
     if kappa == 0.0 and len(set(steps)) == 1 and 1.5 < steps[0] < 2.0:

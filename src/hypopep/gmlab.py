@@ -10,7 +10,11 @@ them directly and builds no triplet. Testbed factories
 cover a Huber-on-norm composite and an l2-regularized logistic loss with a
 Lasry-Lions smoothed l0 penalty, each with honestly declared curvature
 bounds; their oracles compute the shared residual, logits and penalty once
-for both outputs.
+for both outputs. When every coordinate lies in the smoothed-l0 envelope's
+inner quadratic, as along the logistic testbed runs from x0 = 0, the envelope
+evaluates that one branch and gives the three-branch formula's exact bits.
+The squared gradient norms of a run come from one batched call of the
+per-row dot, bit for bit the norms of the gradients taken one at a time.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarr
         f, g = tp.oracle(x)
         F[i] = f = float(f)
         # explicit, since the row assignment would broadcast a length-1 gradient
-        if np.shape(g) != shape and np.atleast_1d(g).shape != shape:
+        if getattr(g, "shape", None) != shape and np.atleast_1d(g).shape != shape:
             bad = _first_nonfinite(X[:i], G[:i], F[:i])
             if bad is not None:
                 raise NonFiniteValue(f"non-finite oracle output at iterate {bad}")
@@ -124,9 +128,9 @@ def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarr
     return X, G, F
 
 
-def _grad_sq(G: np.ndarray) -> list[float]:
-    # one dot per row, the arithmetic of g @ g on each gradient alone
-    return [float(g @ g) for g in G]
+def _grad_sq(G: np.ndarray) -> np.ndarray:
+    # one batched call of the per-row dot: the bits of g @ g on each gradient alone
+    return np.matmul(G[:, None, :], G[:, :, None]).ravel()
 
 
 def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
@@ -143,7 +147,7 @@ def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
     return Trajectory(
         iterates=trips,
         sched=sched,
-        min_grad_sq=norms[idx],
+        min_grad_sq=float(norms[idx]),
         min_grad_index=idx,
     )
 
@@ -293,24 +297,33 @@ def make_huber_problem(
     return TestProblem(name="huber", oracle=oracle, cls=cls, x0=np.asarray(x0, dtype=float))
 
 
-@np.errstate(over="ignore")  # every branch is evaluated; unused ones may overflow
 def ll_envelope_l0(x: np.ndarray, lam: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Lasry-Lions smoothing of the l0 penalty, applied elementwise.
 
     Three branches: an inner quadratic x^2 / (2(lam - sigma)), a downward
     cap 1 - (|x| - sqrt(2 lam))^2 / (2 sigma), and the constant 1. The
     result lies in the curvature class (-1/sigma, 1/(lam - sigma)).
+
+    When every |x_i| is at most the inner breakpoint (1 - sigma/lam) sqrt(2 lam),
+    only the inner quadratic is evaluated; it gives the same bits as the
+    three-branch form. Otherwise each branch is evaluated on inputs clamped
+    to its own range, so the branches not selected cannot overflow.
     """
     if not (0.0 < sigma < lam):
         raise BadEnvelopeParams(f"need 0 < sigma < lambda, got sigma={sigma}, lambda={lam}")
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     t = math.sqrt(2.0 * lam)
-    inner = ax <= (1.0 - sigma / lam) * t
+    t_inner = (1.0 - sigma / lam) * t
+    inner = ax <= t_inner
+    if inner.all():
+        return x**2 / (2.0 * (lam - sigma)), x / (lam - sigma)
     flat = ax >= t
-    val = np.where(inner, x**2 / (2.0 * (lam - sigma)),
-                   np.where(flat, 1.0, 1.0 - (ax - t) ** 2 / (2.0 * sigma)))
-    grad = np.where(inner, x / (lam - sigma), np.where(flat, 0.0, -np.sign(x) * (ax - t) / sigma))
+    x_in = np.where(inner, x, 0.0)
+    d_cap = np.clip(ax, t_inner, t) - t  # |x| - t on the cap, bounded elsewhere
+    val = np.where(inner, x_in**2 / (2.0 * (lam - sigma)),
+                   np.where(flat, 1.0, 1.0 - d_cap**2 / (2.0 * sigma)))
+    grad = np.where(inner, x_in / (lam - sigma), np.where(flat, 0.0, -np.sign(x) * d_cap / sigma))
     return val, grad
 
 
@@ -368,7 +381,7 @@ def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:
     shape and finiteness checks are the same as ``run_gm``'s.
     """
     _, G, F = _gm_rows(tp, StepSchedule.constant(1.0, n_iter))
-    return min(f - gsq / (2.0 * tp.cls.L) for f, gsq in zip(F.tolist(), _grad_sq(G)))
+    return float((F - _grad_sq(G) / (2.0 * tp.cls.L)).min())
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

@@ -4,6 +4,13 @@ Everything here is expressed in terms of kappa = mu/L <= 0 and normalized
 steps h (actual step h/L). The per-step constant p(h, kappa) and the step
 threshold h_bar(kappa) drive all N-step bounds; the optimal constant step
 maximizes p over the admissible range.
+
+kappa must lie in [KAPPA_MIN, 0] with KAPPA_MIN = -1e8; a smaller kappa
+raises KappaBelowFloor. At the floor p(h, kappa) and h_bar(kappa) are within
+about 1e-8 relative of their kappa -> -inf limits, which the unbounded-below
+class gives. Below KAPPA_LARGE = -1e6, h_bar and the optimal step use forms
+that do not cancel; above it they keep the forms that ``results/`` was
+computed with, and the two forms agree to 1e-10 at the switch.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from .core import (
 
 
 class PositiveKappa(ValidationError):
+    pass
+
+
+class KappaBelowFloor(ValidationError):
     pass
 
 
@@ -57,20 +68,34 @@ class BranchMismatch(RuntimeError):
     pass
 
 
+KAPPA_MIN = -1e8
+KAPPA_LARGE = -1e6
+
+
 def _check_kappa(kappa: float) -> None:
     if not -math.inf < kappa <= 0.0:
         raise PositiveKappa(f"kappa must be finite and <= 0, got {kappa}")
+    if kappa < KAPPA_MIN:
+        raise KappaBelowFloor(
+            f"kappa={kappa} is below {KAPPA_MIN:g}; "
+            "use the unbounded-below class for the kappa -> -inf limit"
+        )
 
 
 def step_threshold(kappa: float, *, unbounded_below: bool = False) -> float:
     """Largest admissible normalized step h_bar(kappa) in [3/2, 2).
 
-    For the unbounded-below limit the open-limit value 2 is returned.
+    For the unbounded-below limit the open-limit value 2 is returned. Below
+    KAPPA_LARGE the denominator 1 + kappa + sqrt(1 - kappa + kappa^2) would
+    cancel, so the equal form (1 + kappa - sqrt(...)) / kappa is used.
     """
     if unbounded_below:
         return 2.0
     _check_kappa(kappa)
-    return 3.0 / (1.0 + kappa + math.sqrt(1.0 - kappa + kappa * kappa))
+    s = math.sqrt(1.0 - kappa + kappa * kappa)
+    if kappa < KAPPA_LARGE:
+        return (1.0 + kappa - s) / kappa
+    return 3.0 / (1.0 + kappa + s)
 
 
 def one_step_p(h: float, kappa: float) -> float:
@@ -147,6 +172,20 @@ def _optimal_step_cubic(h: float, kappa: float) -> float:
     return -k * (1 + k) * h**3 + (3 * k + (1 + k) ** 2) * h**2 - 4 * (1 + k) * h + 4
 
 
+def _optimal_step_root(kappa: float) -> float:
+    """Root of the optimal-step cubic on [1, 2).
+
+    The cubic equals 1 at h = 1 with slope -(kappa - 1)(kappa - 2), but its
+    terms are of order kappa^2, so for very negative kappa its computed sign
+    at h = 1 is rounding noise (the bracket fails from kappa ~ -7.7e7). Below
+    KAPPA_LARGE the Newton step from h = 1 is used; its error, of order
+    kappa^-4, is below the rounding of 1 + 1/kappa^2.
+    """
+    if kappa < KAPPA_LARGE:
+        return 1.0 + 1.0 / ((kappa - 1.0) * (kappa - 2.0))
+    return solve_bracketed_root(lambda h: _optimal_step_cubic(h, kappa), 1.0, 2.0 - 1e-12)
+
+
 def solve_bracketed_root(func, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:
     """Safeguarded bisection with a Newton-like secant polish on [lo, hi]."""
     flo, fhi = func(lo), func(hi)
@@ -202,12 +241,11 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     if mode == OptimalStepMode.asymptotic:
         if kappa >= 0:
             raise PositiveKappa("asymptotic mode requires kappa < 0")
-        root = solve_bracketed_root(lambda h: _optimal_step_cubic(h, kappa), 1.0, 2.0 - 1e-12)
-        return OptimalStep(h_star=root, branch=OptimalStepBranch.asymptotic_conjectured)
+        return OptimalStep(h_star=_optimal_step_root(kappa),
+                           branch=OptimalStepBranch.asymptotic_conjectured)
     if kappa > kappa_bar():
         return OptimalStep(h_star=step_threshold(kappa), branch=OptimalStepBranch.threshold)
-    root = solve_bracketed_root(lambda h: _optimal_step_cubic(h, kappa), 1.0, 2.0 - 1e-12)
-    return OptimalStep(h_star=root, branch=OptimalStepBranch.cubic_root)
+    return OptimalStep(h_star=_optimal_step_root(kappa), branch=OptimalStepBranch.cubic_root)
 
 
 def third_regime_slope(kappa: float, h: float) -> float:

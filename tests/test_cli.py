@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
 from hypopep.pep import IndefiniteGram, InterpolationFailure
+from hypopep.rates import KAPPA_MIN
 from hypopep.sdpsolver import VerificationReport
 
 
@@ -261,6 +262,38 @@ def test_exit_codes_and_finite_output(argv):
             except ValueError:
                 continue
             assert math.isfinite(value), (argv, out.getvalue())
+
+
+# log-spaced from -1e6 to -1e308, plus the values that used to end in a traceback
+_extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2e16, -1.7e308]
+
+
+@pytest.mark.parametrize("cmd", [
+    ("rate", "--steps=0.5", "--N=3"),
+    ("rate", "--steps=1.5,0.3", "--kind=last"),
+    ("optstep", "--mode=theorem"),
+    ("optstep", "--mode=asymptotic"),
+    ("worstcase", "--steps=0.5,0.9"),
+    ("tightness", "--steps=0.5,1.0"),
+])
+def test_extreme_kappa_exit_code(cmd):
+    # below KAPPA_MIN a typed error with exit 2, never a traceback; above it
+    # tightness may also report a failed check (exit 4): its forward run drifts off
+    # the construction, by a factor |1 - h kappa| per step on a concave piece
+    allowed = (0, 2, 4) if cmd[0] == "tightness" else (0, 2)
+    for kappa in _extreme_kappas:
+        argv = [cmd[0], f"--kappa={kappa!r}", *cmd[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if kappa < KAPPA_MIN:
+            assert rc == 2 and err.getvalue().startswith("error: KappaBelowFloor: "), argv
+        else:
+            assert rc in allowed, (argv, err.getvalue())
+        if rc == 0:
+            for token in re.split(r"[\s=,]+", out.getvalue()):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(token)), (argv, out.getvalue())
 
 
 def _failing_report(sdp, sol):

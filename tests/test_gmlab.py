@@ -17,6 +17,7 @@ from hypopep.gmlab import (
     NonFiniteValue,
     TestProblem,
     ZeroMatrix,
+    _grad_sq,
     convex_grad_monotonicity,
     estimate_f_star,
     export_trajectory_csv,
@@ -231,6 +232,34 @@ def test_envelope_bitwise_equal_to_masked_branches(lam, sig):
         val, grad = ll_envelope_l0(x, lam, sig)
     assert val.tobytes() == ref_val.tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("lam, sig", [(2.0, 1.0), (0.7, 0.05), (3.3, 3.2)])
+def test_envelope_one_branch_path_bitwise_equal_to_masked_branches(lam, sig):
+    # all-inner vectors take the one-branch path; one coordinate just past the
+    # inner breakpoint sends the same vector through the three-branch path
+    t = math.sqrt(2.0 * lam)
+    inner = (1.0 - sig / lam) * t
+    rng = np.random.default_rng(8)
+    all_inner = [
+        np.array([0.0, -0.0]),
+        np.array([inner, -inner, 0.0, -0.0]),
+        rng.uniform(-inner, inner, 40),
+        np.concatenate([[inner, -inner], rng.uniform(-inner, inner, 200)]),
+    ]
+    one_past = []
+    for x in all_inner:
+        assert (np.abs(x) <= inner).all()
+        y = x.copy()
+        y[len(y) // 2] = np.nextafter(inner, 9.0)
+        one_past += [y, -y]
+    for x in all_inner + one_past:
+        ref_val, ref_grad = _masked_envelope(x, lam, sig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, grad = ll_envelope_l0(x, lam, sig)
+        assert val.tobytes() == ref_val.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_envelope_rejects_bad_params():
@@ -500,10 +529,37 @@ def _kernel_test_problems():
                            NumeratorKind.gap_to_optimal)
     worst = TestProblem(name="worst_case", oracle=lambda x: wcf.eval(float(x[0])), cls=cls,
                         x0=np.array([wcf.xs[0]]))
-    return {"huber": huber, "logistic_l0": logistic, "worst_case": worst}
+    return {"huber": huber, "logistic_l0": logistic, "worst_case": worst,
+            "logistic_l0_certify": _certify_logistic_problem()}
 
 
-@pytest.mark.parametrize("name", ["huber", "logistic_l0", "worst_case"])
+def _certify_logistic_problem():
+    # the shape of the benchmark's logistic testbed items: 200 x 40 from x0 = 0
+    rng = np.random.default_rng(15)
+    A = rng.standard_normal((200, 40))
+    w = rng.standard_normal(40)
+    y = (rng.uniform(size=200) < 1.0 / (1.0 + np.exp(-A @ w))).astype(float)
+    return make_logistic_l0_problem(A, y, 2.0, 1.0, reg_weight=0.1)
+
+
+def test_certify_shaped_logistic_run_stays_in_the_inner_branch():
+    # every iterate has |x_i| <= 1, the inner breakpoint for lambda = 2, sigma = 1,
+    # so the kernel case above pins the envelope's one-branch path
+    tp = _certify_logistic_problem()
+    trips, _ = _run_gm_reference(tp, StepSchedule.constant(1.0, 300))
+    assert max(float(np.abs(t.x).max()) for t in trips) <= 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40, 200])
+@pytest.mark.parametrize("rows", [1, 2, 2001])
+def test_grad_sq_bitwise_equals_per_row_dot(d, rows):
+    G = np.random.default_rng(16).standard_normal((rows, d)) * np.logspace(-3, 3, rows)[:, None]
+    got = _grad_sq(G)
+    ref = np.array([float(g @ g) for g in G])
+    assert got.shape == (rows,) and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["huber", "logistic_l0", "worst_case", "logistic_l0_certify"])
 def test_kernel_bitwise_equals_per_triplet_loop(name):
     tp = _kernel_test_problems()[name]
     sched = StepSchedule(tuple(np.random.default_rng(14).uniform(0.2, 1.2, size=25)))

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.rates import (
+    KAPPA_LARGE,
+    KAPPA_MIN,
     BranchMismatch,
     InsufficientData,
+    KappaBelowFloor,
     OptimalStepBranch,
     OptimalStepMode,
     PositiveKappa,
@@ -39,6 +42,29 @@ def test_threshold_reference_values():
 def test_threshold_rejects_positive_kappa():
     with pytest.raises(PositiveKappa):
         step_threshold(0.1)
+
+
+def test_kappa_floor():
+    # down to the floor the closed forms work; below it they are refused
+    for kappa in (-1e6, -7.7e7, -5e7, KAPPA_MIN):
+        assert 0.0 < 2.0 - step_threshold(kappa) < 2e-6
+        for mode in OptimalStepMode:
+            assert 1.0 <= optimal_step(kappa, mode).h_star < 1.0 + 2e-12
+    # h_bar = 2 - 1/(2|kappa|) + O(kappa^-2), without the cancellation of 3 / (1 + kappa + ...)
+    assert abs(step_threshold(KAPPA_MIN) - 1.999999995) <= 4.5e-16
+    below = math.nextafter(KAPPA_MIN, -math.inf)
+    for call in (lambda: step_threshold(below), lambda: one_step_p(0.5, below),
+                 lambda: optimal_step(below), lambda: optimal_step(-5e9),
+                 lambda: step_threshold(-1.2e16), lambda: optimal_step(-1.7e308)):
+        with pytest.raises(KappaBelowFloor):
+            call()
+
+
+def test_closed_forms_continuous_at_kappa_large():
+    # either side of KAPPA_LARGE the two forms of h_bar and of the optimal step agree
+    below = math.nextafter(KAPPA_LARGE, -math.inf)
+    assert abs(step_threshold(KAPPA_LARGE) - step_threshold(below)) < 1e-10
+    assert abs(optimal_step(KAPPA_LARGE).h_star - optimal_step(below).h_star) <= 4.5e-16
 
 
 @given(kappas)
