@@ -18,7 +18,6 @@ from hypopep.gmlab import (
     make_huber_problem,
     make_logistic_l0_problem,
     run_gm,
-    spectral_norm,
 )
 from hypopep.rates import optimal_step, step_threshold
 
@@ -40,7 +39,7 @@ def main():
 
     problems = []
     for target_kappa in (0.0, -0.5, -1.0):
-        s = spectral_norm(A.T @ A)
+        s = float(np.linalg.eigvalsh(A.T @ A)[-1])
         mu_reg = target_kappa / (1.0 - target_kappa) * s / 1.0
         tp = make_huber_problem(A, b, delta_h=1.0, mu_reg=mu_reg,
                                 x0=rng.standard_normal(15))

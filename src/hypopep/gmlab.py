@@ -236,26 +236,6 @@ def convex_grad_monotonicity(
     )
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of the symmetric PSD matrix M by power iteration."""
-    M = np.asarray(M, dtype=float)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_lam = float(v @ M @ v)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def make_huber_problem(
     A: np.ndarray,
     b: np.ndarray,
@@ -275,7 +255,7 @@ def make_huber_problem(
         raise ZeroMatrix("A must be nonzero")
     if delta_h <= 0:
         raise ValidationError(f"delta_h must be positive, got {delta_h}")
-    s = spectral_norm(A.T @ A)
+    s = float(np.linalg.eigvalsh(A.T @ A)[-1])
     L_smooth = s / delta_h
     if L_smooth + mu_reg <= 0:
         raise ValidationError("mu_reg cancels the smooth curvature entirely")
@@ -349,7 +329,7 @@ def make_logistic_l0_problem(
     if not np.any(A):
         raise ZeroMatrix("A must be nonzero")
     n_data = A.shape[0]
-    L_loss = spectral_norm(A.T @ A) / n_data
+    L_loss = float(np.linalg.eigvalsh(A.T @ A)[-1]) / n_data
     mu = -reg_weight / sigma_ll
     L = L_loss + reg_weight / (lambda_ll - sigma_ll)
     cls = CurvatureClass(mu=mu, L=L)

@@ -27,11 +27,10 @@ from hypopep.gmlab import (
     make_logistic_l0_problem,
     one_step_certificate,
     run_gm,
-    spectral_norm,
 )
 from hypopep.interpolation import quadratic_bounds_check
 from hypopep.rates import nstep_bound
-from hypopep.worstcase import WorstCaseFunction, build_worst_case, verify_tightness
+from hypopep.worstcase import build_worst_case
 
 
 def quadratic_problem(L=1.0):
@@ -119,11 +118,13 @@ def test_monotonicity_skipped_for_hypoconvex():
     assert not rep.applicable and rep.passed
 
 
-def test_spectral_norm_matches_eigh():
+def test_huber_declared_L_is_the_top_eigenvalue():
+    # the declared class must not undershoot the curvature, to the bit
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((8, 5))
-    M = A.T @ A
-    assert abs(spectral_norm(M) - np.linalg.eigvalsh(M)[-1]) < 1e-8
+    A = rng.standard_normal((200, 40))
+    delta_h, mu_reg = 0.7, -1.0
+    tp = make_huber_problem(A, rng.standard_normal(200), delta_h=delta_h, mu_reg=mu_reg)
+    assert tp.cls.L == np.linalg.eigvalsh(A.T @ A)[-1] / delta_h + mu_reg
 
 
 def test_huber_rejects_zero_matrix():
@@ -152,7 +153,7 @@ def test_huber_unit_gradient_branch():
 def test_huber_fixed_kappa_recovery():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((10, 4))
-    s = spectral_norm(A.T @ A)
+    s = np.linalg.eigvalsh(A.T @ A)[-1]
     kappa = -0.5
     mu_reg = kappa / (1.0 - kappa) * s / 1.0
     tp = make_huber_problem(A, rng.standard_normal(10), delta_h=1.0, mu_reg=mu_reg)
@@ -342,23 +343,6 @@ def test_run_gm_calls_oracle_once_per_iterate():
     assert len(calls) == sched.n + 1
     for x, t in zip(calls, traj.iterates):
         assert np.array_equal(x, t.x)
-
-
-def test_verify_tightness_evaluates_once_per_iterate(monkeypatch):
-    calls = []
-    original = WorstCaseFunction.eval
-
-    def counting_eval(self, x):
-        calls.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(WorstCaseFunction, "eval", counting_eval)
-    sched = StepSchedule((0.3, 1.0, 0.6, 0.9, 0.2))
-    for kind in NumeratorKind:
-        calls.clear()
-        rep = verify_tightness(validate_class(-1.0, 1.0), sched, 1.0, kind)
-        assert rep.passed
-        assert len(calls) == sched.n + 1
 
 
 def _huber_reference(A, b, delta_h, mu_reg):

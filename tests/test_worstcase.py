@@ -7,7 +7,7 @@ import pytest
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.interpolation import quadratic_bounds_check
 from hypopep.rates import nstep_bound
-from hypopep.worstcase import StepAboveOne, build_worst_case, verify_tightness
+from hypopep.worstcase import StepAboveOne, WorstCaseFunction, build_worst_case, verify_tightness
 
 
 def test_reference_U_star():
@@ -139,6 +139,30 @@ def test_tightness_grid():
                     validate_class(kappa, 1.0), StepSchedule(steps), 1.0, kind, tol=1e-8
                 )
                 assert rep.passed, (kappa, steps, kind, rep)
+    # long horizons, where a float gradient run from x_0 would drift off the
+    # construction by a factor |1 - h kappa| per step on a concave piece
+    long_steps = tuple(np.random.default_rng(0).uniform(0.05, 1.0, 200).tolist())
+    for kappa in (-0.5, -3.0, -1e3):
+        for kind in kinds:
+            rep = verify_tightness(validate_class(kappa, 1.0), StepSchedule(long_steps), 1.0, kind)
+            assert rep.passed, (kappa, kind, rep)
+
+
+def test_verify_tightness_evaluates_once_per_iterate(monkeypatch):
+    calls = []
+    original = WorstCaseFunction.eval
+
+    def counting_eval(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(WorstCaseFunction, "eval", counting_eval)
+    sched = StepSchedule((0.3, 1.0, 0.6, 0.9, 0.2))
+    for kind in NumeratorKind:
+        calls.clear()
+        rep = verify_tightness(validate_class(-1.0, 1.0), sched, 1.0, kind)
+        assert rep.passed
+        assert len(calls) == sched.n + 1
 
 
 def test_json_and_csv_export(tmp_path):
