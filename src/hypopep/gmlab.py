@@ -6,7 +6,10 @@ One kernel runs the method: it calls the oracle once per iterate, writes
 iterates, gradients and values into stacked rows, checks each gradient's
 shape as it arrives and checks finiteness once over all rows at the end.
 ``run_gm`` wraps the rows into oracle triplets; ``estimate_f_star`` reads
-them directly and builds no triplet. Testbed factories
+them directly and builds no triplet, and its constant-step run stops at the
+first iterate whose bytes repeat an earlier iterate's. The oracle must be a
+deterministic function of the bits of x: the same bytes in, the same value and
+gradient out. Testbed factories
 cover a Huber-on-norm composite and an l2-regularized logistic loss with a
 Lasry-Lions smoothed l0 penalty, each with honestly declared curvature
 bounds; their oracles compute the shared residual, logits and penalty once
@@ -63,7 +66,9 @@ class Trajectory:
 class TestProblem:
     """A differentiable objective with declared curvature bounds.
 
-    ``oracle(x)`` returns ``(f(x), grad f(x))`` from one evaluation;
+    ``oracle(x)`` returns ``(f(x), grad f(x))`` from one evaluation and
+    must be a deterministic function of the bits of x, which
+    ``estimate_f_star`` relies on to stop its run at a repeated iterate;
     ``f_eval`` and ``grad_eval`` read one half of it.
     """
 
@@ -88,14 +93,24 @@ def _first_nonfinite(X: np.ndarray, G: np.ndarray, F: np.ndarray) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gm_rows(
+    tp: TestProblem, sched: StepSchedule, *, stop_at_repeat: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterates, gradients and values of x_{i+1} = x_i - (h_i / L) g_i, one row per iterate.
 
     The oracle gets row i of the iterate array. A gradient whose shape is
     not x's raises DimensionMismatch at once; the run stops at the first
     non-finite value, so the oracle is never called after it. Finiteness of
     every x, g and f is then checked in one pass over the rows, and the
-    first bad iterate raises NonFiniteValue.
+    first bad iterate raises NonFiniteValue. Only the computed rows are
+    returned.
+
+    With ``stop_at_repeat``, for a constant schedule, the run also stops
+    before the oracle call at the first iterate whose bytes equal an
+    earlier iterate's. The step map is then the same at every step and the
+    oracle a function of x's bits, so every later row would repeat a row
+    already computed. Iterates are keyed by the hash of their bytes and a
+    match is confirmed on the bytes, so a hash collision cannot stop the run.
     """
     x0 = np.atleast_1d(np.asarray(tp.x0, dtype=float))
     if x0.ndim != 1:
@@ -106,8 +121,15 @@ def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarr
     F = np.empty(n + 1)
     X[0] = x0
     step = [h / tp.cls.L for h in sched.steps]
+    seen: dict[int, int] = {}  # hash of an iterate's bytes -> its first index
     for i in range(n + 1):
         x = X[i]
+        if stop_at_repeat:
+            key = x.tobytes()
+            j = seen.setdefault(hash(key), i)
+            if j != i and X[j].tobytes() == key:
+                n = i - 1
+                break
         f, g = tp.oracle(x)
         F[i] = f = float(f)
         # explicit, since the row assignment would broadcast a length-1 gradient
@@ -125,7 +147,7 @@ def _gm_rows(tp: TestProblem, sched: StepSchedule) -> tuple[np.ndarray, np.ndarr
     bad = _first_nonfinite(X[: n + 1], G[: n + 1], F[: n + 1])
     if bad is not None:
         raise NonFiniteValue(f"non-finite oracle output at iterate {bad}")
-    return X, G, F
+    return X[: n + 1], G[: n + 1], F[: n + 1]
 
 
 def _grad_sq(G: np.ndarray) -> np.ndarray:
@@ -359,8 +381,15 @@ def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:
     one-sided bound comparisons built on it stay conservative. The run
     reads the kernel's rows and builds no oracle triplet; the kernel's
     shape and finiteness checks are the same as ``run_gm``'s.
+
+    ``n_iter`` caps the steps: the run stops earlier, before the oracle call,
+    at the first iterate whose bytes equal an earlier iterate's. Under the
+    constant unit step the map x -> x - g(x) / L is the same at every step
+    and the oracle is a deterministic function of x's bits, so every later
+    row would repeat a row already computed, and the minimum over the
+    computed rows is bitwise the minimum over the full run.
     """
-    _, G, F = _gm_rows(tp, StepSchedule.constant(1.0, n_iter))
+    _, G, F = _gm_rows(tp, StepSchedule.constant(1.0, n_iter), stop_at_repeat=True)
     return float((F - _grad_sq(G) / (2.0 * tp.cls.L)).min())
 
 

@@ -63,6 +63,10 @@ class SolverFailure(RuntimeError):
     """The solver did not return a verified optimum."""
 
 
+class NonFiniteCoefficients(ValidationError):
+    """A coefficient of the PEP rows overflows a double for this class and schedule."""
+
+
 @dataclass(frozen=True)
 class PepProblem:
     cls: CurvatureClass
@@ -104,6 +108,7 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_sdp(p: PepProblem) -> SdpProblem:
     """Assemble the Gram-lifted SDP for a discretized PEP.
 
@@ -115,6 +120,11 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     ordered pairs of ``_points`` at once, with symmetrized outer products as
     the bilinear product; the function values enter through the linear
     terms only.
+
+    Rows whose coefficients are not all finite raise NonFiniteCoefficients
+    (a ValidationError) before any solve: at kappa = -1.7e308, 2 (1 - kappa)
+    overflows, and at L = 1e-300 so does (h / L)^2. Only the built rows tell
+    exactly, so the arithmetic runs without warnings and is checked once.
     """
     n = p.gram_dim
     check_gram_dim(n)  # before allocating O(N^2) dense rows
@@ -148,6 +158,9 @@ def build_sdp(p: PepProblem) -> SdpProblem:
                    [f"epigraph[{i}]" for i in range(N + 1)]))
 
     A, lin, const, labels = (np.concatenate(part) for part in zip(*blocks))
+    if not np.isfinite(A).all():
+        raise NonFiniteCoefficients(f"PEP row coefficients overflow for mu={p.cls.mu!r}, "
+                                    f"L={L!r}, steps up to {max(p.sched.steps)!r}")
     return SdpProblem(n, var_names, SdpRows(A, lin, const, tuple(labels.tolist())))
 
 

@@ -62,6 +62,30 @@ def test_rate_overflow_exit_code(capsys):
     assert "BoundOverflow" in err and "bound" not in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pep_non_finite_coefficients_exit_code(capsys, tmp_path):
+    # 2 (1 - kappa) overflows at kappa = -1.7e308, mu |x_i - x_j|^2 at -8e307 with h = 1.5
+    # and (h / L)^2 at L = 1e-300: a typed error, not a solver failure
+    for argv in (("pep", "--kappa=-1.7e308", "--steps", "1"),
+                 ("pep", "--kappa=-8e307", "--steps", "1.5"),
+                 ("pep", "--kappa=-1", "--L=1e-300", "--steps", "1.9"),
+                 ("fit-r", "--kappa=-1.7e308", "--h", "1", "--N", "1:2")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and err.startswith("error: NonFiniteCoefficients: "), (argv, err)
+        assert "optimum" not in out
+    out = tmp_path / "k.csv"
+    rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa=-1.7e308,-1", "--h", "1",
+                   "--N", "1", "--out", str(out))
+    assert rc == 0
+    with open(out, newline="") as fh:
+        bad, good = csv.DictReader(fh)
+    assert bad["optimum"] == "" and bad["error"].startswith("NonFiniteCoefficients: ")
+    assert good["error"] == "" and float(good["optimum"]) > 0.0
+    for kappa in ("-1e9", "-1e12", "-8e307"):
+        rc, out, _ = run(capsys, "pep", f"--kappa={kappa}", "--steps", "1", "--N", "3")
+        assert rc == 0 and math.isfinite(float(grab(out, "optimum")))
+
+
 def test_optstep_command(capsys):
     rc, out, _ = run(capsys, "optstep", "--kappa", "-1")
     assert rc == 0

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from hypopep import gmlab
 from hypopep.core import (
     CurvatureClass,
     DimensionMismatch,
@@ -517,6 +519,15 @@ def _kernel_test_problems():
             "logistic_l0_certify": _certify_logistic_problem()}
 
 
+def _certify_huber_problem():
+    # the shape of the benchmark's Huber testbed items: 200 x 40, mu_reg = -1, from x0 = 0
+    rng = np.random.default_rng(15)
+    A = rng.standard_normal((200, 40))
+    w = rng.standard_normal(40)
+    return make_huber_problem(A, A @ w + 0.1 * rng.standard_normal(200), delta_h=1.0,
+                              mu_reg=-1.0)
+
+
 def _certify_logistic_problem():
     # the shape of the benchmark's logistic testbed items: 200 x 40 from x0 = 0
     rng = np.random.default_rng(15)
@@ -559,3 +570,86 @@ def test_kernel_bitwise_equals_per_triplet_loop(name):
     trips, norms = _run_gm_reference(tp, StepSchedule.constant(1.0, 300))
     ref = min(t.f - gsq / (2.0 * tp.cls.L) for t, gsq in zip(trips, norms))
     assert np.float64(estimate_f_star(tp, n_iter=300)).tobytes() == np.float64(ref).tobytes()
+
+
+# --- estimate_f_star stops at the first repeated iterate --------------------
+
+
+def _counting(tp):
+    calls = []
+
+    def oracle(x):
+        calls.append(x.copy())
+        return tp.oracle(x)
+
+    return dataclasses.replace(tp, oracle=oracle), calls
+
+
+def _reference_f_star(tp, n_iter):
+    # the minimum over the full constant-step run, no stop
+    trips, norms = _run_gm_reference(tp, StepSchedule.constant(1.0, n_iter))
+    return min(t.f - gsq / (2.0 * tp.cls.L) for t, gsq in zip(trips, norms))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("name", ["huber_certify", "logistic_l0_certify", "huber", "logistic_l0"])
+def test_estimate_f_star_bitwise_equals_the_full_run(name):
+    problems = dict(_kernel_test_problems(), huber_certify=_certify_huber_problem())
+    tp, calls = _counting(problems[name])
+    assert _bits(estimate_f_star(tp, n_iter=2000)) == _bits(_reference_f_star(problems[name], 2000))
+    if name.endswith("_certify"):
+        assert len(calls) < 2001  # the run really stopped at a repeat
+
+
+def _fixed_point_problem():
+    return TestProblem(name="fixed_point", oracle=lambda x: (0.5 * float(x @ x), x.copy()),
+                       cls=CurvatureClass(mu=0.0, L=1.0), x0=np.array([1.0, -2.0]))
+
+
+def _period_two_problem():
+    # x -> x - 2x = -x, so the iterates alternate between x0 and -x0
+    return TestProblem(name="period_two", oracle=lambda x: (float(x @ x), 2.0 * x),
+                       cls=CurvatureClass(mu=0.0, L=1.0), x0=np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("make, expected", [(_fixed_point_problem, 0.0),
+                                            (_period_two_problem, -5.0)])
+def test_estimate_f_star_stops_after_two_calls(make, expected):
+    tp, calls = _counting(make())
+    got = estimate_f_star(tp, n_iter=2000)
+    assert len(calls) == 2
+    assert _bits(got) == _bits(expected) == _bits(_reference_f_star(make(), 2000))
+
+
+def test_run_gm_does_not_stop_at_a_repeat():
+    tp, calls = _counting(_fixed_point_problem())
+    traj = run_gm(tp, StepSchedule.constant(1.0, 6))
+    assert len(calls) == 7 and len(traj.iterates) == 7
+
+
+def test_hash_collisions_do_not_stop_the_run(monkeypatch):
+    # every iterate gets the same hash, so only the byte comparison tells a repeat
+    monkeypatch.setattr(gmlab, "hash", lambda key: 0, raising=False)
+    tp = _kernel_test_problems()["huber"]
+    counted, calls = _counting(tp)
+    assert _bits(estimate_f_star(counted, n_iter=300)) == _bits(_reference_f_star(tp, 300))
+    assert len(calls) == 301
+    tp, calls = _counting(_period_two_problem())
+    estimate_f_star(tp, n_iter=300)
+    assert len(calls) == 2
+
+
+def test_repeated_non_finite_iterate_raises_at_the_same_index():
+    # x_1 overflows to -inf and x_2 = -inf repeats it bytewise; the full run names iterate 1
+    tp, calls = _counting(TestProblem(name="overflow", oracle=lambda x: (0.0, np.array([1e308])),
+                                      cls=CurvatureClass(mu=0.0, L=1e-3),
+                                      x0=np.array([-1e308])))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 1"):
+            estimate_f_star(tp, n_iter=50)
+        assert len(calls) == 2
+        with pytest.raises(NonFiniteValue, match="non-finite oracle output at iterate 1"):
+            run_gm(tp, StepSchedule.constant(1.0, 50))
