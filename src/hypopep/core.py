@@ -44,7 +44,7 @@ class CurvatureClass:
 
     ``unbounded_below=True`` means mu = -infinity; rate formulas then use
     their analytic limits instead of floating-point overflow, so ``mu``
-    and ``kappa`` must not be read in that case.
+    and ``kappa`` must not be read in that case; ``t`` covers both cases.
     """
 
     mu: float
@@ -66,6 +66,11 @@ class CurvatureClass:
         if self.unbounded_below:
             raise ValueError("kappa is -inf for an unbounded-below class")
         return self.mu / self.L
+
+    @property
+    def t(self) -> float:
+        """t = 1 / (1 - kappa), in [0, 1] for kappa <= 0; 0 when unbounded below."""
+        return 0.0 if self.unbounded_below else 1.0 / (1.0 - self.kappa)
 
 
 def validate_class(mu: float, L: float, *, unbounded_below: bool = False) -> CurvatureClass:

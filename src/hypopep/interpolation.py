@@ -5,8 +5,8 @@ The pairwise interpolation inequality of Taylor, Hendrickx & Glineur
 function of the differences of a pair and of the bilinear product used to
 combine them. ``slack_matrix`` evaluates it with plain dot products for all
 n(n-1) ordered pairs of a triplet set in one array pass over row blocks;
-``pep.build_sdp`` evaluates it with symmetrized outer products to get the
-Gram-form rows of the performance-estimation SDP. ``check_interpolable``
+``pep.build_sdp`` evaluates it at L = 1 with symmetrized outer products to
+get the Gram-form rows of the performance-estimation SDP. ``check_interpolable``
 reports the most negative slack of a triplet set. The conditions are only
 ever used as inequalities: no interpolating function is built.
 """
@@ -37,26 +37,24 @@ class InterpolationReport:
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def interpolation_slack(df, dx, dg, g_b, cls: CurvatureClass, dot):
+def interpolation_slack(df, dx, dg, g_b, t, L, dot):
     """Slack of the interpolation inequality for ordered pairs (a, b).
 
     With ``df = f_a - f_b``, ``dx = x_a - x_b``, ``dg = g_a - g_b`` and
-    ``kappa = mu / L``, the slack is
+    ``t = 1 / (1 - kappa)`` (``CurvatureClass.t``), the slack is
 
-        df - <g_b, dx> - (|dg|^2 / L + mu |dx|^2 - 2 kappa <dg, dx>) / (2 (1 - kappa)),
+        df - <g_b, dx> - (t |dg|^2 / L - (1 - t) L |dx|^2) / 2 - (1 - t) <dg, dx>,
 
     where ``dot`` supplies the bilinear product <., .>: dot products for
     evaluated triplets, symmetrized outer products for Gram coefficients.
     Nonnegative slack for all ordered pairs is necessary and sufficient for a
     triplet set to be interpolable by a function with curvature in [mu, L].
+    It is the paper's (|dg|^2 / L + mu |dx|^2 - 2 kappa <dg, dx>) / (2 (1 - kappa))
+    form with kappa t = t - 1: bounded coefficients for every kappa <= 0, and
+    at t = 0 (unbounded below) the descent lemma alone.
     """
-    mu, L = cls.mu, cls.L
-    kappa = mu / L
-    lhs = df - dot(g_b, dx)
-    rhs = (
-        dot(dg, dg) / L + mu * dot(dx, dx) - 2.0 * kappa * dot(dg, dx)
-    ) / (2.0 * (1.0 - kappa))
-    return lhs - rhs
+    s = 1.0 - t
+    return df - dot(g_b, dx) - 0.5 * (t * dot(dg, dg) / L - s * L * dot(dx, dx)) - s * dot(dg, dx)
 
 
 def slack_matrix(
@@ -79,7 +77,9 @@ def slack_matrix(
         a = slice(r, r + block)
         dx = X[a, None, :] - X[None, :, :]
         dg = G[a, None, :] - G[None, :, :]
-        S[a] = interpolation_slack(f[a, None] - f[None, :], dx, dg, G[None, :, :], cls, _dot)
+        S[a] = interpolation_slack(
+            f[a, None] - f[None, :], dx, dg, G[None, :, :], cls.t, cls.L, _dot
+        )
     return S
 
 

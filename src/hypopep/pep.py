@@ -1,10 +1,16 @@
 """Discretized performance-estimation problems for the gradient method and
 their Gram-lifted semidefinite programs.
 
+Every PEP is built and solved at unit scale, L = delta = 1: the map
+x -> x sqrt(delta / L), g -> g sqrt(L delta), f -> f delta (``_user_scale``)
+takes it to (L, delta, kappa, h), whose optimum is L delta times the unit
+one. In t = 1 / (1 - kappa) the unit rows' coefficients are bounded for
+every kappa <= 0, and t = 0 is the unbounded-below class.
+
 The Gram basis is [g_0, ..., g_N, x_0] (dimension N+2). ``_points`` gives
 each point as a pair of coefficient vectors over that basis, one for its
-gradient and one for its iterate; iterates are eliminated through the step
-recursion x_{i+1} = x_i - (h_i/L) g_i. For the gap-to-optimal variant the
+gradient and one for its iterate; iterates are eliminated through the unit
+step recursion x_{i+1} = x_i - h_i g_i. For the gap-to-optimal variant the
 optimal point * is pinned at the origin with zero gradient and zero value,
 which is without loss of generality by translation invariance. The last
 point's value (f_N or f_*) is fixed at 0. ``build_sdp`` and
@@ -15,15 +21,16 @@ The SDP is an ``sdpsolver.SdpProblem``, whose rows are stacked arrays
 ``build_sdp`` evaluates ``interpolation.interpolation_slack``, the
 inequality that ``check_interpolable`` applies to triplets, on the points'
 Gram coefficients, so a row's matrix A_ij satisfies
-<A_ij, P^T P> + f_i - f_j = slack of the triplets (P x_i, P g_i, f_i).
+<A_ij, P^T P> + f_i - f_j = unit-scale slack of the triplets (P x_i, P g_i, f_i).
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
-returns only an Optimal solution that passes ``verify_solution``.
+returns only an Optimal solution that passes ``verify_solution``, in user
+units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +40,9 @@ from .core import (
     OracleTriplet,
     StepSchedule,
     TripletSet,
-    ValidationError,
     validate_delta,
 )
-from .interpolation import check_interpolable, interpolation_slack
+from .interpolation import DegenerateClass, check_interpolable, interpolation_slack
 from .sdpsolver import (
     OBJECTIVE,
     SdpProblem,
@@ -63,10 +69,6 @@ class SolverFailure(RuntimeError):
     """The solver did not return a verified optimum."""
 
 
-class NonFiniteCoefficients(ValidationError):
-    """A coefficient of the PEP rows overflows a double for this class and schedule."""
-
-
 @dataclass(frozen=True)
 class PepProblem:
     cls: CurvatureClass
@@ -76,8 +78,8 @@ class PepProblem:
 
     def __post_init__(self):
         validate_delta(self.delta)
-        if self.cls.unbounded_below:
-            raise ValidationError("PEP assembly requires a finite lower curvature")
+        if self.cls.mu == self.cls.L and not self.cls.unbounded_below:
+            raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
 
     @property
     def gram_dim(self) -> int:
@@ -86,7 +88,7 @@ class PepProblem:
 
 
 def _points(p: PepProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and iterate coefficients (Gc, Xc) over the Gram basis.
+    """Unit-scale gradient and iterate coefficients (Gc, Xc) over the Gram basis.
 
     Rows are the points 0..N, then * (all zeros) for gap_to_optimal. The
     last point's value is the one fixed at 0.
@@ -95,10 +97,10 @@ def _points(p: PepProblem) -> tuple[np.ndarray, np.ndarray]:
     k = N + 2 if p.init_kind == NumeratorKind.gap_to_optimal else N + 1
     Gc = np.zeros((k, n))
     Gc[: N + 1] = np.eye(N + 1, n)
-    # x_i = x_0 - sum_{j<i} (h_j / L) g_j
+    # x_i = x_0 - sum_{j<i} h_j g_j
     Xc = np.zeros((k, n))
     Xc[: N + 1, N + 1] = 1.0
-    Xc[1 : N + 1, :N] = np.tril(np.broadcast_to(-np.asarray(p.sched.steps) / p.cls.L, (N, N)))
+    Xc[1 : N + 1, :N] = np.tril(np.broadcast_to(-np.asarray(p.sched.steps), (N, N)))
     return Gc, Xc
 
 
@@ -108,27 +110,22 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_sdp(p: PepProblem) -> SdpProblem:
-    """Assemble the Gram-lifted SDP for a discretized PEP.
+    """Assemble the Gram-lifted SDP for a discretized PEP at unit scale.
 
     Rows: pairwise interpolation inequalities (including the optimal point
     for gap_to_optimal), descent rows pinning the optimal value, the initial
     condition, and the epigraph rows G_ii >= l for the min-gradient objective.
+    The rows do not depend on ``p.cls.L`` or ``p.delta``.
 
     The interpolation rows' matrices are ``interpolation_slack`` of all
     ordered pairs of ``_points`` at once, with symmetrized outer products as
     the bilinear product; the function values enter through the linear
     terms only.
-
-    Rows whose coefficients are not all finite raise NonFiniteCoefficients
-    (a ValidationError) before any solve: at kappa = -1.7e308, 2 (1 - kappa)
-    overflows, and at L = 1e-300 so does (h / L)^2. Only the built rows tell
-    exactly, so the arithmetic runs without warnings and is checked once.
     """
     n = p.gram_dim
     check_gram_dim(n)  # before allocating O(N^2) dense rows
-    N, L = p.sched.n, p.cls.L
+    N = p.sched.n
     opt = p.init_kind == NumeratorKind.gap_to_optimal
     Gc, Xc = _points(p)
     k = len(Gc)
@@ -142,31 +139,38 @@ def build_sdp(p: PepProblem) -> SdpProblem:
 
     I, J = np.nonzero(~np.eye(k, dtype=bool))  # ordered pairs i != j, row-major
     blocks = [(
-        interpolation_slack(0.0, Xc[I] - Xc[J], Gc[I] - Gc[J], Gc[J], p.cls, _sym_outer),
+        interpolation_slack(0.0, Xc[I] - Xc[J], Gc[I] - Gc[J], Gc[J], p.cls.t, 1.0, _sym_outer),
         F[I] - F[J],
         np.zeros(len(I)),
         [f"interp[{names[i]},{names[j]}]" for i, j in zip(I.tolist(), J.tolist())],
     )]
     GG = _sym_outer(Gc[: N + 1], Gc[: N + 1])  # g_i g_i^T
     if opt:
-        # f_i - |g_i|^2/(2L) - f_* >= 0, with f_* = 0
-        blocks.append((-GG / (2.0 * L), F[: N + 1], np.zeros(N + 1),
+        # f_i - |g_i|^2/2 - f_* >= 0, with f_* = 0
+        blocks.append((-GG / 2.0, F[: N + 1], np.zeros(N + 1),
                        [f"descent[{i}]" for i in range(N + 1)]))
-    # f_* - f_0 + delta >= 0, or f_N - f_0 + delta >= 0 with f_N = 0 for gap_to_last
-    blocks.append((np.zeros((1, n, n)), -F[:1], np.array([p.delta]), ["initial"]))
+    # f_* - f_0 + 1 >= 0, or f_N - f_0 + 1 >= 0 with f_N = 0 for gap_to_last
+    blocks.append((np.zeros((1, n, n)), -F[:1], np.ones(1), ["initial"]))
     blocks.append((GG, np.tile(-e_l, (N + 1, 1)), np.zeros(N + 1),
                    [f"epigraph[{i}]" for i in range(N + 1)]))
 
     A, lin, const, labels = (np.concatenate(part) for part in zip(*blocks))
-    if not np.isfinite(A).all():
-        raise NonFiniteCoefficients(f"PEP row coefficients overflow for mu={p.cls.mu!r}, "
-                                    f"L={L!r}, steps up to {max(p.sched.steps)!r}")
     return SdpProblem(n, var_names, SdpRows(A, lin, const, tuple(labels.tolist())))
 
 
+def _user_scale(p: PepProblem) -> np.ndarray:
+    """Diagonal D of the map to user units over the Gram basis: sqrt(L delta)
+    on g_0..g_N and sqrt(delta / L) on x_0, so a unit Gram matrix G becomes
+    D G D. Values scale by delta and l by L delta; at L = delta = 1 it is 1.0."""
+    sx, sg = np.sqrt(p.delta) / np.sqrt(p.cls.L), np.sqrt(p.cls.L) * np.sqrt(p.delta)
+    return np.r_[np.full(p.sched.n + 1, sg), sx]
+
+
 def solve_pep(p: PepProblem) -> SdpSolution:
-    """Build and solve the PEP; only an Optimal solution that passes
-    ``verify_solution`` is returned, anything else raises SolverFailure."""
+    """Build and solve the unit-scale PEP; only an Optimal solution that passes
+    ``verify_solution`` (whose absolute floors suit the unit scale) is
+    returned, mapped to user units by ``_user_scale``; anything else raises
+    SolverFailure. The duals and residuals stay those of the unit problem."""
     sdp = build_sdp(p)
     sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
@@ -174,17 +178,22 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     report = verify_solution(sdp, sol)
     if not report.all_pass:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    return sol
+    d, Ld = _user_scale(p), p.cls.L * p.delta
+    values = {k: v * (Ld if k == OBJECTIVE else p.delta) for k, v in sol.linear_values.items()}
+    return replace(sol, objective=sol.objective * Ld, gram=d[:, None] * sol.gram * d,
+                   linear_values=values)
 
 
 def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     """Recover an interpolable triplet set from a solved Gram matrix.
 
-    Factors G = P^T P through an eigendecomposition (small negative
-    eigenvalues are clipped), maps the points' coefficients through P and
-    verifies the result against the interpolation conditions.
+    Takes the user-unit Gram matrix back to unit scale, factors G = P^T P
+    through an eigendecomposition (small negative eigenvalues are clipped),
+    maps the points' coefficients through P and then to user units, and
+    verifies the result against the interpolation conditions of ``p.cls``.
     """
-    G = np.asarray(sdp_solution.gram, dtype=float)
+    d = _user_scale(p)
+    G = np.asarray(sdp_solution.gram, dtype=float) / d[:, None] / d
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w.min() < -1e-6:
         raise IndefiniteGram(f"Gram matrix has eigenvalue {w.min()}")
@@ -198,9 +207,9 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     Gc, Xc = _points(p)
     vals = [sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0]
     ts = TripletSet(tuple(
-        OracleTriplet(P @ x, P @ g, f) for x, g, f in zip(Xc, Gc, vals)
+        OracleTriplet(d[-1] * (P @ x), d[0] * (P @ g), f) for x, g, f in zip(Xc, Gc, vals)
     ))
-    report = check_interpolable(ts, p.cls, tol=1e-6)
+    report = check_interpolable(ts, p.cls, tol=1e-6 * p.delta)
     if not report.feasible:
         raise InterpolationFailure(
             f"extracted triplets violate interpolation by {report.worst_violation}"

@@ -344,7 +344,7 @@ def fit_r(
     used = list(points)
     for _ in range(10):
         r = fit(used)
-        kept = [(n, d) for n, d in used if (1.0 - h) ** (-2 * n) >= r + n * slope]
+        kept = [(n, d) for n, d in used if (r + n * slope) * (1.0 - h) ** (2 * n) <= 1.0]
         if len(kept) < 2:
             raise InsufficientData("fewer than 2 points on the linear-in-N branch")
         if kept == used:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
+from hypopep.core import OracleTriplet, TripletSet, validate_class
+from hypopep.interpolation import check_interpolable
 from hypopep.pep import IndefiniteGram, InterpolationFailure
 from hypopep.rates import KAPPA_MIN
 from hypopep.sdpsolver import VerificationReport
@@ -63,27 +65,56 @@ def test_rate_overflow_exit_code(capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_pep_non_finite_coefficients_exit_code(capsys, tmp_path):
-    # 2 (1 - kappa) overflows at kappa = -1.7e308, mu |x_i - x_j|^2 at -8e307 with h = 1.5
-    # and (h / L)^2 at L = 1e-300: a typed error, not a solver failure
+def test_pep_extreme_kappa_and_L_solve(capsys, tmp_path):
+    # the rows are written at unit scale in t = 1 / (1 - kappa), so no
+    # coefficient overflows: 2 (1 - kappa) would at kappa = -1.7e308,
+    # mu |x_i - x_j|^2 at -8e307 with h = 1.5 and (h / L)^2 at L = 1e-300
     for argv in (("pep", "--kappa=-1.7e308", "--steps", "1"),
                  ("pep", "--kappa=-8e307", "--steps", "1.5"),
                  ("pep", "--kappa=-1", "--L=1e-300", "--steps", "1.9"),
                  ("fit-r", "--kappa=-1.7e308", "--h", "1", "--N", "1:2")):
         rc, out, err = run(capsys, *argv)
-        assert rc == 2 and err.startswith("error: NonFiniteCoefficients: "), (argv, err)
-        assert "optimum" not in out
+        assert rc == 0 and err == "", (argv, err)
+        optima = [float(line.split()[-1]) for line in out.splitlines() if "optimum" in line]
+        assert optima and all(math.isfinite(v) and v > 0.0 for v in optima), (argv, out)
     out = tmp_path / "k.csv"
     rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa=-1.7e308,-1", "--h", "1",
                    "--N", "1", "--out", str(out))
     assert rc == 0
     with open(out, newline="") as fh:
-        bad, good = csv.DictReader(fh)
-    assert bad["optimum"] == "" and bad["error"].startswith("NonFiniteCoefficients: ")
-    assert good["error"] == "" and float(good["optimum"]) > 0.0
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"] == "" and math.isfinite(float(row["optimum"])), row
     for kappa in ("-1e9", "-1e12", "-8e307"):
         rc, out, _ = run(capsys, "pep", f"--kappa={kappa}", "--steps", "1", "--N", "3")
         assert rc == 0 and math.isfinite(float(grab(out, "optimum")))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("--kappa=-1", "--L=1e-4", "--steps", "1"),
+    ("--kappa=-1", "--L=1e-8", "--steps", "1"),
+    ("--kappa=-1", "--L=1e4", "--steps", "1"),
+    ("--kappa=-1", "--L=1e8", "--steps", "1"),
+    ("--kappa=-1", "--L=1e-300", "--steps", "1"),
+    ("--kappa=-1", "--delta=1e-4", "--steps", "1"),
+    ("--kappa=-1", "--delta=1e8", "--steps", "1"),
+    ("--kappa=-2", "--L=1e-6", "--delta=1e6", "--steps", "1.3", "--N", "5"),
+])
+def test_pep_far_from_unit_scale(capsys, tmp_path, argv):
+    # L and delta far from 1: the optimum is L delta times the unit-scale one,
+    # and the emitted triplets interpolate in user units
+    trip = tmp_path / "t.json"
+    rc, out, err = run(capsys, "pep", *argv, "--emit-triplets", str(trip))
+    assert rc == 0, err
+    assert float(grab(out, "rel_error")) <= 1e-8
+    args = dict(a.lstrip("-").split("=") for a in argv if "=" in a)
+    L, delta = float(args.get("L", 1.0)), float(args.get("delta", 1.0))
+    data = json.loads(trip.read_text())
+    ts = TripletSet(tuple(OracleTriplet(t["x"], t["g"], t["f"]) for t in data["triplets"]))
+    cls = validate_class(float(args["kappa"]) * L, L)
+    assert check_interpolable(ts, cls, tol=1e-6 * delta).feasible
 
 
 def test_optstep_command(capsys):
@@ -255,16 +286,37 @@ _steps = st.lists(
 )
 
 
+# pep: valid kappa (the invalid ones reach the same validate_class through the
+# other commands), N <= 3 steps in (0, 2), L and delta log-uniform over [1e-8, 1e8]
+_pep_kappas = st.floats(-1e6, 0.0)
+_pep_steps = st.lists(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=3)
+_log_scales = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+
+# Known defects of the PEP route, pinned by their signature: (d) with a step
+# below 1e-3 and (f) at kappa <= -1e5 the solver may stop at a relaxed
+# Optimal up to 1e-6 off the rate (tests/test_routes.py pins (d)).
+DEFECT_F = "defect (f): the PEP route misses 1e-8 at kappa <= -1e5 (up to 5e-7 off)"
+
+
+def _pep_rel_tol(argv):
+    kappa = float(argv[1].partition("=")[2])
+    steps = [float(h) for h in argv[4].partition("=")[2].split(",")]
+    return 1e-6 if min(steps) < 1e-3 or kappa <= -1e5 else 1e-8
+
+
 @st.composite
 def _cli_argv(draw):
     cmd = draw(st.sampled_from(["rate", "rate --unbounded-below", "optstep theorem",
-                                "optstep asymptotic", "tightness", "worstcase"]))
+                                "optstep asymptotic", "tightness", "worstcase", "pep"]))
     name, _, extra = cmd.partition(" ")
-    argv = [name, f"--kappa={draw(_kappas)!r}"]
+    is_pep = name == "pep"
+    argv = [name, f"--kappa={draw(_pep_kappas if is_pep else _kappas)!r}"]
     if name == "optstep":
         return argv + ["--mode", extra]
-    steps = ",".join(repr(h) for h in draw(_steps))
-    argv += [f"--L={draw(_scales)!r}", f"--delta={draw(_scales)!r}", f"--steps={steps}",
+    scales = _log_scales if is_pep else _scales
+    steps = ",".join(repr(h) for h in draw(_pep_steps if is_pep else _steps))
+    argv += [f"--L={draw(scales)!r}", f"--delta={draw(scales)!r}", f"--steps={steps}",
              "--kind", draw(st.sampled_from(["last", "opt"]))]
     return argv + ([extra] if extra else [])
 
@@ -286,6 +338,15 @@ def test_exit_codes_and_finite_output(argv):
             except ValueError:
                 continue
             assert math.isfinite(value), (argv, out.getvalue())
+        if "rel_error" in out.getvalue():  # a pep optimum agrees with its reference
+            assert float(grab(out.getvalue(), "rel_error")) <= _pep_rel_tol(argv), argv
+
+
+@pytest.mark.xfail(strict=True, reason=DEFECT_F)
+@pytest.mark.parametrize("kind", ["opt", "last"])
+def test_pep_large_negative_kappa_meets_the_rate(capsys, kind):
+    rc, out, _ = run(capsys, "pep", "--kappa=-1e6", "--steps", "1.15", "--kind", kind)
+    assert rc == 0 and float(grab(out, "rel_error")) <= 1e-8, out
 
 
 # log-spaced from -1e6 to -1e308, plus the values that used to end in a traceback

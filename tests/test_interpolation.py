@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, OracleTriplet, TripletSet, validate_class
-from hypopep.interpolation import DegenerateClass, check_interpolable, quadratic_bounds_check
+from hypopep.interpolation import (
+    DegenerateClass,
+    check_interpolable,
+    quadratic_bounds_check,
+    slack_matrix,
+)
 
 
 def sample_quadratic_triplets(curv, xs):
@@ -82,17 +87,40 @@ def test_quadratic_bounds_check_negative_control():
 
 
 # Reference: the per-pair loop that check_interpolable replaced, kept here
-# with its own copy of the inequality.
+# with its own copy of the inequality in t = 1 / (1 - kappa).
 def reference_slack(ti, tj, cls):
-    mu, L = cls.mu, cls.L
-    kappa = mu / L
+    L = cls.L
+    t = 1.0 / (1.0 - cls.mu / L)
     dx = ti.x - tj.x
     dg = ti.g - tj.g
     lhs = ti.f - tj.f - float(tj.g @ dx)
-    rhs = (
-        float(dg @ dg) / L + mu * float(dx @ dx) - 2.0 * kappa * float(dg @ dx)
-    ) / (2.0 * (1.0 - kappa))
-    return lhs - rhs
+    rhs = 0.5 * (t * float(dg @ dg) / L - (1.0 - t) * L * float(dx @ dx))
+    return lhs - rhs - (1.0 - t) * float(dg @ dx)
+
+
+@given(
+    kappa=st.floats(-1e3, 0.0),
+    L=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_t_form_is_the_kappa_form(kappa, L, seed):
+    # the implemented t-form against the paper's form of the inequality,
+    # df - <g_b, dx> - (|dg|^2 / L + mu |dx|^2 - 2 kappa <dg, dx>) / (2 (1 - kappa)),
+    # on 56 ordered pairs in d = 1. The yardstick is the sum of the t-form's
+    # term sizes with 1 - t counted as 1: t is rounded relative to itself, so
+    # 1 - t carries an absolute error of up to eps / 2, which near kappa = 0
+    # is large against the kappa-form's small mu term.
+    cls = validate_class(kappa * L, L)
+    mu, kappa, t = cls.mu, cls.kappa, cls.t
+    rng = np.random.default_rng(seed)
+    x, g, f = rng.standard_normal(8), rng.standard_normal(8), rng.standard_normal(8)
+    df, dx, dg = f[:, None] - f, x[:, None] - x, g[:, None] - g
+    c = 2.0 * (1.0 - kappa)
+    kappa_form = df - g * dx - (dg * dg / L + mu * dx * dx - 2.0 * kappa * dg * dx) / c
+    sizes = abs(df) + abs(g * dx) + t * dg * dg / (2.0 * L) + L * dx * dx / 2.0 + abs(dg * dx)
+    S = slack_matrix(x[:, None], g[:, None], f, cls)
+    assert (abs(S - kappa_form) <= 1e-15 * sizes).all()
 
 
 def reference_check(ts, cls, tol=1e-9):

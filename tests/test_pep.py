@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from hypopep import pep, sdpsolver
-from hypopep.core import NumeratorKind, StepSchedule, ValidationError, validate_class
-from hypopep.interpolation import check_interpolable, slack_matrix
+from hypopep.core import (
+    CurvatureClass,
+    NumeratorKind,
+    StepSchedule,
+    ValidationError,
+    validate_class,
+)
+from hypopep.interpolation import DegenerateClass, check_interpolable, slack_matrix
 from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
 from hypopep.rates import nstep_bound, one_step_p
 from hypopep.sdpsolver import (
@@ -47,10 +53,23 @@ def test_constraint_counts_one_step_optimal():
     assert sdp.var_names == ("f_0", "f_1", "l")
 
 
-def test_rejects_unbounded_class():
+def test_rejects_degenerate_class():
+    # t = 1 / (1 - kappa) has no value at mu = L: a typed error at construction
+    with pytest.raises(DegenerateClass) as info:
+        PepProblem(CurvatureClass(mu=2.0, L=2.0), StepSchedule((1.0,)), 1.0,
+                   NumeratorKind.gap_to_last)
+    assert isinstance(info.value, ValidationError)
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+@pytest.mark.parametrize("steps", [(1.0,), (1.0, 1.0, 1.0), (0.5, 1.5, 1.9), (1.9, 1.9),
+                                   (0.3, 0.7, 1.0, 0.2)])
+def test_unbounded_below_matches_rate(steps, kind):
+    # t = 0: the rows are the descent lemma alone, the kappa -> -inf limit
     cls = validate_class(0.0, 1.0, unbounded_below=True)
-    with pytest.raises(ValidationError):
-        PepProblem(cls, StepSchedule((1.0,)), 1.0, NumeratorKind.gap_to_last)
+    p = PepProblem(cls, StepSchedule(steps), 1.0, kind)
+    ref = nstep_bound(cls, p.sched, 1.0, kind).bound
+    assert abs(solve_pep(p).objective - ref) <= 1e-8 * ref
 
 
 def test_rejects_nonpositive_delta():
@@ -77,9 +96,46 @@ def test_optimum_matches_analytic_bound():
 
 def test_homogeneity():
     sched = [1.0]
-    base = solve(build_sdp(make(-1.0, sched, delta=1.0, L=1.0))).objective
-    scaled = solve(build_sdp(make(-1.0, sched, delta=3.0, L=2.0))).objective
-    assert abs(scaled - 6.0 * base) / scaled < 1e-7
+    base = solve_pep(make(-1.0, sched, delta=1.0, L=1.0)).objective
+    scaled = solve_pep(make(-1.0, sched, delta=3.0, L=2.0)).objective
+    assert scaled == 2.0 * 3.0 * base
+
+
+def test_build_sdp_is_unit_scale():
+    # the rows do not depend on L or delta; solve_pep maps the solution
+    base = build_sdp(make(-0.37, [0.4, 1.7]))
+    for L, delta in ((2.5, 1e6), (1e-8, 3.0), (1e8, 1e-8)):
+        c = build_sdp(make(-0.37, [0.4, 1.7], L=L, delta=delta)).constraints
+        assert np.array_equal(c.A, base.constraints.A)
+        assert np.array_equal(c.lin, base.constraints.lin)
+        assert np.array_equal(c.const, base.constraints.const)
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+@pytest.mark.parametrize("L, delta", [(1e-6, 1e6), (1e4, 1e-4), (2.5, 3.0), (1e-8, 1e-8)])
+def test_solve_pep_maps_to_user_units(L, delta, kind):
+    unit = solve_pep(make(-2.0, [1.3, 0.6, 1.1], kind=kind))
+    p = make(-2.0, [1.3, 0.6, 1.1], kind=kind, L=L, delta=delta)
+    sol = solve_pep(p)
+    assert sol.objective == unit.objective * (L * delta)
+    assert sol.linear_values["l"] == unit.linear_values["l"] * (L * delta)
+    for name, v in unit.linear_values.items():
+        if name != "l":
+            assert sol.linear_values[name] == v * delta
+    d = np.r_[np.full(p.sched.n + 1, np.sqrt(L) * np.sqrt(delta)), np.sqrt(delta) / np.sqrt(L)]
+    assert np.allclose(sol.gram, np.outer(d, d) * unit.gram, rtol=1e-15, atol=0.0)
+    # user-unit triplets: the step recursion with h_i / L, values and gradients
+    # on the scales delta and L delta, and the interpolation conditions of
+    # p.cls, whose slacks are delta times the unit ones
+    ts = extract_triplets(p, sol)
+    assert check_interpolable(ts, p.cls, tol=1e-6 * delta).feasible
+    xs = [t.x for t in ts.triplets]
+    for i, h in enumerate(p.sched.steps):
+        step = xs[i] - h / L * ts.triplets[i].g
+        assert np.abs(xs[i + 1] - step).max() <= 1e-14 * max(np.abs(x).max() for x in xs)
+    assert abs(ts.triplets[0].f - delta) <= 1e-6 * delta
+    min_g2 = min(float(t.g @ t.g) for t in ts.triplets[: p.sched.n + 1])
+    assert abs(min_g2 - sol.objective) <= 1e-6 * sol.objective
 
 
 def test_monotone_in_N():
@@ -117,7 +173,8 @@ def test_extract_triplets_gap_to_last():
 
 
 # The interpolation rows against the inequality evaluated on triplets, and
-# against a per-pair assembly with its own copy of the inequality.
+# against a per-pair assembly with its own copy of the inequality. The rows
+# are built at unit scale, so L only checks that they do not depend on it.
 CASES = [
     (kappa, kind, steps, L)
     for kappa in (0.0, -1.0, -0.37, -2.6)
@@ -127,7 +184,7 @@ CASES = [
 
 
 def gram_points(p):
-    """Label -> (gradient, iterate) coefficients over [g_0, ..., g_N, x_0]."""
+    """Label -> unit-scale (gradient, iterate) coefficients over [g_0, ..., g_N, x_0]."""
     N, n = p.sched.n, p.gram_dim
     e = np.eye(n)
     pts = {}
@@ -135,7 +192,7 @@ def gram_points(p):
     for i in range(N + 1):
         pts[str(i)] = (e[i], x)
         if i < N:
-            x = x - (p.sched.steps[i] / p.cls.L) * e[i]
+            x = x - p.sched.steps[i] * e[i]
     if p.init_kind == NumeratorKind.gap_to_optimal:
         pts["*"] = (np.zeros(n), np.zeros(n))
     return pts
@@ -150,17 +207,18 @@ def interp_rows(sdp):
 
 
 def reference_interp_matrix(pi, pj, cls):
+    """The inequality at L = 1 in t = 1 / (1 - kappa):
+    -<g_j, dx> - (t |dg|^2 - (1 - t) |dx|^2) / 2 - (1 - t) <dg, dx>."""
     def sym(u, v):
         m = np.outer(u, v)
         return 0.5 * (m + m.T)
 
-    mu, L = cls.mu, cls.L
-    kappa = mu / L
+    t = 1.0 / (1.0 - cls.mu / cls.L)
     (gi, xi), (gj, xj) = pi, pj
     dg, dx = gi - gj, xi - xj
     A = -sym(gj, dx)
-    scale = 1.0 / (2.0 * (1.0 - kappa))
-    A -= scale * (sym(dg, dg) / L + mu * sym(dx, dx) - 2.0 * kappa * sym(dg, dx))
+    A -= 0.5 * (t * sym(dg, dg) - (1.0 - t) * sym(dx, dx))
+    A -= (1.0 - t) * sym(dg, dx)
     return A
 
 
@@ -174,7 +232,7 @@ def test_interp_rows_match_per_pair_reference(kappa, kind, steps, L):
     c = sdp.constraints
     for a, b, r in rows:
         ref = reference_interp_matrix(pts[a], pts[b], p.cls)
-        if kappa in (0.0, -1.0):  # 2(1 - kappa) is a power of two
+        if kappa in (0.0, -1.0):  # t and 1 - t are powers of two
             assert np.array_equal(c.A[r], ref)
         else:
             assert np.abs(c.A[r] - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -186,7 +244,9 @@ def test_interp_rows_match_per_pair_reference(kappa, kind, steps, L):
 @pytest.mark.parametrize("kappa,kind,steps,L", CASES)
 def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
     # <A_ab, P^T P> + f_a - f_b is the slack of the triplets x = P c_x, g = P c_g
+    # in the unit-scale class
     p = make(kappa, steps, kind=kind, L=L)
+    unit = CurvatureClass(mu=p.cls.kappa, L=1.0)
     sdp = build_sdp(p)
     pts = gram_points(p)
     rng = np.random.default_rng(0)
@@ -196,7 +256,7 @@ def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
         X = np.array([P @ x for _, x in pts.values()])
         G = np.array([P @ g for g, _ in pts.values()])
         f = np.array([values.get(f"f_{name}", 0.0) for name in pts])
-        S = slack_matrix(X, G, f, p.cls)
+        S = slack_matrix(X, G, f, unit)
         index = {name: i for i, name in enumerate(pts)}
         gram = P.T @ P
         c = sdp.constraints
@@ -208,11 +268,11 @@ def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
 
 
 def reference_rows(p, sdp):
-    """Per-row (A, lin, const) from each row's label, with the pairwise
-    inequality from ``reference_interp_matrix`` and the points from
+    """Per-row (A, lin, const) at unit scale from each row's label, with the
+    pairwise inequality from ``reference_interp_matrix`` and the points from
     ``gram_points``."""
     pts = gram_points(p)
-    N, n, L = p.sched.n, p.gram_dim, p.cls.L
+    N, n = p.sched.n, p.gram_dim
     for label in sdp.constraints.labels:
         kind, _, arg = label.partition("[")
         arg = arg.rstrip("]")
@@ -222,9 +282,9 @@ def reference_rows(p, sdp):
             lin, const = {f"f_{a}": 1.0, f"f_{b}": -1.0}, 0.0
         elif kind == "descent":
             g = pts[arg][0]
-            A, lin, const = -np.outer(g, g) / (2.0 * L), {f"f_{arg}": 1.0}, 0.0
+            A, lin, const = -np.outer(g, g) / 2.0, {f"f_{arg}": 1.0}, 0.0
         elif kind == "initial":
-            A, lin, const = np.zeros((n, n)), {"f_0": -1.0}, p.delta
+            A, lin, const = np.zeros((n, n)), {"f_0": -1.0}, 1.0
         else:
             g = pts[arg][0]
             A, lin, const = np.outer(g, g), {"l": -1.0}, 0.0
@@ -248,7 +308,7 @@ def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
     ref = list(reference_rows(p, sdp))
     B_ref = np.array([np.concatenate([svec(A), lin]) for A, lin, _ in ref])
     assert B.shape == B_ref.shape
-    if kappa in (0.0, -1.0):  # 2(1 - kappa) is a power of two
+    if kappa in (0.0, -1.0):  # t and 1 - t are powers of two
         assert np.array_equal(B, B_ref)
     else:
         assert np.abs(B - B_ref).max() <= 1e-15 * np.abs(B_ref).max()
@@ -258,8 +318,8 @@ def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
 
 
 def recursion_triplets(p, sol):
-    """Triplets from the factor of the Gram matrix and the step recursion
-    x_{i+1} = x_i - (h_i / L) g_i."""
+    """Triplets from the factor of the user-unit Gram matrix and the step
+    recursion x_{i+1} = x_i - (h_i / L) g_i."""
     G = sol.gram
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     w = np.clip(w, 0.0, None)
@@ -278,19 +338,26 @@ def recursion_triplets(p, sol):
 @pytest.mark.parametrize("kappa,kind,steps,L", [c for c in CASES if max(c[2]) <= 1.5])
 def test_extract_triplets_match_step_recursion(kappa, kind, steps, L):
     p = make(kappa, steps, kind=kind, L=L)
-    sol = solve(build_sdp(p))
+    sol = solve_pep(p)
     ts = extract_triplets(p, sol)
     xs, gs, fs = recursion_triplets(p, sol)
     assert len(ts) == len(xs)
     scale = max(np.abs(x).max() for x in xs)
-    for t, x, g, f in zip(ts.triplets, xs, gs, fs):
-        assert t.g.tobytes() == g.tobytes()
-        assert t.f == f
-        assert np.abs(t.x - x).max() <= 1e-15 * scale
+    if L == 1.0:  # the unit-scale map is the identity: the same factor
+        for t, x, g, f in zip(ts.triplets, xs, gs, fs):
+            assert t.g.tobytes() == g.tobytes()
+            assert t.f == f
+            assert np.abs(t.x - x).max() <= 1e-15 * scale
+    else:  # extract_triplets factors at unit scale: the same points up to a rotation
+        assert [t.f for t in ts.triplets] == fs
+        V = np.array([t.x for t in ts.triplets] + [t.g for t in ts.triplets])
+        V_ref = np.array(xs + gs)
+        ref = V_ref @ V_ref.T
+        assert np.abs(V @ V.T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_solve_pep_returns_verified_optimum():
-    p = make(-1.0, [1.0, 0.5])
+    p = make(-1.0, [1.0, 0.5])  # at L = delta = 1 the solver's solution itself
     sol = solve_pep(p)
     assert sol.status == SolveStatus.Optimal
     assert sol.objective == solve(build_sdp(p)).objective

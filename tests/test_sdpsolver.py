@@ -327,9 +327,9 @@ def test_determinism_bitwise():
 def test_delta_scaling_scales_optimum():
     cls = validate_class(-1.0, 1.0)
     sched = StepSchedule.constant(1.0, 1)
-    base = solve(build_sdp(PepProblem(cls, sched, 1.0, NumeratorKind.gap_to_optimal)))
-    scaled = solve(build_sdp(PepProblem(cls, sched, 1000.0, NumeratorKind.gap_to_optimal)))
-    assert abs(scaled.objective - 1000.0 * base.objective) / scaled.objective < 1e-6
+    base = solve_pep(PepProblem(cls, sched, 1.0, NumeratorKind.gap_to_optimal))
+    scaled = solve_pep(PepProblem(cls, sched, 1000.0, NumeratorKind.gap_to_optimal))
+    assert scaled.objective == 1.0 * 1000.0 * base.objective
 
 
 def test_verify_solution_negative_control():
