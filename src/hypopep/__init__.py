@@ -17,7 +17,6 @@ from .rates import (
     kappa_bar,
     nstep_bound,
     one_step_p,
-    one_step_p_unbounded,
     optimal_step,
     step_threshold,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "kappa_bar",
     "nstep_bound",
     "one_step_p",
-    "one_step_p_unbounded",
     "optimal_step",
     "step_threshold",
     "__version__",

@@ -42,9 +42,9 @@ class NonFiniteTriplet(ValidationError):
 class CurvatureClass:
     """A curvature interval [mu, L] with finite L > 0 and finite mu <= L.
 
-    ``unbounded_below=True`` means mu = -infinity; rate formulas then use
-    their analytic limits instead of floating-point overflow, so ``mu``
-    and ``kappa`` must not be read in that case; ``t`` covers both cases.
+    ``unbounded_below=True`` means mu = -infinity; ``mu`` and ``kappa`` must
+    not be read in that case. The rates and the PEP rows read ``t``, which
+    covers both cases.
     """
 
     mu: float

@@ -25,7 +25,7 @@ Gram coefficients, so a row's matrix A_ij satisfies
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, in user
-units.
+units, or raises ScaleOverflow if that answer is not finite.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     OracleTriplet,
     StepSchedule,
     TripletSet,
+    ValidationError,
     validate_delta,
 )
 from .interpolation import DegenerateClass, check_interpolable, interpolation_slack
@@ -67,6 +68,10 @@ class InterpolationFailure(RuntimeError):
 
 class SolverFailure(RuntimeError):
     """The solver did not return a verified optimum."""
+
+
+class ScaleOverflow(ValidationError):
+    """The unit-scale answer does not fit a double in user units."""
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,9 @@ def _user_scale(p: PepProblem) -> np.ndarray:
 def solve_pep(p: PepProblem) -> SdpSolution:
     """Build and solve the unit-scale PEP; only an Optimal solution that passes
     ``verify_solution`` (whose absolute floors suit the unit scale) is
-    returned, mapped to user units by ``_user_scale``; anything else raises
-    SolverFailure. The duals and residuals stay those of the unit problem."""
+    returned, mapped to user units by ``_user_scale`` (ScaleOverflow if they
+    overflow); anything else raises SolverFailure. The duals and residuals
+    stay those of the unit problem."""
     sdp = build_sdp(p)
     sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
@@ -178,10 +184,16 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     report = verify_solution(sdp, sol)
     if not report.all_pass:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    d, Ld = _user_scale(p), p.cls.L * p.delta
+    Ld = p.cls.L * p.delta
+    with np.errstate(over="ignore"):  # an inf raises ScaleOverflow below
+        d = _user_scale(p)
+        gram = d[:, None] * sol.gram * d
     values = {k: v * (Ld if k == OBJECTIVE else p.delta) for k, v in sol.linear_values.items()}
-    return replace(sol, objective=sol.objective * Ld, gram=d[:, None] * sol.gram * d,
-                   linear_values=values)
+    objective = sol.objective * Ld
+    if not (np.isfinite(gram).all() and np.isfinite([objective, *values.values()]).all()):
+        raise ScaleOverflow(f"the answer at L={p.cls.L!r}, delta={p.delta!r} overflows a double: "
+                            "the optimum scales by L delta, the x_0 Gram entry by delta / L")
+    return replace(sol, objective=objective, gram=gram, linear_values=values)
 
 
 def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:

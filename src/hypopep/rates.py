@@ -1,16 +1,12 @@
 """Closed-form rate engine for the gradient method on curvature classes [mu, L].
 
-Everything here is expressed in terms of kappa = mu/L <= 0 and normalized
-steps h (actual step h/L). The per-step constant p(h, kappa) and the step
-threshold h_bar(kappa) drive all N-step bounds; the optimal constant step
-maximizes p over the admissible range.
-
-kappa must lie in [KAPPA_MIN, 0] with KAPPA_MIN = -1e8; a smaller kappa
-raises KappaBelowFloor. At the floor p(h, kappa) and h_bar(kappa) are within
-about 1e-8 relative of their kappa -> -inf limits, which the unbounded-below
-class gives. Below KAPPA_LARGE = -1e6, h_bar and the optimal step use forms
-that do not cancel; above it they keep the forms that ``results/`` was
-computed with, and the two forms agree to 1e-10 at the switch.
+The public functions take kappa = mu/L <= 0 and normalized steps h (actual
+step h/L). Every closed form is written once, in t = 1/(1 - kappa) in
+[0, 1], the parameter of the PEP layer's interpolation rows
+(``CurvatureClass.t``): the per-step constant p(h, kappa), the step
+threshold h_bar(kappa) and the optimal constant step. No form cancels
+anywhere on [0, 1], so every finite kappa <= 0 is accepted, and t = 0 is
+the unbounded-below class (kappa -> -inf), where p = 2h - h^2 and h_bar = 2.
 """
 
 from __future__ import annotations
@@ -31,10 +27,6 @@ from .core import (
 
 
 class PositiveKappa(ValidationError):
-    pass
-
-
-class KappaBelowFloor(ValidationError):
     pass
 
 
@@ -68,57 +60,49 @@ class BranchMismatch(RuntimeError):
     pass
 
 
-KAPPA_MIN = -1e8
-KAPPA_LARGE = -1e6
-
-
-def _check_kappa(kappa: float) -> None:
+def _t(kappa: float) -> float:
+    """t = 1 / (1 - kappa) for a finite kappa <= 0."""
     if not -math.inf < kappa <= 0.0:
         raise PositiveKappa(f"kappa must be finite and <= 0, got {kappa}")
-    if kappa < KAPPA_MIN:
-        raise KappaBelowFloor(
-            f"kappa={kappa} is below {KAPPA_MIN:g}; "
-            "use the unbounded-below class for the kappa -> -inf limit"
-        )
+    return 1.0 / (1.0 - kappa)
 
 
-def step_threshold(kappa: float, *, unbounded_below: bool = False) -> float:
-    """Largest admissible normalized step h_bar(kappa) in [3/2, 2).
+def _threshold(t: float) -> float:
+    """h_bar, the root in [3/2, 2] of (t - 1) h^2 - 2 (2t - 1) h + 3t.
 
-    For the unbounded-below limit the open-limit value 2 is returned. Below
-    KAPPA_LARGE the denominator 1 + kappa + sqrt(1 - kappa + kappa^2) would
-    cancel, so the equal form (1 + kappa - sqrt(...)) / kappa is used.
+    With q = sqrt(t^2 - t + 1) it is 2 - t / (1 + q). Nothing cancels for t
+    in [0, 1], where t / (1 + q) <= 1/2: t = 0 gives 2 and t = 1 gives 3/2.
     """
-    if unbounded_below:
-        return 2.0
-    _check_kappa(kappa)
-    s = math.sqrt(1.0 - kappa + kappa * kappa)
-    if kappa < KAPPA_LARGE:
-        return (1.0 + kappa - s) / kappa
-    return 3.0 / (1.0 + kappa + s)
+    return 2.0 - t / (1.0 + math.sqrt(t * t - t + 1.0))
+
+
+def _slope(t: float, h: float) -> float:
+    """p for h > 1, h (2 - h)(2t + (1 - t) h) / (2t - (2t - 1) h)."""
+    return h * (2.0 - h) * ((2.0 * t + (1.0 - t) * h) / (2.0 * t - (2.0 * t - 1.0) * h))
+
+
+def _p(h: float, t: float) -> float:
+    """p in t: 2h - (1 - t) h^2 for h <= 1, ``_slope`` above; both give 1 + t at h = 1."""
+    if h <= 0:
+        raise StepNonPositive(f"step must be positive, got {h}")
+    h_bar = _threshold(t)
+    if h > h_bar + 1e-15:
+        raise StepAboveThreshold(f"h={h} exceeds h_bar={h_bar} (t={t})")
+    if h <= 1.0:
+        return 2.0 * h - (1.0 - t) * h * h
+    return _slope(t, h)
+
+
+def step_threshold(kappa: float) -> float:
+    """Largest admissible normalized step h_bar(kappa) in [3/2, 2); it rounds
+    to 2 for kappa below about -4.5e15."""
+    return _threshold(_t(kappa))
 
 
 def one_step_p(h: float, kappa: float) -> float:
     """Two-branch per-step constant p(h, kappa), the denominator contribution
     (scaled by 2L) of one gradient step; both branches agree at h = 1."""
-    _check_kappa(kappa)
-    if h <= 0:
-        raise StepNonPositive(f"step must be positive, got {h}")
-    h_bar = step_threshold(kappa)
-    if h > h_bar + 1e-15:
-        raise StepAboveThreshold(f"h={h} exceeds h_bar(kappa={kappa})={h_bar}")
-    if h <= 1.0:
-        return 2.0 * h - h * h * (-kappa) / (1.0 - kappa)
-    return third_regime_slope(kappa, h)
-
-
-def one_step_p_unbounded(h: float) -> float:
-    """Limit of p(h, kappa) as kappa -> -inf; valid for h in (0, 2)."""
-    if h <= 0:
-        raise StepNonPositive(f"step must be positive, got {h}")
-    if h >= 2.0:
-        raise StepAboveThreshold(f"h={h} not below the limit threshold 2")
-    return 2.0 * h - h * h
+    return _p(h, _t(kappa))
 
 
 def nstep_bound(
@@ -129,19 +113,19 @@ def nstep_bound(
 ) -> RateResult:
     """N-step upper bound 2*L*delta / D on the minimum squared gradient norm.
 
-    D is the sum of per-step constants p(h_i, kappa), plus 1 for the
-    gap-to-optimal initial condition. A bound that overflows a double, as
+    D is the sum of per-step constants p(h_i) at the class's t, plus 1 for
+    the gap-to-optimal initial condition. A bound that overflows a double, as
     with a subnormal step sum and the gap to the last iterate, raises
     BoundOverflow.
     """
     validate_delta(delta)
+    if cls.mu > 0.0 and not cls.unbounded_below:
+        raise PositiveKappa(f"kappa must be <= 0, got {cls.kappa}")
+    t = cls.t
     ps = []
     for i, h in enumerate(sched.steps):
         try:
-            if cls.unbounded_below:
-                ps.append(one_step_p_unbounded(h))
-            else:
-                ps.append(one_step_p(h, cls.kappa))
+            ps.append(_p(h, t))
         except StepAboveThreshold as exc:
             raise StepAboveThreshold(f"step index {i}: {exc}", index=i) from exc
     denom = sum(ps)
@@ -166,49 +150,48 @@ def kappa_bar() -> float:
     return (-9.0 - 5.0 * s5 + math.sqrt(190.0 + 90.0 * s5)) / 4.0
 
 
-def _optimal_step_cubic(h: float, kappa: float) -> float:
-    """Derivative of the mid-range objective 2h + kappa*h^3/(2-(1+kappa)h)."""
-    k = kappa
-    return -k * (1 + k) * h**3 + (3 * k + (1 + k) ** 2) * h**2 - 4 * (1 + k) * h + 4
+def _optimal_step_root(t: float, w: float) -> float:
+    """Root h in [1, 2] of the optimal-step cubic, given t and w = 1 - t.
 
-
-def _optimal_step_root(kappa: float) -> float:
-    """Root of the optimal-step cubic on [1, 2).
-
-    The cubic equals 1 at h = 1 with slope -(kappa - 1)(kappa - 2), but its
-    terms are of order kappa^2, so for very negative kappa its computed sign
-    at h = 1 is rounding noise (the bracket fails from kappa ~ -7.7e7). Below
-    KAPPA_LARGE the Newton step from h = 1 is used; its error, of order
-    kappa^-4, is below the rounding of 1 + 1/kappa^2.
+    The cubic, half the numerator of the derivative of the mid-range objective
+    2h + kappa h^3 / (2 - (1 + kappa) h), times t^2, is
+    t^2 - (1 + t) s + (t^2 + 2t - 2) s^2 - (2t - 1)(t - 1) s^3 in s = h - 1 and
+    -4w + 4w (1 + w) u + (1 - w - 5w^2) u^2 - w (1 - 2w) u^3 in u = 2 - h. The
+    root nears s = 0 as t -> 0 and u = 0 as t -> 1, so each form is used on
+    the half where none of its terms cancels. w = -kappa t is passed apart
+    from t, as 1 - t loses its relative accuracy as kappa -> 0.
     """
-    if kappa < KAPPA_LARGE:
-        return 1.0 + 1.0 / ((kappa - 1.0) * (kappa - 2.0))
-    return solve_bracketed_root(lambda h: _optimal_step_cubic(h, kappa), 1.0, 2.0 - 1e-12)
+
+    def cubic(s):
+        if s < 0.5:
+            return t * t - (1.0 + t) * s + (t * t + 2.0 * t - 2.0) * s * s \
+                - (2.0 * t - 1.0) * (t - 1.0) * s**3
+        u = 1.0 - s
+        return -4.0 * w + 4.0 * w * (1.0 + w) * u + (1.0 - w - 5.0 * w * w) * u * u \
+            - w * (1.0 - 2.0 * w) * u**3
+
+    return 1.0 + solve_bracketed_root(cubic, 0.0, 1.0, tol=2.0**-52)
 
 
-def solve_bracketed_root(func, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Safeguarded bisection with a Newton-like secant polish on [lo, hi]."""
+def solve_bracketed_root(func, lo: float, hi: float, tol: float = 1e-14) -> float:
+    """Root of func on [lo, hi] by bisection down to a bracket narrower than
+    tol * max(1, |lo|, |hi|); of its two ends, the one with the smaller |func|.
+    Each end keeps its starting sign, so no sign is read from a product that
+    may underflow."""
     flo, fhi = func(lo), func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    hi_negative = fhi < 0.0
+    if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == hi_negative:
         raise RootNotBracketed(f"no sign change on [{lo}, {hi}]")
-    a, b, fa, fb = lo, hi, flo, fhi
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        # secant candidate, kept only if it stays inside the bracket
-        sec = b - fb * (b - a) / (fb - fa) if fb != fa else mid
-        x = sec if a < sec < b else mid
-        fx = func(x)
-        if fx == 0.0 or (b - a) < tol * max(1.0, abs(x)):
-            return x
-        if fa * fx < 0:
-            b, fb = x, fx
+    while flo != 0.0 and fhi != 0.0 and hi - lo >= tol * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: a tol below the spacing
+            break
+        fmid = func(mid)
+        if (fmid < 0.0) == hi_negative:
+            hi, fhi = mid, fmid
         else:
-            a, fa = x, fx
-    return 0.5 * (a + b)
+            lo, flo = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 class OptimalStepBranch(str, Enum):
@@ -234,27 +217,25 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     ``theorem`` mode maximizes p(h, kappa) over (0, h_bar(kappa)]: below
     kappa_bar the maximizer is an interior cubic root, above it the
     threshold h_bar(kappa) itself. ``asymptotic`` mode drops the threshold
-    (conjectured large-step regime) and returns the cubic root on [1, 2).
+    (conjectured large-step regime) and returns the cubic root on [1, 2),
+    which rounds to 2 for kappa above about -3e-33.
     """
     mode = OptimalStepMode(mode)
-    _check_kappa(kappa)
+    t = _t(kappa)
     if mode == OptimalStepMode.asymptotic:
         if kappa >= 0:
             raise PositiveKappa("asymptotic mode requires kappa < 0")
-        return OptimalStep(h_star=_optimal_step_root(kappa),
+        return OptimalStep(h_star=_optimal_step_root(t, -kappa * t),
                            branch=OptimalStepBranch.asymptotic_conjectured)
     if kappa > kappa_bar():
-        return OptimalStep(h_star=step_threshold(kappa), branch=OptimalStepBranch.threshold)
-    return OptimalStep(h_star=_optimal_step_root(kappa), branch=OptimalStepBranch.cubic_root)
+        return OptimalStep(h_star=_threshold(t), branch=OptimalStepBranch.threshold)
+    return OptimalStep(h_star=_optimal_step_root(t, -kappa * t), branch=OptimalStepBranch.cubic_root)
 
 
 def third_regime_slope(kappa: float, h: float) -> float:
-    """Linear-in-N denominator growth of the conjectured third-regime bound.
-
-    The same expression is the h > 1 branch of ``one_step_p``; beyond
-    h_bar(kappa) it is conjectured to remain the per-step growth.
-    """
-    return h * (2.0 - h) * (2.0 - kappa * h) / (2.0 - (1.0 + kappa) * h)
+    """Linear-in-N denominator growth of the conjectured third-regime bound:
+    the h > 1 branch of ``one_step_p``, conjectured to hold beyond h_bar."""
+    return _slope(_t(kappa), h)
 
 
 def conjectured_bound_convex(
@@ -290,12 +271,11 @@ def conjectured_bound_third_regime(
     The intercept r of the linear-in-N branch is not known analytically and
     must be supplied (see ``fit_r``).
     """
-    kappa = cls.kappa
-    h_bar = step_threshold(kappa)
+    h_bar = _threshold(cls.t)
     if not (h_bar < h < 2.0):
         raise StepOutOfRange(f"h={h} outside (h_bar={h_bar}, 2)")
     geom = (1.0 - h) ** (-2 * n)
-    lin = r_value + n * third_regime_slope(kappa, h)
+    lin = r_value + n * _slope(cls.t, h)
     if kind == NumeratorKind.gap_to_optimal:
         denom = min(geom, lin)
     else:
@@ -332,8 +312,7 @@ def fit_r(
     the geometric branch (where (1-h)^(-2N) is the smaller denominator at the
     fitted r) are excluded in a second pass.
     """
-    kappa = cls.kappa
-    slope = third_regime_slope(kappa, h)
+    slope = _slope(cls.t, h)
     points = [(int(n), 2.0 * cls.L * delta / v) for n, v in pep_values]
     if len(points) < 2:
         raise InsufficientData("need at least 2 PEP optima")

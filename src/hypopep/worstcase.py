@@ -12,6 +12,10 @@ interpolation conditions of Taylor, Hendrickx & Glineur (Math. Prog. 2017):
 each gradient step from a constructed iterate lands on the next one, every
 gradient has magnitude U, the triplets interpolate and the value gap is
 used up. No gradient method is run.
+
+The concave pieces are t h_i U / L wide, t = 1 / (1 - kappa), which nears the
+float spacing of the iterates as kappa falls, so kappa < KAPPA_MIN raises
+KappaBelowFloor (with no floor, the tightness check fails from about -1e14).
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from .interpolation import check_interpolable
 from .rates import nstep_bound
 
 
+KAPPA_MIN = -1e8
+
+
 class StepAboveOne(ValidationError):
+    pass
+
+
+class KappaBelowFloor(ValidationError):
     pass
 
 
@@ -141,6 +152,9 @@ def build_worst_case(
     for i, h in enumerate(sched.steps):
         if h > 1.0:
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")
+    if kappa < KAPPA_MIN:
+        raise KappaBelowFloor(f"kappa={kappa} is below {KAPPA_MIN:g}, where the concave "
+                              "pieces near the float spacing of the iterates")
     mu, L = cls.mu, cls.L
     N = sched.n
     res = nstep_bound(cls, sched, delta, kind)
@@ -154,9 +168,7 @@ def build_worst_case(
     for i in range(N - 1, -1, -1):
         xs[i] = xs[i + 1] + (U / L) * sched.steps[i]
     fs = [delta - (U * U / (2.0 * L)) * sum(ps[:i]) for i in range(N + 1)]
-    x_bars = [
-        xs[i] - (-kappa) / (1.0 - kappa) * (sched.steps[i] / L) * U for i in range(N)
-    ]
+    x_bars = [xs[i] - (1.0 - cls.t) * (sched.steps[i] / L) * U for i in range(N)]
 
     pieces = []
     if opt:

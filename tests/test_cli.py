@@ -16,8 +16,8 @@ from hypopep.cli import main, parse_steps
 from hypopep.core import OracleTriplet, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
 from hypopep.pep import IndefiniteGram, InterpolationFailure
-from hypopep.rates import KAPPA_MIN
 from hypopep.sdpsolver import VerificationReport
+from hypopep.worstcase import KAPPA_MIN
 
 
 def run(capsys, *argv):
@@ -86,9 +86,24 @@ def test_pep_extreme_kappa_and_L_solve(capsys, tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert row["error"] == "" and math.isfinite(float(row["optimum"])), row
+    # the closed forms accept every finite kappa, so a reference is printed
     for kappa in ("-1e9", "-1e12", "-8e307"):
         rc, out, _ = run(capsys, "pep", f"--kappa={kappa}", "--steps", "1", "--N", "3")
         assert rc == 0 and math.isfinite(float(grab(out, "optimum")))
+        assert float(grab(out, "rel_error")) <= 1e-8, (kappa, out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("--L=1e200", "--delta=1e200"),  # the optimum, L delta = 1e400 times the unit one
+    ("--L=1e-200", "--delta=1e200", "--emit-triplets", "t.json"),  # x_0 Gram entry, delta / L
+])
+def test_pep_answer_beyond_double_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # the unit-scale solve is fine; its answer in user units is not a finite double
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, "pep", "--kappa=-1", *argv, "--steps", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ScaleOverflow: "), err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -362,20 +377,20 @@ _extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2
     ("tightness", "--steps=0.5,1.0"),
 ])
 def test_extreme_kappa_exit_code(cmd):
-    # below KAPPA_MIN a typed error with exit 2, never a traceback
+    # the closed forms accept every finite kappa <= 0; the construction is
+    # refused below KAPPA_MIN with a typed error and exit 2
     for kappa in _extreme_kappas:
         argv = [cmd[0], f"--kappa={kappa!r}", *cmd[1:]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
-        if kappa < KAPPA_MIN:
+        if cmd[0] in ("worstcase", "tightness") and kappa < KAPPA_MIN:
             assert rc == 2 and err.getvalue().startswith("error: KappaBelowFloor: "), argv
-        else:
-            assert rc in (0, 2), (argv, err.getvalue())
-        if rc == 0:
-            for token in re.split(r"[\s=,]+", out.getvalue()):
-                with contextlib.suppress(ValueError):
-                    assert math.isfinite(float(token)), (argv, out.getvalue())
+            continue
+        assert rc == 0, (argv, err.getvalue())
+        for token in re.split(r"[\s=,]+", out.getvalue()):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token)), (argv, out.getvalue())
 
 
 def _failing_report(sdp, sol):

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,8 @@ from hypothesis import strategies as st
 
 from hypopep.core import NumeratorKind, StepSchedule, validate_class
 from hypopep.rates import (
-    KAPPA_LARGE,
-    KAPPA_MIN,
     BranchMismatch,
     InsufficientData,
-    KappaBelowFloor,
     OptimalStepBranch,
     OptimalStepMode,
     PositiveKappa,
@@ -23,7 +22,6 @@ from hypopep.rates import (
     kappa_bar,
     nstep_bound,
     one_step_p,
-    one_step_p_unbounded,
     optimal_step,
     solve_bracketed_root,
     step_threshold,
@@ -32,11 +30,42 @@ from hypopep.rates import (
 
 kappas = st.floats(min_value=-50.0, max_value=0.0, allow_nan=False)
 
+# seeded log-uniform kappa over [-1.7e308, -1e-12], plus the old switch point
+# -1e6 of h_bar's two kappa-forms and values with t or t^2 subnormal
+_rng = random.Random(17)
+WIDE_KAPPAS = [-(10.0 ** _rng.uniform(-12.0, math.log10(1.7e308))) for _ in range(1500)] + [
+    0.0, -1.0, -1e6, math.nextafter(-1e6, -math.inf), -4e154, -1.7e308,
+]
+
+
+def _quadratic(kappa, h):
+    """kappa h^2 - 2 (1 + kappa) h + 3, whose root in [3/2, 2) is h_bar, exactly."""
+    k, h = Fraction(kappa), Fraction(h)
+    return k * h * h - 2 * (1 + k) * h + 3
+
+
+def _cubic(kappa, h):
+    """The optimal-step cubic in kappa, exactly."""
+    k, h = Fraction(kappa), Fraction(h)
+    return -k * (1 + k) * h**3 + (3 * k + (1 + k) ** 2) * h**2 - 4 * (1 + k) * h + 4
+
+
+def _changes_sign(f, lo, hi):
+    a, b = f(lo), f(hi)
+    return a == 0 or b == 0 or (a < 0) != (b < 0)
+
+
+def _within_ulps(f, kappa, h, n):
+    """f(kappa, .) has an exact root within n ulps of h."""
+    lo = hi = h
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _changes_sign(lambda x: f(kappa, x), lo, hi)
+
 
 def test_threshold_reference_values():
     assert abs(step_threshold(-1.0) - math.sqrt(3.0)) < 1e-12
     assert abs(step_threshold(0.0) - 1.5) < 1e-12
-    assert step_threshold(0.0, unbounded_below=True) == 2.0
 
 
 def test_threshold_rejects_positive_kappa():
@@ -44,27 +73,48 @@ def test_threshold_rejects_positive_kappa():
         step_threshold(0.1)
 
 
-def test_kappa_floor():
-    # down to the floor the closed forms work; below it they are refused
-    for kappa in (-1e6, -7.7e7, -5e7, KAPPA_MIN):
-        assert 0.0 < 2.0 - step_threshold(kappa) < 2e-6
+def test_closed_forms_accept_every_finite_kappa():
+    # no floor: t = 1 / (1 - kappa) keeps every form finite down to -1.7e308
+    for kappa in (-1e6, -1e8, math.nextafter(-1e8, -math.inf), -5e9, -1.2e16, -1.7e308):
+        assert 0.0 <= 2.0 - step_threshold(kappa) < 2e-6
+        assert 0.75 <= one_step_p(0.5, kappa) < 0.75 + 3e-7  # 2h - h^2 + t h^2
         for mode in OptimalStepMode:
             assert 1.0 <= optimal_step(kappa, mode).h_star < 1.0 + 2e-12
-    # h_bar = 2 - 1/(2|kappa|) + O(kappa^-2), without the cancellation of 3 / (1 + kappa + ...)
-    assert abs(step_threshold(KAPPA_MIN) - 1.999999995) <= 4.5e-16
-    below = math.nextafter(KAPPA_MIN, -math.inf)
-    for call in (lambda: step_threshold(below), lambda: one_step_p(0.5, below),
-                 lambda: optimal_step(below), lambda: optimal_step(-5e9),
-                 lambda: step_threshold(-1.2e16), lambda: optimal_step(-1.7e308)):
-        with pytest.raises(KappaBelowFloor):
-            call()
+    # h_bar = 2 - 1/(2|kappa|) + O(kappa^-2)
+    assert abs(step_threshold(-1e8) - 1.999999995) <= 4.5e-16
+    assert step_threshold(-1.7e308) == 2.0
 
 
-def test_closed_forms_continuous_at_kappa_large():
-    # either side of KAPPA_LARGE the two forms of h_bar and of the optimal step agree
-    below = math.nextafter(KAPPA_LARGE, -math.inf)
-    assert abs(step_threshold(KAPPA_LARGE) - step_threshold(below)) < 1e-10
-    assert abs(optimal_step(KAPPA_LARGE).h_star - optimal_step(below).h_star) <= 4.5e-16
+def test_threshold_does_not_decrease_across_minus_1e6():
+    # h_bar grows as kappa falls, also across -1e6, where the kappa-forms
+    # used to switch and h_bar(-1e6) exceeded h_bar(nextafter(-1e6, -inf))
+    ks = [-1e6 * (1.0 + i * 1e-6) for i in range(-1000, 1001)]
+    ks += [-1e6, math.nextafter(-1e6, -math.inf)]
+    ks.sort(reverse=True)
+    values = [step_threshold(k) for k in ks]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_threshold_within_4_ulps_over_all_kappa():
+    for kappa in WIDE_KAPPAS:
+        assert _within_ulps(_quadratic, kappa, step_threshold(kappa), 4), kappa
+
+
+def test_optimal_step_is_an_exact_root_over_all_kappa():
+    # the cubic changes sign exactly within 1e-14 h* of every cubic-root h*;
+    # t^2 is subnormal at kappa = -4e154, where h* is 1 to double precision
+    for kappa in WIDE_KAPPAS:
+        for mode in OptimalStepMode:
+            if kappa == 0.0 and mode == OptimalStepMode.asymptotic:
+                continue
+            res = optimal_step(kappa, mode)
+            if res.branch == OptimalStepBranch.threshold:
+                assert res.h_star == step_threshold(kappa)
+                continue
+            h = Fraction(res.h_star)
+            assert _changes_sign(lambda x: _cubic(kappa, x), h * (1 - Fraction(1e-14)),
+                                 h * (1 + Fraction(1e-14))), (kappa, mode)
+    assert optimal_step(-4e154).h_star == 1.0
 
 
 @given(kappas)
@@ -75,8 +125,7 @@ def test_threshold_range(kappa):
 
 @given(kappas)
 def test_threshold_is_root_of_quadratic(kappa):
-    h = step_threshold(kappa)
-    assert abs(kappa * h * h - 2.0 * h * (1.0 + kappa) + 3.0) < 1e-10
+    assert _within_ulps(_quadratic, kappa, step_threshold(kappa), 4)
 
 
 @given(st.floats(min_value=-50.0, max_value=-1e-6))
@@ -103,15 +152,26 @@ def test_kappa_minus_one_specialization(h):
     assert abs(one_step_p(h, -1.0) - expected) < 1e-12
 
 
-@given(st.floats(min_value=1e-3, max_value=1.5))
-def test_nesterov_limit(h):
-    assert abs(one_step_p(h, -1e8) - one_step_p_unbounded(h)) < 1e-6
+def test_nesterov_limit():
+    # the unbounded-below class is t = 0: each per-step p is 2h - h^2 to 1 ulp,
+    # and p(h, kappa) reaches it at the most negative double kappa
+    cls = validate_class(0.0, 1.0, unbounded_below=True)
+    rng = random.Random(5)
+    steps = tuple(rng.uniform(0.0, 2.0) for _ in range(400)) + (1e-300, 1.0, 1.5, 1.9999999999999998)
+    res = nstep_bound(cls, StepSchedule(steps), 1.0, NumeratorKind.gap_to_last)
+    for h, p in zip(steps, res.per_step_p):
+        exact = 2 * Fraction(h) - Fraction(h) ** 2
+        assert abs(Fraction(p) - exact) <= Fraction(math.ulp(p)), h
+        assert abs(one_step_p(h, -1.7e308) - p) <= math.ulp(p), h
 
 
 def test_unbounded_p_range_check():
-    with pytest.raises(StepAboveThreshold):
-        one_step_p_unbounded(2.0)
-    assert abs(one_step_p_unbounded(1.9) - (2 * 1.9 - 1.9**2)) < 1e-15
+    # h_bar is 2 at t = 0, so every step of a schedule in (0, 2) is admissible
+    cls = validate_class(0.0, 1.0, unbounded_below=True)
+    res = nstep_bound(cls, StepSchedule((1.9,)), 1.0, NumeratorKind.gap_to_last)
+    assert abs(res.per_step_p[0] - (2 * 1.9 - 1.9**2)) < 1e-15
+    with pytest.raises(StepNonPositive):
+        one_step_p(-0.5, -1.7e308)
 
 
 @given(
@@ -193,6 +253,9 @@ def test_optimal_step_maximizes_p(kappa):
 def test_solve_bracketed_root():
     root = solve_bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0)
     assert abs(root - math.sqrt(2.0)) < 1e-12
+    # a tol below the double spacing stops at adjacent doubles
+    root = solve_bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-30)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
     with pytest.raises(Exception):
         solve_bracketed_root(lambda x: x * x + 1.0, 0.0, 2.0)
 
