@@ -35,6 +35,7 @@ from .pep import (
 )
 from .rates import (
     BranchMismatch,
+    _threshold,
     conjectured_bound_convex,
     fit_r,
     nstep_bound,
@@ -124,12 +125,12 @@ def _reference_bound(p: PepProblem):
     The analytic rate is returned only where it is exact: every step at most
     h_bar, and either every step at most 1 or every step at least 1. For a
     schedule that straddles h = 1 it is only an upper bound. The closed
-    forms accept every finite kappa <= 0.
+    forms are read in t: every finite kappa <= 0, and t = 0 (unbounded below).
     """
-    kappa, steps = p.cls.kappa, p.sched.steps
-    if max(steps) <= step_threshold(kappa) and (max(steps) <= 1.0 or min(steps) >= 1.0):
+    t, steps = p.cls.t, p.sched.steps
+    if max(steps) <= _threshold(t) and (max(steps) <= 1.0 or min(steps) >= 1.0):
         return nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
-    if kappa == 0.0 and len(set(steps)) == 1 and 1.5 < steps[0] < 2.0:
+    if t == 1.0 and len(set(steps)) == 1 and 1.5 < steps[0] < 2.0:
         return conjectured_bound_convex(steps[0], p.sched.n, p.cls.L, p.delta, p.init_kind).bound
     return None
 
@@ -216,32 +217,30 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+SWEEP_COLUMNS = {
+    "rate": ("kappa", "h", "N", "bound", "denominator", "error"),
+    "pep": ("kappa", "h", "N", "optimum", "reference", "rel_error", "error"),
+}
+
+
 def _sweep_point(target, kappa, h, n, L, delta, kind):
-    row = {"kappa": _fmt(kappa), "h": _fmt(h), "N": str(n)}
+    row = dict.fromkeys(SWEEP_COLUMNS[target], "")
+    row.update(kappa=_fmt(kappa), h=_fmt(h), N=str(n))
     try:
         cls = validate_class(kappa * L, L)
         sched = StepSchedule.constant(h, n)
         if target == "rate":
             res = nstep_bound(cls, sched, delta, kind)
-            row.update(bound=_fmt(res.bound), denominator=_fmt(res.denominator), error="")
+            row.update(bound=_fmt(res.bound), denominator=_fmt(res.denominator))
         else:
             p = PepProblem(cls, sched, delta, kind)
             sol = solve_pep(p)
             ref = _reference_bound(p)
-            row.update(
-                optimum=_fmt(sol.objective),
-                reference="" if ref is None else _fmt(ref),
-                rel_error="" if ref is None else _fmt(abs(sol.objective - ref) / ref),
-                error="",
-            )
+            row["optimum"] = _fmt(sol.objective)
+            if ref is not None:
+                row.update(reference=_fmt(ref), rel_error=_fmt(abs(sol.objective - ref) / ref))
     # per-point failures go to the error column; anything else is a bug
     except (ValidationError, SolverFailure, NonFiniteValue) as exc:
-        row.setdefault("bound" if target == "rate" else "optimum", "")
-        if target == "rate":
-            row.setdefault("denominator", "")
-        else:
-            row.setdefault("reference", "")
-            row.setdefault("rel_error", "")
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -253,10 +252,6 @@ def cmd_sweep(args) -> int:
     kind = _kind(args)
     grid = [(k, h, n) for k in kappas for h in hs for n in ns]
     rows = [_sweep_point(args.target, k, h, n, args.L, args.delta, kind) for k, h, n in grid]
-    if args.target == "rate":
-        header = ["kappa", "h", "N", "bound", "denominator", "error"]
-    else:
-        header = ["kappa", "h", "N", "optimum", "reference", "rel_error", "error"]
     if args.format == "json":
         payload = json.dumps(rows, indent=2)
         if args.out:
@@ -268,9 +263,8 @@ def cmd_sweep(args) -> int:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
         try:
             w = csv.writer(out)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([row.get(c, "") for c in header])
+            w.writerow(SWEEP_COLUMNS[args.target])
+            w.writerows(row.values() for row in rows)
         finally:
             if args.out:
                 out.close()

@@ -152,9 +152,6 @@ class TripletSet:
     def __len__(self) -> int:
         return len(self.triplets)
 
-    def __iter__(self):
-        return iter(self.triplets)
-
     def to_json(self) -> str:
         return json.dumps(
             {

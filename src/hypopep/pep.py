@@ -7,14 +7,15 @@ takes it to (L, delta, kappa, h), whose optimum is L delta times the unit
 one. In t = 1 / (1 - kappa) the unit rows' coefficients are bounded for
 every kappa <= 0, and t = 0 is the unbounded-below class.
 
-The Gram basis is [g_0, ..., g_N, x_0] (dimension N+2). ``_points`` gives
-each point as a pair of coefficient vectors over that basis, one for its
-gradient and one for its iterate; iterates are eliminated through the unit
-step recursion x_{i+1} = x_i - h_i g_i. For the gap-to-optimal variant the
-optimal point * is pinned at the origin with zero gradient and zero value,
-which is without loss of generality by translation invariance. The last
-point's value (f_N or f_*) is fixed at 0. ``build_sdp`` and
-``extract_triplets`` both read the points from ``_points``.
+The Gram basis holds only the coordinates the rows use. The rows see
+iterates only through differences, so by translation invariance one point
+sits at the origin: for gap-to-optimal the optimal point *, with zero
+gradient and value, over the basis [g_0, ..., g_N, x_0]; for gap-to-last
+x_0, over [g_0, ..., g_N]. ``_points`` gives each point as a pair of
+coefficient vectors over that basis, one for its gradient and one for its
+iterate; iterates are eliminated through the unit step recursion
+x_{i+1} = x_i - h_i g_i. The last point's value (f_N or f_*) is fixed at 0.
+Only ``gram_dim`` and ``_points`` lay out the basis.
 
 The SDP is an ``sdpsolver.SdpProblem``, whose rows are stacked arrays
 (``sdpsolver.SdpRows``). The interpolation rows are not written out here:
@@ -71,7 +72,8 @@ class SolverFailure(RuntimeError):
 
 
 class ScaleOverflow(ValidationError):
-    """The unit-scale answer does not fit a double in user units."""
+    """The unit-scale answer does not fit a double in user units: the optimum
+    scales by L delta and, for gap-to-optimal, the x_0 Gram entry by delta / L."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class PepProblem:
 
     @property
     def gram_dim(self) -> int:
-        """Size of the Gram basis [g_0, ..., g_N, x_0]."""
-        return self.sched.n + 2
+        """Size of the Gram basis: [g_0, ..., g_N], plus x_0 for gap_to_optimal."""
+        return self.sched.n + 1 + (self.init_kind == NumeratorKind.gap_to_optimal)
 
 
 def _points(p: PepProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +106,7 @@ def _points(p: PepProblem) -> tuple[np.ndarray, np.ndarray]:
     Gc[: N + 1] = np.eye(N + 1, n)
     # x_i = x_0 - sum_{j<i} h_j g_j
     Xc = np.zeros((k, n))
-    Xc[: N + 1, N + 1] = 1.0
+    Xc[: N + 1, N + 1 :] = 1.0
     Xc[1 : N + 1, :N] = np.tril(np.broadcast_to(-np.asarray(p.sched.steps), (N, N)))
     return Gc, Xc
 
@@ -163,12 +165,15 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     return SdpProblem(n, var_names, SdpRows(A, lin, const, tuple(labels.tolist())))
 
 
-def _user_scale(p: PepProblem) -> np.ndarray:
-    """Diagonal D of the map to user units over the Gram basis: sqrt(L delta)
-    on g_0..g_N and sqrt(delta / L) on x_0, so a unit Gram matrix G becomes
-    D G D. Values scale by delta and l by L delta; at L = delta = 1 it is 1.0."""
+def _user_scale(p: PepProblem) -> tuple[float, float, np.ndarray]:
+    """The map to user units: the iterate scale sx = sqrt(delta / L), the
+    gradient scale sg = sqrt(L delta) and the diagonal D over the Gram basis
+    (sg on the gradients' coordinates, sx on x_0), so a unit Gram matrix G
+    becomes D G D. Values scale by delta and l by L delta; at L = delta = 1
+    every scale is 1.0."""
     sx, sg = np.sqrt(p.delta) / np.sqrt(p.cls.L), np.sqrt(p.cls.L) * np.sqrt(p.delta)
-    return np.r_[np.full(p.sched.n + 1, sg), sx]
+    Gc, _ = _points(p)
+    return sx, sg, np.where(Gc.any(axis=0), sg, sx)
 
 
 def solve_pep(p: PepProblem) -> SdpSolution:
@@ -186,13 +191,13 @@ def solve_pep(p: PepProblem) -> SdpSolution:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
     Ld = p.cls.L * p.delta
     with np.errstate(over="ignore"):  # an inf raises ScaleOverflow below
-        d = _user_scale(p)
+        _, _, d = _user_scale(p)
         gram = d[:, None] * sol.gram * d
     values = {k: v * (Ld if k == OBJECTIVE else p.delta) for k, v in sol.linear_values.items()}
     objective = sol.objective * Ld
     if not (np.isfinite(gram).all() and np.isfinite([objective, *values.values()]).all()):
         raise ScaleOverflow(f"the answer at L={p.cls.L!r}, delta={p.delta!r} overflows a double: "
-                            "the optimum scales by L delta, the x_0 Gram entry by delta / L")
+                            "the optimum scales by L delta, an x_0 Gram entry by delta / L")
     return replace(sol, objective=objective, gram=gram, linear_values=values)
 
 
@@ -204,7 +209,7 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     maps the points' coefficients through P and then to user units, and
     verifies the result against the interpolation conditions of ``p.cls``.
     """
-    d = _user_scale(p)
+    sx, sg, d = _user_scale(p)
     G = np.asarray(sdp_solution.gram, dtype=float) / d[:, None] / d
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w.min() < -1e-6:
@@ -219,7 +224,7 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     Gc, Xc = _points(p)
     vals = [sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0]
     ts = TripletSet(tuple(
-        OracleTriplet(d[-1] * (P @ x), d[0] * (P @ g), f) for x, g, f in zip(Xc, Gc, vals)
+        OracleTriplet(sx * (P @ x), sg * (P @ g), f) for x, g, f in zip(Xc, Gc, vals)
     ))
     report = check_interpolable(ts, p.cls, tol=1e-6 * p.delta)
     if not report.feasible:

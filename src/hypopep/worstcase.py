@@ -232,7 +232,8 @@ def verify_tightness(
     is the largest one-step residual, scaled by max(1, |x_0|)), (b) the
     minimum squared gradient equals U^2, (c) the evaluated triplets, with
     (0, 0, 0) added for gap-to-optimal, satisfy the interpolation
-    conditions, (d) the full value gap is consumed. A gradient run from x_0
+    conditions (the violation is scaled by max(1, delta), as the gap is),
+    (d) the full value gap is consumed. A gradient run from x_0
     visits exactly these iterates iff every single step does, so (a) states
     tightness without following a float run that amplifies rounding by
     |1 - h kappa| per step on a concave piece.
@@ -252,7 +253,7 @@ def verify_tightness(
     else:
         gap = evals[0][0] - evals[-1][0]
     report = check_interpolable(TripletSet(tuple(trips)), cls, tol=tol)
-    interp_violation = -report.worst_violation
+    interp_violation = -report.worst_violation / max(1.0, delta)
     gap_res = abs(gap - delta) / max(1.0, delta)
     passed = (
         it_res <= tol

@@ -7,15 +7,17 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
-from hypopep.core import OracleTriplet, TripletSet, validate_class
+from hypopep.core import NumeratorKind, OracleTriplet, StepSchedule, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
-from hypopep.pep import IndefiniteGram, InterpolationFailure
+from hypopep.pep import IndefiniteGram, InterpolationFailure, PepProblem
+from hypopep.rates import nstep_bound
 from hypopep.sdpsolver import VerificationReport
 from hypopep.worstcase import KAPPA_MIN
 
@@ -107,6 +109,34 @@ def test_pep_answer_beyond_double_exit_code(capsys, tmp_path, monkeypatch, argv)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pep_gap_to_last_has_no_x0_entry_to_overflow(capsys, tmp_path, monkeypatch):
+    # the same command for gap-to-last: its Gram basis has no x_0, which is
+    # the origin, so only the optimum and the values must fit a double
+    monkeypatch.chdir(tmp_path)
+    L, delta = 1e-200, 1e200
+    rc, out, err = run(capsys, "pep", "--kind", "last", "--kappa=-1", f"--L={L}",
+                       f"--delta={delta}", "--steps", "1", "--emit-triplets", "t.json")
+    assert rc == 0, err
+    assert float(grab(out, "rel_error")) <= 1e-8
+    data = json.loads((tmp_path / "t.json").read_text())
+    assert data["triplets"][0]["x"] == [0.0] * data["dim"]
+    # |x_1 - x_0|^2 ~ 1e400 overflows in user units, so check at unit scale
+    sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
+    ts = TripletSet(tuple(OracleTriplet(np.divide(t["x"], sx), np.divide(t["g"], sg),
+                                        t["f"] / delta) for t in data["triplets"]))
+    assert check_interpolable(ts, validate_class(-1.0, 1.0), tol=1e-6).feasible
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+@pytest.mark.parametrize("steps", [(0.3, 1.0, 0.7), (1.0,), (1.2, 1.9)])
+def test_reference_bound_unbounded_below(kind, steps):
+    # the reference reads t, which is 0 for the unbounded-below class
+    cls = validate_class(0.0, 2.0, unbounded_below=True)
+    p = PepProblem(cls, StepSchedule(steps), 1.5, kind)
+    assert cli._reference_bound(p) == nstep_bound(cls, p.sched, 1.5, kind).bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("--kappa=-1", "--L=1e-4", "--steps", "1"),
     ("--kappa=-1", "--L=1e-8", "--steps", "1"),
@@ -183,8 +213,12 @@ def test_emit_triplets_failure_exit_code(capsys, tmp_path, monkeypatch, exc, cod
 
 
 def test_tightness_pass(capsys):
-    for args in (("--kappa=-2", "--L", "2", "--delta", "2"), ("--kappa=-1e3",)):
-        rc, out, _ = run(capsys, "tightness", *args, "--steps", "1,0.5,0.75", "--kind", "opt")
+    # at delta = 1e7 the interpolation slacks, in units of delta, are compared
+    # with tol relative to max(1, delta), as the gap is
+    for args in (("--kappa=-2", "--L", "2", "--delta", "2", "--steps", "1,0.5,0.75"),
+                 ("--kappa=-1e3", "--steps", "1,0.5,0.75"),
+                 ("--kappa=-2", "--delta=1e7", "--steps", "0.5,0.5")):
+        rc, out, _ = run(capsys, "tightness", *args, "--kind", "opt")
         assert rc == 0, (args, out)
         assert "PASS" in out
 
@@ -238,6 +272,30 @@ def test_sweep_per_point_errors(capsys, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 3
     assert "StepAboveThreshold" in rows[2]
+
+
+def test_sweep_json_columns(capsys):
+    # every row has its target's columns in the CSV header's order, with ""
+    # where a point failed
+    rc, out, _ = run(capsys, "sweep", "--target", "rate", "--kappa", "-1", "--h", "1.0,1.9",
+                     "--N", "2", "--format", "json")
+    assert rc == 0
+    assert out == json.dumps([
+        {"kappa": "-1", "h": "1", "N": "2", "bound": "0.5", "denominator": "4", "error": ""},
+        {"kappa": "-1", "h": "1.8999999999999999", "N": "2", "bound": "", "denominator": "",
+         "error": "StepAboveThreshold: step index 0: h=1.9 exceeds h_bar=1.7320508075688772"
+                  " (t=0.5)"},
+    ], indent=2) + "\n"
+    rc, out, _ = run(capsys, "sweep", "--target", "pep", "--kappa", "-1", "--h", "1.0",
+                     "--N", "1,63", "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)
+    assert [list(row) for row in rows] == [
+        ["kappa", "h", "N", "optimum", "reference", "rel_error", "error"]] * 2
+    assert rows[0]["error"] == "" and float(rows[0]["rel_error"]) <= 1e-8
+    assert rows[1] == {"kappa": "-1", "h": "1", "N": "63", "optimum": "", "reference": "",
+                       "rel_error": "",
+                       "error": "ProblemTooLarge: dense solver limited to gram_dim <= 64, got 65"}
 
 
 def test_steps_file(capsys, tmp_path):

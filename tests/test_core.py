@@ -87,7 +87,7 @@ def test_triplet_set_json_roundtrip():
     )
     obj = json.loads(ts.to_json())
     assert obj["dim"] == 2 and len(obj["triplets"]) == 2
-    for t, back in zip(ts, obj["triplets"]):
+    for t, back in zip(ts.triplets, obj["triplets"]):
         assert np.array_equal(t.x, back["x"])
         assert np.array_equal(t.g, back["g"])
         assert t.f == back["f"]

@@ -35,7 +35,7 @@ def count_labels(prob, prefix):
 
 def test_constraint_counts_one_step_last():
     sdp = build_sdp(make(-1.0, [1.0], kind=NumeratorKind.gap_to_last))
-    assert sdp.gram_dim == 3
+    assert sdp.gram_dim == 2  # [g_0, g_1]: x_0 is the origin
     assert count_labels(sdp, "interp") == 2
     assert count_labels(sdp, "descent") == 0
     assert count_labels(sdp, "initial") == 1
@@ -122,7 +122,8 @@ def test_solve_pep_maps_to_user_units(L, delta, kind):
     for name, v in unit.linear_values.items():
         if name != "l":
             assert sol.linear_values[name] == v * delta
-    d = np.r_[np.full(p.sched.n + 1, np.sqrt(L) * np.sqrt(delta)), np.sqrt(delta) / np.sqrt(L)]
+    sx = [np.sqrt(delta) / np.sqrt(L)] if kind == NumeratorKind.gap_to_optimal else []
+    d = np.r_[np.full(p.sched.n + 1, np.sqrt(L) * np.sqrt(delta)), sx]
     assert np.allclose(sol.gram, np.outer(d, d) * unit.gram, rtol=1e-15, atol=0.0)
     # user-unit triplets: the step recursion with h_i / L, values and gradients
     # on the scales delta and L delta, and the interpolation conditions of
@@ -172,6 +173,23 @@ def test_extract_triplets_gap_to_last():
     assert abs(ts.triplets[-1].f) < 1e-12  # pinned last value
 
 
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+def test_every_gram_coordinate_enters_a_row(kind):
+    # the basis holds only coordinates the rows use: no all-zero Gram row and
+    # column; gap-to-last has no x_0 coordinate and its x_0 is the origin
+    rng = np.random.default_rng(18)
+    for _ in range(8):
+        n = int(rng.integers(1, 7))
+        p = make(-float(rng.uniform(0.0, 3.0)), rng.uniform(0.05, 1.5, n).tolist(), delta=3.0,
+                 kind=kind, L=2.5)
+        A = build_sdp(p).constraints.A
+        assert A.shape[1] == p.gram_dim == n + 1 + (kind == NumeratorKind.gap_to_optimal)
+        assert np.all(np.any(A != 0.0, axis=(0, 2)))
+        if kind == NumeratorKind.gap_to_last:
+            x0 = extract_triplets(p, solve_pep(p)).triplets[0].x
+            assert np.array_equal(x0, np.zeros_like(x0))
+
+
 # The interpolation rows against the inequality evaluated on triplets, and
 # against a per-pair assembly with its own copy of the inequality. The rows
 # are built at unit scale, so L only checks that they do not depend on it.
@@ -184,16 +202,18 @@ CASES = [
 
 
 def gram_points(p):
-    """Label -> unit-scale (gradient, iterate) coefficients over [g_0, ..., g_N, x_0]."""
+    """Label -> unit-scale (gradient, iterate) coefficients over [g_0, ..., g_N, x_0]
+    for gap_to_optimal and over [g_0, ..., g_N], with x_0 = 0, for gap_to_last."""
     N, n = p.sched.n, p.gram_dim
+    opt = p.init_kind == NumeratorKind.gap_to_optimal
     e = np.eye(n)
     pts = {}
-    x = e[N + 1]
+    x = e[N + 1] if opt else np.zeros(n)
     for i in range(N + 1):
         pts[str(i)] = (e[i], x)
         if i < N:
             x = x - p.sched.steps[i] * e[i]
-    if p.init_kind == NumeratorKind.gap_to_optimal:
+    if opt:
         pts["*"] = (np.zeros(n), np.zeros(n))
     return pts
 
@@ -326,11 +346,12 @@ def recursion_triplets(p, sol):
     keep = w > 1e-7 * max(w.max(), 1.0)
     P = np.sqrt(w[keep])[:, None] * V[:, keep].T
     N = p.sched.n
-    xs, gs = [P[:, N + 1]], [P[:, i] for i in range(N + 1)]
+    opt = p.init_kind == NumeratorKind.gap_to_optimal
+    xs, gs = [P[:, N + 1] if opt else np.zeros(len(P))], [P[:, i] for i in range(N + 1)]
     for i in range(N):
         xs.append(xs[-1] - (p.sched.steps[i] / p.cls.L) * gs[i])
     fs = [sol.linear_values.get(f"f_{i}", 0.0) for i in range(N + 1)]
-    if p.init_kind == NumeratorKind.gap_to_optimal:
+    if opt:
         xs, gs, fs = xs + [np.zeros(len(P))], gs + [np.zeros(len(P))], fs + [0.0]
     return xs, gs, fs
 

@@ -165,6 +165,26 @@ def test_verify_tightness_evaluates_once_per_iterate(monkeypatch):
         assert len(calls) == sched.n + 1
 
 
+def test_tightness_keeps_its_teeth_at_large_delta(monkeypatch):
+    # the correct construction passes at delta = 1e7; one value off by
+    # 1e-6 delta breaks interpolation and only interpolation
+    cls, sched, delta = validate_class(-2.0, 1.0), StepSchedule((0.5, 0.5)), 1e7
+    kind = NumeratorKind.gap_to_optimal
+    assert verify_tightness(cls, sched, delta, kind).passed
+    x1 = build_worst_case(cls, sched, delta, kind).xs[1]
+    original = WorstCaseFunction.eval
+
+    def perturbed(self, x):
+        f, g = original(self, x)
+        return (f + 1e-6 * delta if x == x1 else f), g
+
+    monkeypatch.setattr(WorstCaseFunction, "eval", perturbed)
+    rep = verify_tightness(cls, sched, delta, kind)
+    assert not rep.passed
+    assert rep.interpolation_violation > rep.tol
+    assert max(rep.iterate_residual, rep.bound_residual, rep.gap_residual) <= rep.tol
+
+
 def test_json_and_csv_export(tmp_path):
     w = build_worst_case(
         validate_class(-1.0, 1.0), StepSchedule((1.0, 0.5)), 1.0, NumeratorKind.gap_to_optimal
