@@ -100,17 +100,24 @@ def check_interpolable(
     """Evaluate all pairwise interpolation slacks and report the most negative.
 
     Reports the most negative slack instead of a bare boolean because PEP
-    solutions carry solver noise. Among equal slacks the reported pair is
-    the first in the order (0, 1), (1, 0), (0, 2), (2, 0), ..., (1, 2), ...:
-    pairs i < j row by row, each before its reverse.
+    solutions carry solver noise. A pair whose slack is not finite is
+    reported with slack -inf: the set is too large to check in doubles.
+    Among equal slacks the reported pair is the first in the order (0, 1),
+    (1, 0), (0, 2), (2, 0), ..., (1, 2), ...: pairs i < j row by row, each
+    before its reverse.
     """
     if cls.mu == cls.L:
         raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
     X = np.array([t.x for t in ts.triplets])
     G = np.array([t.g for t in ts.triplets])
     f = np.array([t.f for t in ts.triplets], dtype=float)
-    S = slack_matrix(X, G, f, cls)
-    # the diagonal is 0 or NaN; NaN and -0.0 slacks count as no violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = slack_matrix(X, G, f, cls)
+    # off the diagonal a slack that is not finite (|dx|^2 or |dg|^2 beyond a
+    # double) says nothing, so it counts as a violation; the diagonal is 0
+    # or NaN and never one, and -0.0 is no violation
+    S[~np.isfinite(S)] = -np.inf
+    np.fill_diagonal(S, 0.0)
     S[~(S < 0.0)] = 0.0
     worst = float(S.min())
     worst_pair = None

@@ -17,12 +17,13 @@ iterate; iterates are eliminated through the unit step recursion
 x_{i+1} = x_i - h_i g_i. The last point's value (f_N or f_*) is fixed at 0.
 Only ``gram_dim`` and ``_points`` lay out the basis.
 
-The SDP is an ``sdpsolver.SdpProblem``, whose rows are stacked arrays
-(``sdpsolver.SdpRows``). The interpolation rows are not written out here:
-``build_sdp`` evaluates ``interpolation.interpolation_slack``, the
-inequality that ``check_interpolable`` applies to triplets, on the points'
-Gram coefficients, so a row's matrix A_ij satisfies
-<A_ij, P^T P> + f_i - f_j = unit-scale slack of the triplets (P x_i, P g_i, f_i).
+The SDP is an ``sdpsolver.SdpProblem``, whose rows are one matrix over
+u = (svec(G), f_0, ..., l) (``sdpsolver.SdpRows``), written in place. The
+interpolation rows are not written out here: ``build_sdp`` evaluates
+``interpolation.interpolation_slack``, the inequality that
+``check_interpolable`` applies to triplets, on the points' Gram
+coefficients, so the row of the ordered pair (i, j) satisfies
+row_ij . (svec(P^T P), f) = unit-scale slack of the triplets (P x_i, P g_i, f_i).
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, in user
@@ -51,12 +52,17 @@ from .sdpsolver import (
     SdpRows,
     SdpSolution,
     SolveStatus,
+    _triu,
     check_gram_dim,
     solve,
     verify_solution,
 )
 
 RANK_TOL = 1e-7  # eigenvalues of the Gram matrix kept, relative to the largest
+
+# Largest temporary array, in elements, that build_sdp allocates while it
+# evaluates a block of interpolation rows.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class IndefiniteGram(RuntimeError):
@@ -111,12 +117,6 @@ def _points(p: PepProblem) -> tuple[np.ndarray, np.ndarray]:
     return Gc, Xc
 
 
-def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetrized outer products (u v^T + v u^T) / 2 along the last axis."""
-    m = u[..., :, None] * v[..., None, :]
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
 def build_sdp(p: PepProblem) -> SdpProblem:
     """Assemble the Gram-lifted SDP for a discretized PEP at unit scale.
 
@@ -125,13 +125,15 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     condition, and the epigraph rows G_ii >= l for the min-gradient objective.
     The rows do not depend on ``p.cls.L`` or ``p.delta``.
 
-    The interpolation rows' matrices are ``interpolation_slack`` of all
-    ordered pairs of ``_points`` at once, with symmetrized outer products as
-    the bilinear product; the function values enter through the linear
-    terms only.
+    The row matrix is allocated once and filled block by block. The
+    interpolation rows are ``interpolation_slack`` of the ordered pairs of
+    ``_points``, evaluated on blocks of at most ``_BLOCK_ELEMENTS`` elements,
+    with the upper triangle of the symmetrized outer products as the
+    bilinear product; the function values enter through the linear terms
+    only. The svec scale is applied once, at the end.
     """
     n = p.gram_dim
-    check_gram_dim(n)  # before allocating O(N^2) dense rows
+    check_gram_dim(n)  # before allocating the O(N^2) x O(N^2) row matrix
     N = p.sched.n
     opt = p.init_kind == NumeratorKind.gap_to_optimal
     Gc, Xc = _points(p)
@@ -143,26 +145,44 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     F[-1, -1] = 0.0
     e_l = np.eye(k)[-1]
     names = [str(i) for i in range(N + 1)] + (["*"] if opt else [])
+    tri_i, tri_j, scale = _triu(n)
+    sd = len(scale)
+
+    def sym_outer(u, v):
+        """Upper triangle of (u v^T + v u^T) / 2 along the last axis."""
+        return 0.5 * (u[..., tri_i] * v[..., tri_j] + u[..., tri_j] * v[..., tri_i])
 
     I, J = np.nonzero(~np.eye(k, dtype=bool))  # ordered pairs i != j, row-major
-    blocks = [(
-        interpolation_slack(0.0, Xc[I] - Xc[J], Gc[I] - Gc[J], Gc[J], p.cls.t, 1.0, _sym_outer),
-        F[I] - F[J],
-        np.zeros(len(I)),
-        [f"interp[{names[i]},{names[j]}]" for i, j in zip(I.tolist(), J.tolist())],
-    )]
-    GG = _sym_outer(Gc[: N + 1], Gc[: N + 1])  # g_i g_i^T
+    labels = [f"interp[{names[i]},{names[j]}]" for i, j in zip(I.tolist(), J.tolist())]
+    if opt:
+        labels += [f"descent[{i}]" for i in range(N + 1)]
+    labels += ["initial"] + [f"epigraph[{i}]" for i in range(N + 1)]
+    B = np.zeros((len(labels), sd + k))
+    const = np.zeros(len(labels))
+
+    step = max(1, _BLOCK_ELEMENTS // sd)
+    for lo in range(0, len(I), step):
+        i, j = I[lo : lo + step], J[lo : lo + step]
+        block = slice(lo, lo + len(i))
+        B[block, :sd] = interpolation_slack(
+            0.0, Xc[i] - Xc[j], Gc[i] - Gc[j], Gc[j], p.cls.t, 1.0, sym_outer
+        )
+        B[block, sd:] = F[i] - F[j]
+    r = len(I)  # the first row after the interpolation rows
+    GG = sym_outer(Gc[: N + 1], Gc[: N + 1])  # g_i g_i^T
     if opt:
         # f_i - |g_i|^2/2 - f_* >= 0, with f_* = 0
-        blocks.append((-GG / 2.0, F[: N + 1], np.zeros(N + 1),
-                       [f"descent[{i}]" for i in range(N + 1)]))
+        B[r : r + N + 1, :sd] = -GG / 2.0
+        B[r : r + N + 1, sd:] = F[: N + 1]
+        r += N + 1
     # f_* - f_0 + 1 >= 0, or f_N - f_0 + 1 >= 0 with f_N = 0 for gap_to_last
-    blocks.append((np.zeros((1, n, n)), -F[:1], np.ones(1), ["initial"]))
-    blocks.append((GG, np.tile(-e_l, (N + 1, 1)), np.zeros(N + 1),
-                   [f"epigraph[{i}]" for i in range(N + 1)]))
-
-    A, lin, const, labels = (np.concatenate(part) for part in zip(*blocks))
-    return SdpProblem(n, var_names, SdpRows(A, lin, const, tuple(labels.tolist())))
+    B[r, sd:] = -F[0]
+    const[r] = 1.0
+    # |g_i|^2 - l >= 0
+    B[r + 1 :, :sd] = GG
+    B[r + 1 :, sd:] = -e_l
+    B[:, :sd] *= scale
+    return SdpProblem(n, var_names, SdpRows(B, const, tuple(labels)))
 
 
 def _user_scale(p: PepProblem) -> tuple[float, float, np.ndarray]:
@@ -206,8 +226,9 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
 
     Takes the user-unit Gram matrix back to unit scale, factors G = P^T P
     through an eigendecomposition (small negative eigenvalues are clipped),
-    maps the points' coefficients through P and then to user units, and
-    verifies the result against the interpolation conditions of ``p.cls``.
+    maps the points' coefficients through P, verifies the unit-scale
+    triplets against the interpolation conditions of ``p.cls`` at L = 1 and
+    returns them in user units.
     """
     sx, sg, d = _user_scale(p)
     G = np.asarray(sdp_solution.gram, dtype=float) / d[:, None] / d
@@ -223,12 +244,16 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
 
     Gc, Xc = _points(p)
     vals = [sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0]
-    ts = TripletSet(tuple(
-        OracleTriplet(sx * (P @ x), sg * (P @ g), f) for x, g, f in zip(Xc, Gc, vals)
+    # checked at unit scale, where the slacks are finite: in user units
+    # |x_i - x_j|^2 can overflow a double
+    unit = TripletSet(tuple(
+        OracleTriplet(P @ x, P @ g, f / p.delta) for x, g, f in zip(Xc, Gc, vals)
     ))
-    report = check_interpolable(ts, p.cls, tol=1e-6 * p.delta)
+    report = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0), tol=1e-6)
     if not report.feasible:
         raise InterpolationFailure(
             f"extracted triplets violate interpolation by {report.worst_violation}"
         )
-    return ts
+    return TripletSet(tuple(
+        OracleTriplet(sx * t.x, sg * t.g, f) for t, f in zip(unit.triplets, vals)
+    ))

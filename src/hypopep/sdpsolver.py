@@ -1,7 +1,7 @@
 """Dense primal-dual interior-point solver for the small SDPs built by the
 pep module.
 
-The problem ``maximize l s.t. <A_c, G> + lin_c . y + d_c >= 0, G >= 0`` is
+The problem ``maximize l s.t. B_c . (svec(G), y) + d_c >= 0, G >= 0`` is
 cast as a conic program over one nonnegative-orthant block (the inequality
 slacks) and one PSD block (G itself), with the scalar variables y free.
 Search directions use Nesterov-Todd scaling with a Mehrotra
@@ -10,16 +10,17 @@ definite system in the primal variables u = (svec(G), y).
 
 This module defines the input format. An ``SdpProblem`` holds the Gram
 dimension n, the names of the scalar variables y (the objective variable
-``l`` among them) and one ``SdpRows``: the m rows stacked as arrays, ``A``
-(m x n x n), ``lin`` (m x len(y)), ``const`` (m) and one label per row.
+``l`` among them) and one ``SdpRows``: the row matrix ``B``
+(m x (n(n+1)/2 + len(y))) over u, with ``svec`` scaling on its svec(G)
+columns, the offsets ``const`` (m) and one label per row. The rows are held
+once, in the form the solver consumes: ``solve`` reads ``B`` without a copy.
 ``solve`` stops when the relative primal and dual residuals and the
 relative gap are all below ``TOL``, or after ``MAX_ITER`` iterations;
 ``verify_solution`` rechecks a solution against the rows at ``VERIFY_TOL``.
 
 The constraints read Gmat u + s = h with s = (orthant slacks, svec(G)) and
-Gmat = [-B; -[I 0]], where B is the row matrix of the constraints. Gmat
-is never formed: it and its transpose are applied through B and the svec
-slice of u.
+Gmat = [-B; -[I 0]]. Gmat is never formed: it and its transpose are
+applied through B and the svec slice of u.
 
 Each iteration computes one NT frame of the PSD block (Todd, Toh &
 Tutuncu 1998). From S = Ls Ls^T, Z = Lz Lz^T and the SVD
@@ -47,7 +48,11 @@ M is factored once per iteration. Its Cholesky factor M = L L^T is the
 positive-definiteness guard (a failure ends the iteration) and also the
 factor of both Newton solves, the predictor's and the corrector's: with
 Li = L^-1, formed by 2x2 block recursion, each solve is two
-matrix-vector products, M^-1 r = Li^T (Li r).
+matrix-vector products, M^-1 r = Li^T (Li r). One Newton system is alive at
+a time: M is one buffer, refilled in place every iteration, and an
+iteration's Li, W^-1 (x) W^-1 and directions are released before the next
+iteration assembles its own. Refilling M, rather than allocating a new
+one, also spares each iteration the page faults of fresh memory.
 """
 
 from __future__ import annotations
@@ -192,13 +197,12 @@ def _orthant_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SdpRows:
-    """Affine rows <A[c], G> + lin[c] @ y + const[c] >= 0, stacked.
+    """Affine rows B[c] @ (svec(G), y) + const[c] >= 0, stacked.
 
-    ``A`` is m x n x n, ``lin`` is m x len(var_names), ``const`` has length m.
+    ``B`` is m x (n(n+1)/2 + len(var_names)), ``const`` has length m.
     """
 
-    A: np.ndarray
-    lin: np.ndarray
+    B: np.ndarray
     const: np.ndarray
     labels: tuple[str, ...]
 
@@ -229,24 +233,22 @@ class SdpSolution:
     iterations: int = 0
 
 
-def _problem_arrays(problem: SdpProblem):
-    """Row matrix B = [svec(A_c), lin_c], offsets d and cost cvec over u = (svec(G), y)."""
-    i, j, scale = _triu(problem.gram_dim)
-    rows = problem.constraints
-    B = np.hstack([0.5 * (rows.A[:, i, j] + rows.A[:, j, i]) * scale, rows.lin])
-    # minimize cvec.u == maximize the objective variable; y follows svec(G)
-    cvec = np.zeros(B.shape[1])
-    cvec[len(i) + problem.var_names.index(OBJECTIVE)] = -1.0
-    return B, rows.const, cvec
+def _cost(problem: SdpProblem) -> np.ndarray:
+    """Cost cvec over u = (svec(G), y): minimizing cvec.u maximizes the objective variable."""
+    sd = problem.gram_dim * (problem.gram_dim + 1) // 2
+    cvec = np.zeros(sd + len(problem.var_names))
+    cvec[sd + problem.var_names.index(OBJECTIVE)] = -1.0
+    return cvec
 
 
-def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray) -> np.ndarray:
+def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray, out=None) -> np.ndarray:
     """Gmat^T W^-2 Gmat for Gmat = [-B; -[I 0]]: B^T diag(zs) B plus K on the PSD block.
 
-    ``zs`` is z_l / s_l on the orthant block and ``K = skron(W^-1)``.
+    ``zs`` is z_l / s_l on the orthant block and ``K = skron(W^-1)``. The
+    result is written into ``out`` when it is given.
     """
     C = np.sqrt(zs)[:, None] * B
-    M = C.T @ C  # one symmetric rank-k update
+    M = np.matmul(C.T, C, out=out)  # one symmetric rank-k update
     sd = K.shape[0]
     M[:sd, :sd] += K
     return M
@@ -259,7 +261,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     check_gram_dim(n)
     m = len(problem.constraints)
     sd = n * (n + 1) // 2
-    B, d, cvec = _problem_arrays(problem)
+    B, d, cvec = problem.constraints.B, problem.constraints.const, _cost(problem)
     nv = B.shape[1]
 
     # h = (d, 0); Gmat is applied through B and the svec slice (module docstring)
@@ -285,6 +287,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         return r_p, r_d, gap, rel_gap, pobj, dobj
 
+    M = np.empty((nv, nv))  # the Newton matrix, refilled in place every iteration
     status = SolveStatus.MaxIter
     it = 0
     best_it = 0
@@ -319,7 +322,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         def winv2(v):
             return np.concatenate([v[:m] * zs, K @ v[m:]])
 
-        M = schur_matrix(B, zs, K)
+        schur_matrix(B, zs, K, out=M)
         M.flat[:: nv + 1] += 1e-14 * np.trace(M) / nv
         try:
             Li = _tril_inv(np.linalg.cholesky(M))  # positive-definiteness guard; M^-1 = Li^T Li
@@ -368,6 +371,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         u = u + alpha * du
         s = s + alpha * ds
         z = z + alpha * dz
+        # one Newton system at a time: drop this one's factor inverse,
+        # skron(W^-1) and directions before the next is assembled into M
+        del Li, K, du_a, ds_a, dz_a, du, ds, dz
 
     _, u, s, z, pres, dres, rel_gap = best
     if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * TOL:
@@ -397,17 +403,18 @@ class VerificationReport:
 
 
 def verify_solution(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
-    """Independent recheck of a solution against the rows' ``A``, not the
-    solver's ``B``: slacks, PSD-ness, complementarity and duality gap."""
+    """Recheck of a solution from its returned Gram matrix, values and
+    multipliers alone, independent of the solver's iterates, slack variables
+    and residuals: row slacks, PSD-ness, complementarity and duality gap."""
     failures = []
-    G = solution.gram
+    G = 0.5 * (solution.gram + solution.gram.T)
     rows = problem.constraints
     y = np.array([solution.linear_values[v] for v in problem.var_names])
-    slacks = np.einsum("cij,ij->c", rows.A, G) + rows.lin @ y + rows.const
+    slacks = rows.B @ np.concatenate([svec(G), y]) + rows.const
     min_slack = float(slacks.min())
     if min_slack < -VERIFY_TOL:
         failures.append(f"constraint slack {min_slack} below -{VERIFY_TOL}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
+    min_eig = float(np.linalg.eigvalsh(G).min())
     if min_eig < -VERIFY_TOL:
         failures.append(f"gram eigenvalue {min_eig} below -{VERIFY_TOL}")
     comp = float(np.abs(slacks * solution.duals).max()) if len(slacks) else 0.0

@@ -42,6 +42,24 @@ def test_too_steep_quadratic_is_not_interpolable():
     assert report.violating_pair is not None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x1, g1", [
+    (1e200, 0.0),  # (1 - t) L |dx|^2 / 2 overflows: the slack is +inf
+    (1e200, 1e200),  # inf - inf: the slack is NaN
+])
+def test_overflowing_slack_is_a_violation(x1, g1):
+    # a slack that is not a finite double says nothing about interpolability
+    ts = TripletSet((OracleTriplet([0.0], [0.0], 0.0), OracleTriplet([x1], [g1], 0.0)))
+    cls = validate_class(-1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = slack_matrix(np.array([[0.0], [x1]]), np.array([[0.0], [g1]]), np.zeros(2), cls)
+    assert not np.isfinite(S[0, 1]) and not np.isfinite(S[1, 0])
+    report = check_interpolable(ts, cls)
+    assert not report.feasible
+    assert report.worst_violation == -np.inf
+    assert report.violating_pair == (0, 1)
+
+
 def test_degenerate_class_rejected():
     ts = sample_quadratic_triplets(0.0, [np.array([0.0])])
     with pytest.raises(DegenerateClass):

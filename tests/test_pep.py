@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypopep.sdpsolver import (
     ProblemTooLarge,
     SolveStatus,
     VerificationReport,
-    _problem_arrays,
+    _cost,
     solve,
     svec,
 )
@@ -101,13 +102,33 @@ def test_homogeneity():
     assert scaled == 2.0 * 3.0 * base
 
 
+def test_rows_are_held_once():
+    # numpy reports its buffers to tracemalloc. At N = 40 the row matrix is
+    # 13.6 MB: build_sdp writes it in place from bounded blocks, and solve
+    # reads it as its B, without a copy, and keeps one Newton system at a time
+    p = make(-1.0, [1.0] * 40)
+    tracemalloc.start()
+    try:
+        sdp = build_sdp(p)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve(sdp)
+        solve_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sol.status == SolveStatus.Optimal
+    rows = sdp.constraints.B.nbytes
+    assert build_peak <= 1.5 * rows, build_peak / rows
+    assert solve_peak <= 3.0 * rows, solve_peak / rows
+
+
 def test_build_sdp_is_unit_scale():
     # the rows do not depend on L or delta; solve_pep maps the solution
     base = build_sdp(make(-0.37, [0.4, 1.7]))
     for L, delta in ((2.5, 1e6), (1e-8, 3.0), (1e8, 1e-8)):
         c = build_sdp(make(-0.37, [0.4, 1.7], L=L, delta=delta)).constraints
-        assert np.array_equal(c.A, base.constraints.A)
-        assert np.array_equal(c.lin, base.constraints.lin)
+        assert np.array_equal(c.B, base.constraints.B)
         assert np.array_equal(c.const, base.constraints.const)
 
 
@@ -173,18 +194,36 @@ def test_extract_triplets_gap_to_last():
     assert abs(ts.triplets[-1].f) < 1e-12  # pinned last value
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extract_triplets_checks_where_user_units_overflow():
+    # |x_1 - x_0|^2 ~ 1e400 overflows a double in user units, where every
+    # off-diagonal slack would be inf; at unit scale the slacks are finite,
+    # so a value moved 0.1 delta off the worst case is still caught
+    p = make(-1.0, [1.0], kind=NumeratorKind.gap_to_last, L=1e-200, delta=1e200)
+    sol = solve_pep(p)
+    assert len(extract_triplets(p, sol)) == 2
+    values = dict(sol.linear_values, f_0=sol.linear_values["f_0"] - 0.1 * p.delta)
+    with pytest.raises(pep.InterpolationFailure):
+        extract_triplets(p, dataclasses.replace(sol, linear_values=values))
+
+
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 def test_every_gram_coordinate_enters_a_row(kind):
     # the basis holds only coordinates the rows use: no all-zero Gram row and
-    # column; gap-to-last has no x_0 coordinate and its x_0 is the origin
+    # column, so every index has a nonzero svec entry in its row or column
+    # of some row; gap-to-last has no x_0 coordinate and its x_0 is the origin
     rng = np.random.default_rng(18)
     for _ in range(8):
         n = int(rng.integers(1, 7))
         p = make(-float(rng.uniform(0.0, 3.0)), rng.uniform(0.05, 1.5, n).tolist(), delta=3.0,
                  kind=kind, L=2.5)
-        A = build_sdp(p).constraints.A
-        assert A.shape[1] == p.gram_dim == n + 1 + (kind == NumeratorKind.gap_to_optimal)
-        assert np.all(np.any(A != 0.0, axis=(0, 2)))
+        sdp = build_sdp(p)
+        B, dim = sdp.constraints.B, p.gram_dim
+        assert dim == n + 1 + (kind == NumeratorKind.gap_to_optimal)
+        assert B.shape[1] == dim * (dim + 1) // 2 + len(sdp.var_names)
+        i, j = np.triu_indices(dim)
+        used = np.any(B[:, : len(i)] != 0.0, axis=0)
+        assert all(used[(i == c) | (j == c)].any() for c in range(dim))
         if kind == NumeratorKind.gap_to_last:
             x0 = extract_triplets(p, solve_pep(p)).triplets[0].x
             assert np.array_equal(x0, np.zeros_like(x0))
@@ -250,14 +289,15 @@ def test_interp_rows_match_per_pair_reference(kappa, kind, steps, L):
     rows = list(interp_rows(sdp))
     assert [(a, b) for a, b, _ in rows] == [(a, b) for a in pts for b in pts if a != b]
     c = sdp.constraints
+    sd = p.gram_dim * (p.gram_dim + 1) // 2
     for a, b, r in rows:
-        ref = reference_interp_matrix(pts[a], pts[b], p.cls)
+        ref = svec(reference_interp_matrix(pts[a], pts[b], p.cls))
         if kappa in (0.0, -1.0):  # t and 1 - t are powers of two
-            assert np.array_equal(c.A[r], ref)
+            assert np.array_equal(c.B[r, :sd], ref)
         else:
-            assert np.abs(c.A[r] - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert np.abs(c.B[r, :sd] - ref).max() <= 1e-15 * np.abs(ref).max()
         lin = {f"f_{v}": s for v, s in ((a, 1.0), (b, -1.0)) if f"f_{v}" in sdp.var_names}
-        assert np.array_equal(c.lin[r], [lin.get(v, 0.0) for v in sdp.var_names])
+        assert np.array_equal(c.B[r, sd:], [lin.get(v, 0.0) for v in sdp.var_names])
         assert c.const[r] == 0.0
 
 
@@ -282,7 +322,7 @@ def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
         c = sdp.constraints
         y = np.array([values[v] for v in sdp.var_names])
         for a, b, r in interp_rows(sdp):
-            row = np.sum(c.A[r] * gram) + c.lin[r] @ y + c.const[r]
+            row = c.B[r] @ np.concatenate([svec(gram), y]) + c.const[r]
             slack = S[index[a], index[b]]
             assert abs(row - slack) <= 1e-12 * max(1.0, abs(slack))
 
@@ -324,7 +364,7 @@ def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
     assert list(sdp.constraints.labels) == labels
     assert len(sdp.constraints) == len(labels)
 
-    B, d, cvec = _problem_arrays(sdp)
+    B, d, cvec = sdp.constraints.B, sdp.constraints.const, _cost(sdp)
     ref = list(reference_rows(p, sdp))
     B_ref = np.array([np.concatenate([svec(A), lin]) for A, lin, _ in ref])
     assert B.shape == B_ref.shape

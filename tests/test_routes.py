@@ -2,9 +2,12 @@
 
 For κ in [-3, 0), schedules with every h in (0, 1] and N <= 6, the
 closed-form rate is tight. So ``nstep_bound``, the PEP optimum and the
-constructed worst-case function (``verify_tightness``) must agree. The
-draws come from a fixed seed and are derandomized, and the example
-database is off, so every run checks the same cases.
+constructed worst-case function (``verify_tightness``) must agree. The rate
+is also tight for schedules with every h in [1, h̄(κ)] and for the
+unbounded-below class (t = 0) with every h in (0, 1]; there the rate and
+the PEP must agree (the construction covers neither). The draws come from
+a fixed seed and are derandomized, and the example database is off, so
+every run checks the same cases.
 """
 
 import math
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, NumeratorKind, StepSchedule
 from hypopep.pep import PepProblem, build_sdp
-from hypopep.rates import BoundOverflow, nstep_bound
+from hypopep.rates import BoundOverflow, nstep_bound, step_threshold
 from hypopep.sdpsolver import SolveStatus, solve, verify_solution
 from hypopep.worstcase import verify_tightness
 
@@ -29,6 +32,14 @@ H_TINY = 1e-3
 DEFECT_D_REL = 1e-6
 DEFECT_D = "defect (d): PEP route misses 1e-8 on schedules with a step below 1e-3"
 
+# Known defect (g): with a step just above 1 the IPM stalls near the change
+# of the active rows at h = 1. Its best iterate has residuals between TOL
+# and 100 TOL, so ``solve`` returns it as Optimal; it verifies but is up to
+# DEFECT_G_REL off the rate. Seen for h - 1 from 3e-8 to 1e-6, both kinds.
+H_NEAR_ONE = 1e-5
+DEFECT_G_REL = 1e-6
+DEFECT_G = "defect (g): PEP route misses 1e-8 on schedules with a step in (1, 1 + 1e-5]"
+
 draws = st.tuples(
     st.floats(min_value=-3.0, max_value=0.0, exclude_max=True),
     st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6),
@@ -36,15 +47,29 @@ draws = st.tuples(
 )
 
 
-def _routes(kappa, steps, kind):
-    """The problem, the rate, and (status, verified, relative error) of the PEP route."""
-    cls = CurvatureClass(mu=kappa, L=1.0)
+def _routes(kappa, steps, kind, cls=None):
+    """The problem, the rate, and (status, verified, relative error) of the PEP
+    route, in the class ``cls`` or else in [kappa, 1]."""
+    cls = cls or CurvatureClass(mu=kappa, L=1.0)
     sched = StepSchedule(tuple(steps))
     bound = nstep_bound(cls, sched, 1.0, kind).bound
     sdp = build_sdp(PepProblem(cls, sched, 1.0, kind))
     sol = solve(sdp)
     pep = (sol.status, verify_solution(sdp, sol).all_pass, abs(sol.objective - bound) / bound)
     return cls, sched, bound, pep
+
+
+def _assert_pep_agrees(steps, status, verified, rel):
+    """The PEP route matches the rate, or fails with the signature of defect (d) or (g)."""
+    if status == SolveStatus.Optimal and verified and rel <= REL_TOL:
+        return
+    info = (status, verified, rel)
+    if min(steps) < H_TINY:  # defect (d)
+        assert status == SolveStatus.MaxIter or (verified and rel <= DEFECT_D_REL), info
+    elif any(1.0 < h <= 1.0 + H_NEAR_ONE for h in steps):  # defect (g)
+        assert status == SolveStatus.Optimal and verified and rel <= DEFECT_G_REL, info
+    else:
+        pytest.fail(f"PEP route disagrees with the rate: {info}")
 
 
 @seed(20220301)
@@ -61,15 +86,43 @@ def test_rate_pep_and_construction_agree(draw):
         with pytest.raises(BoundOverflow):
             verify_tightness(CurvatureClass(mu=kappa, L=1.0), StepSchedule(tuple(steps)), 1.0, kind)
         return
-    agree = status == SolveStatus.Optimal and verified and rel <= REL_TOL
-    if min(steps) >= H_TINY:
-        assert agree, (status, verified, rel)
-    elif not agree:  # defect (d): the failure must have its documented signature
-        assert status == SolveStatus.MaxIter or (verified and rel <= DEFECT_D_REL), (status, verified, rel)
+    _assert_pep_agrees(steps, status, verified, rel)
 
     rep = verify_tightness(cls, sched, 1.0, kind)
     assert math.isclose(rep.U**2, bound, rel_tol=1e-12)
     assert rep.passed, rep
+
+
+@seed(20220302)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.tuples(
+    st.floats(min_value=-3.0, max_value=0.0, exclude_max=True),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    st.sampled_from(list(NumeratorKind)),
+))
+def test_rate_and_pep_agree_with_every_step_in_one_to_hbar(draw):
+    # each step is 1 + u (h_bar - 1) for a drawn u in [0, 1]
+    kappa, us, kind = draw
+    h_bar = step_threshold(kappa)
+    steps = [1.0 + u * (h_bar - 1.0) for u in us]
+    _assert_pep_agrees(steps, *_routes(kappa, steps, kind)[3])
+
+
+@seed(20220303)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.tuples(
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=6),
+    st.sampled_from(list(NumeratorKind)),
+))
+def test_rate_and_pep_agree_unbounded_below(draw):
+    steps, kind = draw
+    cls = CurvatureClass(mu=0.0, L=1.0, unbounded_below=True)
+    try:
+        pep = _routes(None, steps, kind, cls)[3]
+    except BoundOverflow:  # a subnormal step sum, as in the bounded draws
+        assert kind == NumeratorKind.gap_to_last and sum(steps) < 1e-300, draw
+        return
+    _assert_pep_agrees(steps, *pep)
 
 
 @pytest.mark.xfail(strict=True, reason=DEFECT_D)
@@ -79,5 +132,16 @@ def test_rate_pep_and_construction_agree(draw):
     (-1.0, (1e-8, 1.0), NumeratorKind.gap_to_optimal),
 ])
 def test_pep_route_with_a_tiny_step(draw):
+    status, verified, rel = _routes(*draw)[3]
+    assert status == SolveStatus.Optimal and verified and rel <= REL_TOL, (status, verified, rel)
+
+
+@pytest.mark.xfail(strict=True, reason=DEFECT_G)
+@pytest.mark.parametrize("draw", [
+    (-1.0, (1.0000000872672568,), NumeratorKind.gap_to_last),
+    (-3.0, (1.000001,), NumeratorKind.gap_to_last),
+    (-2.0, (1.0000003,) * 3, NumeratorKind.gap_to_optimal),
+])
+def test_pep_route_with_a_step_just_above_one(draw):
     status, verified, rel = _routes(*draw)[3]
     assert status == SolveStatus.Optimal and verified and rel <= REL_TOL, (status, verified, rel)

@@ -27,13 +27,13 @@ from hypopep.sdpsolver import (
 
 
 def trivial_problem(scale=1.0):
-    # maximize l subject to G_00 >= l and G_00 <= 1 (optimum l = 1)
+    # maximize l subject to G_00 >= l and G_00 <= 1 (optimum l = 1); the
+    # rows are over u = (svec(G), l) = (G_00, l)
     return SdpProblem(
         gram_dim=1,
         var_names=("l",),
         constraints=SdpRows(
-            A=np.array([[[scale]], [[-scale]]]),
-            lin=np.array([[-scale], [0.0]]),
+            B=np.array([[scale, -scale], [-scale, 0.0]]),
             const=np.array([0.0, scale]),
             labels=("epi", "cap"),
         ),
@@ -138,16 +138,20 @@ def test_tril_inv_matches_inverse(n, cond):
 
 
 def _pep_schur_matrices(N):
-    """Every Newton matrix M, diagonal shift included, of one PEP solve."""
+    """Every Newton matrix M, diagonal shift included, of one PEP solve, copied
+    as it is factored; solve refills one buffer, and the NT scaling factors
+    S and Z as one 3-D stack."""
+    cholesky = np.linalg.cholesky
     recorded = []
 
-    def recording(*args):
-        recorded.append(schur_matrix(*args))
-        return recorded[-1]
+    def recording(a):
+        if a.ndim == 2:
+            recorded.append(a.copy())
+        return cholesky(a)
 
     prob = build_sdp(_pep_h1(N))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdpsolver, "schur_matrix", recording)
+        mp.setattr(np.linalg, "cholesky", recording)
         assert solve(prob).status == SolveStatus.Optimal
     return recorded
 
@@ -247,8 +251,8 @@ def test_newton_matrix_factored_once_per_iteration(monkeypatch):
 def indefinite_schur(monkeypatch):
     """Newton matrices with a negative diagonal entry: the Cholesky guard fails."""
 
-    def indefinite(*args):
-        M = schur_matrix(*args)
+    def indefinite(*args, **kwargs):
+        M = schur_matrix(*args, **kwargs)
         M[0, 0] = -1.0
         return M
 
@@ -366,16 +370,17 @@ def test_verify_solution_fails_on_duality_gap_alone():
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 @pytest.mark.parametrize("h", [0.6, 1.0, 1.7])
 def test_verify_solution_matches_per_row_loop(kind, h):
-    # the stacked einsum against one row at a time; the summation order
+    # the stacked matrix-vector product against one row at a time, each row
+    # a Python sum of its terms in svec coordinates; the summation order
     # differs, so the numbers agree to a few ulps of each row's magnitude
     prob = build_sdp(PepProblem(validate_class(-0.8, 1.0), StepSchedule.constant(h, 5), 1.0, kind))
     sol = solve(prob)
     rows = prob.constraints
-    y = np.array([sol.linear_values[v] for v in prob.var_names])
+    u = np.concatenate([svec(sol.gram), [sol.linear_values[v] for v in prob.var_names]])
     slacks, size = [], []
-    for A, lin, const in zip(rows.A, rows.lin, rows.const):
-        terms = np.concatenate([(A * sol.gram).ravel(), lin * y, [const]])
-        slacks.append(float(np.sum(A * sol.gram)) + sum(lin * y) + const)
+    for b, const in zip(rows.B, rows.const):
+        terms = np.concatenate([b * u, [const]])
+        slacks.append(sum(terms.tolist()))
         size.append(np.abs(terms).sum())
     slacks, tol = np.array(slacks), 64 * EPS * max(size)
     report = verify_solution(prob, sol)
