@@ -49,6 +49,19 @@ class CheckFailure(RuntimeError):
     pass
 
 
+def _numbers(text: str, sep: str = ",", conv=float, count: int | None = None) -> list:
+    """The numbers in ``text`` between the separators ``sep``, blanks skipped;
+    exactly ``count`` of them when it is given."""
+    try:
+        values = [conv(p) for p in text.split(sep) if p.strip()]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        raise ValidationError(f"expected {count or 'some'} numbers separated by {sep!r}, "
+                              f"got {text!r}")
+    return values
+
+
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
@@ -56,28 +69,20 @@ def _fmt(v: float) -> str:
 def parse_steps(text: str) -> list[float]:
     """Parse '1,0.5,0.75' or the inclusive range syntax 'a:step:b'."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"--steps range must be a:step:b, got {text!r}")
-        a, step, b = (float(p) for p in parts)
+        a, step, b = _numbers(text, ":", count=3)
         if step <= 0:
             raise ValidationError(f"--steps range step must be positive, got {step}")
-        vals = []
-        k = 0
-        while True:
-            v = a + k * step
-            if v > b + 1e-12 * max(1.0, abs(b)):
-                break
-            vals.append(round(v, 12))
-            k += 1
-        return vals
-    return [float(p) for p in text.split(",") if p]
+        count = 0
+        while a + count * step <= b + 1e-12 * max(1.0, abs(b)):
+            count += 1
+        return [round(a + k * step, 12) for k in range(count)]
+    return _numbers(text)
 
 
 def _schedule_from_args(args) -> StepSchedule:
     if getattr(args, "steps_file", None):
         with open(args.steps_file) as fh:
-            steps = [float(line) for line in fh if line.strip()]
+            steps = _numbers(fh.read(), "\n")
     else:
         if args.steps is None:
             raise ValidationError("--steps is required")
@@ -246,9 +251,9 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
 
 
 def cmd_sweep(args) -> int:
-    kappas = [float(v) for v in args.kappa.split(",")]
+    kappas = _numbers(args.kappa)
     hs = parse_steps(args.h)
-    ns = [int(v) for v in str(args.N).split(",")]
+    ns = _numbers(args.N, conv=int)
     kind = _kind(args)
     grid = [(k, h, n) for k in kappas for h in hs for n in ns]
     rows = [_sweep_point(args.target, k, h, n, args.L, args.delta, kind) for k, h, n in grid]
@@ -274,7 +279,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit_r(args) -> int:
-    lo, hi = (int(v) for v in args.N.split(":"))
+    lo, hi = _numbers(args.N, ":", int, count=2)
     cls = validate_class(args.kappa * args.L, args.L)
     kind = _kind(args)
     values = []
@@ -366,12 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit-r", help="fit the third-regime intercept from PEP optima")
-    p.add_argument("--kappa", type=float, required=True)
+    _add_common(p, steps=False)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--N", type=str, required=True, help="range lo:hi inclusive")
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--kind", choices=["last", "opt"], default="opt")
     p.set_defaults(func=cmd_fit_r)
     return ap
 
@@ -404,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # bad input: a value, or a file to read or write
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (SolverFailure, NonFiniteValue, IndefiniteGram) as exc:

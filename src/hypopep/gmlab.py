@@ -37,7 +37,7 @@ from .core import (
     StepSchedule,
     ValidationError,
 )
-from .rates import nstep_bound, one_step_p
+from .rates import PositiveKappa, StepAboveThreshold, nstep_bound, one_step_p
 
 
 class NonFiniteValue(RuntimeError):
@@ -406,6 +406,19 @@ def load_matrix_csv(path: str) -> np.ndarray:
     return data
 
 
+def _bound_cell(cls: CurvatureClass, steps: tuple[float, ...], delta: float,
+                kind: NumeratorKind) -> str:
+    """The bound after ``steps`` for the value gap ``delta``, or "" where it is undefined."""
+    if not delta > 0:
+        return ""
+    if not steps:
+        return f"{2.0 * cls.L * delta:.17g}"
+    try:
+        return f"{nstep_bound(cls, StepSchedule(steps), delta, kind).bound:.17g}"
+    except (StepAboveThreshold, PositiveKappa):  # a step above h_bar, or mu > 0
+        return ""
+
+
 def export_trajectory_csv(
     traj: Trajectory, tp: TestProblem, path: str, kind: NumeratorKind = NumeratorKind.gap_to_optimal
 ) -> None:
@@ -413,9 +426,9 @@ def export_trajectory_csv(
 
     The bound column uses the declared class and the steps taken so far;
     the gap is f_0 - f_star_known (gap_to_optimal) or f_0 - f_i
-    (gap_to_last). Rows where the bound is undefined leave the cell empty.
+    (gap_to_last). Rows where the bound is undefined leave the cell empty:
+    no positive gap, a step above h_bar, or mu > 0.
     """
-    cls = tp.cls
     f0 = traj.iterates[0].f
     running_min = math.inf
     with open(path, "w", newline="") as fh:
@@ -425,18 +438,6 @@ def export_trajectory_csv(
             gsq = float(t.g @ t.g)
             running_min = min(running_min, gsq)
             h = traj.sched.steps[i] if i < traj.sched.n else ""
-            bound = ""
-            if kind == NumeratorKind.gap_to_optimal and tp.f_star_known is not None:
-                delta = f0 - tp.f_star_known
-                if delta > 0:
-                    part = StepSchedule(traj.sched.steps[:i]) if i > 0 else None
-                    if part is None:
-                        bound = f"{2.0 * cls.L * delta:.17g}"
-                    else:
-                        bound = f"{nstep_bound(cls, part, delta, kind).bound:.17g}"
-            elif kind == NumeratorKind.gap_to_last and i > 0:
-                delta = f0 - t.f
-                if delta > 0:
-                    part = StepSchedule(traj.sched.steps[:i])
-                    bound = f"{nstep_bound(cls, part, delta, kind).bound:.17g}"
+            ref = t.f if kind == NumeratorKind.gap_to_last else tp.f_star_known
+            bound = "" if ref is None else _bound_cell(tp.cls, traj.sched.steps[:i], f0 - ref, kind)
             w.writerow([i, h, f"{t.f:.17g}", f"{gsq:.17g}", f"{running_min:.17g}", bound])

@@ -12,7 +12,7 @@ the unbounded-below class (kappa -> -inf), where p = 2h - h^2 and h_bar = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import (
@@ -58,6 +58,9 @@ class InsufficientData(ValidationError):
 
 class BranchMismatch(RuntimeError):
     pass
+
+
+SLOPE_REL_TOL = 0.01  # largest relative gap between fit_r's observed and analytic slopes
 
 
 def _t(kappa: float) -> float:
@@ -241,21 +244,10 @@ def third_regime_slope(kappa: float, h: float) -> float:
 def conjectured_bound_convex(
     h: float, n: int, L: float, delta: float, kind: NumeratorKind
 ) -> RateResult:
-    """Conjectured convex bound for constant steps h in (3/2, 2)."""
-    if not (1.5 < h < 2.0):
-        raise StepOutOfRange(f"h={h} outside (1.5, 2)")
-    geom = (1.0 - h) ** (-2 * n)
-    if kind == NumeratorKind.gap_to_optimal:
-        denom = min(geom, 1.0 + 2.0 * n * h)
-    else:
-        denom = min(geom - 1.0, 2.0 * n * h)
-    return RateResult(
-        bound=2.0 * L * delta / denom,
-        denominator=denom,
-        numerator_kind=kind,
-        regime=RateRegime.convex_large,
-        conjectured=True,
-    )
+    """Conjectured convex bound for constant steps h in (3/2, 2): the third
+    regime at kappa = 0, where h_bar = 3/2, r = 1 and the slope is 2h."""
+    res = conjectured_bound_third_regime(h, n, CurvatureClass(0.0, L), delta, 1.0, kind)
+    return replace(res, regime=RateRegime.convex_large)
 
 
 def conjectured_bound_third_regime(
@@ -303,7 +295,6 @@ def fit_r(
     h: float,
     pep_values: list[tuple[int, float]],
     delta: float = 1.0,
-    slope_rel_tol: float = 0.01,
 ) -> FitRResult:
     """Estimate the third-regime intercept r from solved PEP optima.
 
@@ -339,10 +330,10 @@ def fit_r(
     slope_obs = (
         sum((n - n_mean) * (d - d_mean) for n, d in used) / var if var > 0 else float("nan")
     )
-    if var > 0 and abs(slope_obs - slope) > slope_rel_tol * abs(slope):
+    if var > 0 and abs(slope_obs - slope) > SLOPE_REL_TOL * abs(slope):
         raise BranchMismatch(
             f"observed slope {slope_obs} deviates from analytic slope {slope} by more than "
-            f"{slope_rel_tol:.0%}"
+            f"{SLOPE_REL_TOL:.0%}"
         )
     residuals = tuple(d - (r + n * slope) for n, d in used)
     return FitRResult(

@@ -1,12 +1,12 @@
 """Dense primal-dual interior-point solver for the small SDPs built by the
 pep module.
 
-The problem ``maximize l s.t. B_c . (svec(G), y) + d_c >= 0, G >= 0`` is
-cast as a conic program over one nonnegative-orthant block (the inequality
-slacks) and one PSD block (G itself), with the scalar variables y free.
-Search directions use Nesterov-Todd scaling with a Mehrotra
-predictor-corrector; the Newton system is reduced to a dense positive
-definite system in the primal variables u = (svec(G), y).
+The problem ``maximize l s.t. B_c . (svec(G), y) + d_c >= 0, G >= 0`` has
+one nonnegative-orthant block (the row slacks) and one PSD block (G
+itself), with the scalar variables y free. Search directions use
+Nesterov-Todd scaling with a Mehrotra predictor-corrector; the Newton
+system is reduced to a dense positive definite system in the primal
+variables u = (svec(G), y).
 
 This module defines the input format. An ``SdpProblem`` holds the Gram
 dimension n, the names of the scalar variables y (the objective variable
@@ -18,9 +18,19 @@ once, in the form the solver consumes: ``solve`` reads ``B`` without a copy.
 relative gap are all below ``TOL``, or after ``MAX_ITER`` iterations;
 ``verify_solution`` rechecks a solution against the rows at ``VERIFY_TOL``.
 
-The constraints read Gmat u + s = h with s = (orthant slacks, svec(G)) and
-Gmat = [-B; -[I 0]]. Gmat is never formed: it and its transpose are
-applied through B and the svec slice of u.
+The iterate is u, the m row slacks s = B u + d >= 0, their multipliers
+z_l >= 0 and the dual matrix Z >= 0. G is held once, in u: the PSD block's
+point S below is smat(u[:sd]) and its direction smat(du[:sd]). With the
+cost c (minimizing c.u maximizes l) the KKT conditions read
+
+    r_p = B u + d - s = 0,    r_d = B^T z_l + [svec(Z); 0] - c = 0,
+    s o z_l = 0,              S Z = 0,
+
+and the gap is s.z_l + svec(S).svec(Z). For the right side q = (q_l, svec(Q))
+of the linearized complementarity, a Newton step solves
+M du = r_d + B^T (q_l - (z_l / s) o r_p) + [svec(Q); 0], then sets
+ds = r_p + B du, dz_l = q_l - (z_l / s) o ds and
+svec(dZ) = svec(Q) - (W^-1 (x) W^-1) du[:sd].
 
 Each iteration computes one NT frame of the PSD block (Todd, Toh &
 Tutuncu 1998). From S = Ls Ls^T, Z = Lz Lz^T and the SVD
@@ -35,9 +45,9 @@ G^-1 S G^-T = G^T Z G = diag(lam), which is diagonal. In that frame:
   is solved entrywise: X_ij = 2 D_ij / (lam_i + lam_j).
 
 A Cholesky failure of S or Z ends the iteration. The reduced (Schur)
-matrix is assembled in closed form. With orthant slacks s_l and duals z_l,
+matrix is assembled in closed form:
 
-    M = B^T diag(z_l / s_l) B + [[W^-1 (x) W^-1, 0], [0, 0]]
+    M = B^T diag(z_l / s) B + [[W^-1 (x) W^-1, 0], [0, 0]]
 
 where W^-1 (x) W^-1 is the symmetric Kronecker product in svec
 coordinates, filled in one indexing pass over the upper triangle: entry
@@ -242,9 +252,9 @@ def _cost(problem: SdpProblem) -> np.ndarray:
 
 
 def schur_matrix(B: np.ndarray, zs: np.ndarray, K: np.ndarray, out=None) -> np.ndarray:
-    """Gmat^T W^-2 Gmat for Gmat = [-B; -[I 0]]: B^T diag(zs) B plus K on the PSD block.
+    """The Newton matrix B^T diag(zs) B plus K on the svec(G) block.
 
-    ``zs`` is z_l / s_l on the orthant block and ``K = skron(W^-1)``. The
+    ``zs`` is z_l / s, one entry per row of B, and ``K = skron(W^-1)``. The
     result is written into ``out`` when it is given.
     """
     C = np.sqrt(zs)[:, None] * B
@@ -264,40 +274,32 @@ def solve(problem: SdpProblem) -> SdpSolution:
     B, d, cvec = problem.constraints.B, problem.constraints.const, _cost(problem)
     nv = B.shape[1]
 
-    # h = (d, 0); Gmat is applied through B and the svec slice (module docstring)
     rho = max(1.0, float(np.abs(d).max(initial=0.0)))
     ident = svec(np.eye(n))
-    u = np.zeros(nv)
-    u[:sd] = rho * ident
-    s = np.concatenate([np.full(m, rho), rho * ident])
-    z = np.concatenate([np.ones(m), ident])
+    u = np.concatenate([rho * ident, np.zeros(nv - sd)])
+    s = np.full(m, rho)
+    z = np.concatenate([np.ones(m), ident])  # (z_l, svec(Z))
 
-    h_norm = 1.0 + float(np.linalg.norm(d))
+    d_norm = 1.0 + float(np.linalg.norm(d))
     c_norm = 1.0 + float(np.linalg.norm(cvec))
-    deg = m + n
     best = None
 
-    def residuals(u, s, z):
-        r_p = np.concatenate([d + B @ u, u[:sd]]) - s
-        r_d = z[:m] @ B - cvec
-        r_d[:sd] += z[m:]
-        gap = float(s @ z)
-        pobj = float(cvec @ u)
-        dobj = -float(d @ z[:m])
-        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-        return r_p, r_d, gap, rel_gap, pobj, dobj
+    def duality_gap(u, s, z):
+        return float(s @ z[:m] + u[:sd] @ z[m:])
 
     M = np.empty((nv, nv))  # the Newton matrix, refilled in place every iteration
     status = SolveStatus.MaxIter
-    it = 0
-    best_it = 0
     for it in range(1, MAX_ITER + 1):
-        r_p, r_d, gap, rel_gap, pobj, dobj = residuals(u, s, z)
-        pres = float(np.linalg.norm(r_p)) / h_norm
+        r_p = d + B @ u - s
+        r_d = z[:m] @ B - cvec
+        r_d[:sd] += z[m:]
+        gap = duality_gap(u, s, z)
+        pres = float(np.linalg.norm(r_p)) / d_norm
         dres = float(np.linalg.norm(r_d)) / c_norm
+        rel_gap = gap / (1.0 + abs(float(cvec @ u)) + abs(float(d @ z[:m])))
         score = max(pres, dres, rel_gap)
         if best is None or score < best[0]:
-            best = (score, u.copy(), s.copy(), z.copy(), pres, dres, rel_gap)
+            best = (score, u.copy(), z.copy(), pres, dres, rel_gap)
             best_it = it
         if pres <= TOL and dres <= TOL and rel_gap <= TOL:
             status = SolveStatus.Optimal
@@ -307,21 +309,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         if not (np.isfinite(s).all() and np.isfinite(z).all() and np.isfinite(u).all()):
             break
-        mu = gap / deg
-        sl, zl = s[:m], z[:m]
+        mu = gap / (m + n)
         try:
-            G, Ginv, Winv, lam = _nt_scaling_psd(smat(s[m:], n), smat(z[m:], n))
+            G, Ginv, Winv, lam = _nt_scaling_psd(smat(u[:sd], n), smat(z[m:], n))
         except np.linalg.LinAlgError:
             break
 
         frame = np.stack([Ginv, G.T])
-        slzl = np.concatenate([sl, zl])
-        zs = zl / sl
+        slzl = np.concatenate([s, z[:m]])
+        zs = z[:m] / s
         K = skron(Winv)
-
-        def winv2(v):
-            return np.concatenate([v[:m] * zs, K @ v[m:]])
-
         schur_matrix(B, zs, K, out=M)
         M.flat[:: nv + 1] += 1e-14 * np.trace(M) / nv
         try:
@@ -330,40 +327,43 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         def direction(q):
-            v = winv2(r_p) - q
-            rhs = r_d - v[:m] @ B
-            rhs[:sd] -= v[m:]
+            """(du, ds, dz) for the complementarity right side q = (q_l, svec(Q))."""
+            rhs = r_d + (q[:m] - zs * r_p) @ B
+            rhs[:sd] += q[m:]
             du = (Li @ rhs) @ Li
-            ds = r_p + np.concatenate([B @ du, du[:sd]])
-            return du, ds, q - winv2(ds)
+            ds = r_p + B @ du
+            dz = q.copy()
+            dz[:m] -= zs * ds
+            dz[m:] -= K @ du[:sd]
+            return du, ds, dz
 
-        def scaled_step(ds, dz):
+        def scaled_step(du, ds, dz):
             """The direction's PSD parts in the NT frame, G^-1 dS G^-T and
-            G^T dZ G, and the largest step that keeps s and z in the cone."""
-            D = frame @ np.stack([smat(ds[m:], n), smat(dz[m:], n)]) @ frame.transpose(0, 2, 1)
-            alpha = min(_orthant_step(slzl, np.concatenate([ds[:m], dz[:m]])), _psd_step(lam, D))
+            G^T dZ G, and the largest step that keeps s, S, z_l and Z in the cones."""
+            D = frame @ np.stack([smat(du[:sd], n), smat(dz[m:], n)]) @ frame.transpose(0, 2, 1)
+            alpha = min(_orthant_step(slzl, np.concatenate([ds, dz[:m]])), _psd_step(lam, D))
             return D[0], D[1], alpha
 
         # predictor (affine) direction: q = -z
         try:
             du_a, ds_a, dz_a = direction(-z)
-            Sa, Za, a_aff = scaled_step(ds_a, dz_a)
+            Sa, Za, a_aff = scaled_step(du_a, ds_a, dz_a)
         except np.linalg.LinAlgError:
             break
         alpha_aff = min(1.0, 0.999 * a_aff)
-        gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
+        gap_aff = duality_gap(u + alpha_aff * du_a, s + alpha_aff * ds_a, z + alpha_aff * dz_a)
         sigma = min(max((gap_aff / gap) ** 3, 1e-10), 0.99)
 
         # corrector with Mehrotra second-order terms; in the NT frame the
         # Lyapunov equation diag(lam) o X = sigma mu I - (Sa Za + Za Sa) / 2
         # is solved entrywise
-        ql = (sigma * mu - ds_a[:m] * dz_a[:m]) / sl - zl
+        ql = (sigma * mu - ds_a * dz_a[:m]) / s - z[:m]
         SZ = Sa @ Za
         X = (2.0 * sigma * mu * np.eye(n) - SZ - SZ.T) / np.add.outer(lam, lam)
         Qp = Ginv.T @ (X - np.diag(lam)) @ Ginv
         try:
             du, ds, dz = direction(np.concatenate([ql, svec(Qp)]))
-            alpha = min(1.0, 0.99 * scaled_step(ds, dz)[2])
+            alpha = min(1.0, 0.99 * scaled_step(du, ds, dz)[2])
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(alpha) or alpha <= 1e-14:
@@ -375,15 +375,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
         # skron(W^-1) and directions before the next is assembled into M
         del Li, K, du_a, ds_a, dz_a, du, ds, dz
 
-    _, u, s, z, pres, dres, rel_gap = best
+    _, u, z, pres, dres, rel_gap = best
     if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * TOL:
         status = SolveStatus.Optimal
 
-    gram = smat(u[:sd], n)
     linear_values = {v: float(y) for v, y in zip(problem.var_names, u[sd:])}
     return SdpSolution(
         objective=linear_values[OBJECTIVE],
-        gram=0.5 * (gram + gram.T),
+        gram=smat(u[:sd], n),
         linear_values=linear_values,
         duals=z[:m].copy(),
         status=status,

@@ -42,6 +42,7 @@ from .rates import nstep_bound
 
 
 KAPPA_MIN = -1e8
+SAMPLE_PAD = 0.5  # sample_csv's margin each side, as a share of the iterate span + 1
 
 
 class StepAboveOne(ValidationError):
@@ -122,10 +123,10 @@ class WorstCaseFunction:
             }
         )
 
-    def sample_csv(self, path: str, num: int = 400, pad: float = 0.5) -> None:
+    def sample_csv(self, path: str, num: int = 400) -> None:
         """Write a (x, f, grad) sample table spanning the breakpoint range."""
-        lo = min(self.xs) - pad * (self.xs[0] - self.xs[-1] + 1.0)
-        hi = max(self.xs) + pad * (self.xs[0] - self.xs[-1] + 1.0)
+        lo = min(self.xs) - SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
+        hi = max(self.xs) + SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "f", "grad"])

@@ -345,6 +345,42 @@ def test_non_finite_input_exit_code(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit-r", "--kappa=-1", "--h", "1.8", "--N", "5"),
+    ("sweep", "--target", "rate", "--kappa=abc", "--h", "0.5", "--N", "1"),
+    ("sweep", "--target", "rate", "--kappa=-1", "--h", "0.5", "--N", "x"),
+    ("rate", "--kappa=-1", "--steps", "1,abc"),
+    ("rate", "--kappa=-1", "--steps", "0.5:x:1"),
+    ("rate", "--kappa=-1", "--steps-file", "missing/steps.txt"),
+    ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--data-a", "missing/a.csv"),
+    ("pep", "--kappa=-1", "--steps", "1", "--emit-triplets", "missing/d/t.json"),
+    ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--fstar-iters", "20",
+     "--out", "missing/d/x.csv"),
+])
+def test_malformed_argument_or_path_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # a value that is not a number, list or range, or a file that cannot be
+    # opened, ends in exit 2 and one error line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("extra", [("--steps", "1.9"), ("--steps", "1", "--mu-reg", "0.5")])
+def test_experiment_csv_without_a_bound(capsys, tmp_path, extra):
+    # past a step above h_bar, or with mu > 0, the rate gives no bound: the
+    # CSV still has every row, with those bound cells empty
+    out = tmp_path / "traj.csv"
+    rc, _, err = run(capsys, "experiment", "--problem", "huber", "--rows", "12", "--cols", "4",
+                     "--N", "5", "--fstar-iters", "200", "--out", str(out), *extra)
+    assert rc == 0, err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["iter"] for row in rows] == [str(i) for i in range(6)]
+    assert float(rows[0]["bound_so_far"]) > 0.0
+    assert all(row["bound_so_far"] == "" for row in rows[1:])
+
+
 _kappas = st.one_of(st.floats(-1e6, 0.0), st.sampled_from([math.nan, math.inf, -math.inf, 0.5]))
 _scales = st.one_of(
     st.floats(1e-6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])

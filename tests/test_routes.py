@@ -5,9 +5,10 @@ closed-form rate is tight. So ``nstep_bound``, the PEP optimum and the
 constructed worst-case function (``verify_tightness``) must agree. The rate
 is also tight for schedules with every h in [1, h̄(κ)] and for the
 unbounded-below class (t = 0) with every h in (0, 1]; there the rate and
-the PEP must agree (the construction covers neither). The draws come from
-a fixed seed and are derandomized, and the example database is off, so
-every run checks the same cases.
+the PEP must agree (the construction covers neither). For schedules that
+straddle h = 1 the rate is only an upper bound, so the PEP optimum must not
+exceed it. The draws come from a fixed seed and are derandomized, and the
+example database is off, so every run checks the same cases.
 """
 
 import math
@@ -48,19 +49,22 @@ draws = st.tuples(
 
 
 def _routes(kappa, steps, kind, cls=None):
-    """The problem, the rate, and (status, verified, relative error) of the PEP
-    route, in the class ``cls`` or else in [kappa, 1]."""
+    """The problem, the rate, and (status, verified, signed relative error
+    (PEP - rate) / rate) of the PEP route, in the class ``cls`` or else in [kappa, 1]."""
     cls = cls or CurvatureClass(mu=kappa, L=1.0)
     sched = StepSchedule(tuple(steps))
     bound = nstep_bound(cls, sched, 1.0, kind).bound
     sdp = build_sdp(PepProblem(cls, sched, 1.0, kind))
     sol = solve(sdp)
-    pep = (sol.status, verify_solution(sdp, sol).all_pass, abs(sol.objective - bound) / bound)
+    pep = (sol.status, verify_solution(sdp, sol).all_pass, (sol.objective - bound) / bound)
     return cls, sched, bound, pep
 
 
-def _assert_pep_agrees(steps, status, verified, rel):
-    """The PEP route matches the rate, or fails with the signature of defect (d) or (g)."""
+def _assert_pep_agrees(steps, status, verified, rel, below_only=False):
+    """The PEP route matches the rate (with ``below_only``, does not exceed
+    it), or fails with the signature of defect (d) or (g)."""
+    if not below_only:
+        rel = abs(rel)
     if status == SolveStatus.Optimal and verified and rel <= REL_TOL:
         return
     info = (status, verified, rel)
@@ -125,6 +129,28 @@ def test_rate_and_pep_agree_unbounded_below(draw):
     _assert_pep_agrees(steps, *pep)
 
 
+@st.composite
+def straddling_draws(draw):
+    """κ in [-3, 0), 2 <= N <= 6, some steps in (0, 1] and the rest in [1, h̄(κ)],
+    in any order."""
+    kappa = draw(st.floats(min_value=-3.0, max_value=0.0, exclude_max=True))
+    n = draw(st.integers(min_value=2, max_value=6))
+    short = draw(st.integers(min_value=1, max_value=n - 1))
+    h_bar = step_threshold(kappa)
+    steps = [draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)) for _ in range(short)]
+    steps += [1.0 + draw(st.floats(min_value=0.0, max_value=1.0)) * (h_bar - 1.0)
+              for _ in range(n - short)]
+    return kappa, draw(st.permutations(steps)), draw(st.sampled_from(list(NumeratorKind)))
+
+
+@seed(20220304)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(straddling_draws())
+def test_pep_stays_below_the_rate_on_schedules_that_straddle_one(draw):
+    kappa, steps, kind = draw
+    _assert_pep_agrees(steps, *_routes(kappa, steps, kind)[3], below_only=True)
+
+
 @pytest.mark.xfail(strict=True, reason=DEFECT_D)
 @pytest.mark.parametrize("draw", [
     (-1.0, (1e-4,), NumeratorKind.gap_to_last),
@@ -133,7 +159,8 @@ def test_rate_and_pep_agree_unbounded_below(draw):
 ])
 def test_pep_route_with_a_tiny_step(draw):
     status, verified, rel = _routes(*draw)[3]
-    assert status == SolveStatus.Optimal and verified and rel <= REL_TOL, (status, verified, rel)
+    assert status == SolveStatus.Optimal and verified and abs(rel) <= REL_TOL, \
+        (status, verified, rel)
 
 
 @pytest.mark.xfail(strict=True, reason=DEFECT_G)
@@ -144,4 +171,5 @@ def test_pep_route_with_a_tiny_step(draw):
 ])
 def test_pep_route_with_a_step_just_above_one(draw):
     status, verified, rel = _routes(*draw)[3]
-    assert status == SolveStatus.Optimal and verified and rel <= REL_TOL, (status, verified, rel)
+    assert status == SolveStatus.Optimal and verified and abs(rel) <= REL_TOL, \
+        (status, verified, rel)
