@@ -1,8 +1,12 @@
 """Command-line front end: every computation as a reproducible command.
 
-Exit codes: 0 success, 2 input validation, 3 solver failure, 4 check
-failure. Floats are printed with 17 significant digits so output files
-round-trip exactly.
+Exit codes: 0 success, 2 input validation (``core.ValidationError`` or an
+unreadable or unwritable file), 3 numerical failure
+(``core.NumericalFailure``), 4 check failure (``core.CheckFailure``).
+Floats are printed with 17 significant digits so output files round-trip
+exactly. The numpy modules load on first use (see ``hypopep/__init__``),
+so ``rate``, ``optstep`` and ``sweep --target rate`` run without numpy, and
+``main`` maps an error to its code without loading a numpy module.
 """
 
 from __future__ import annotations
@@ -11,30 +15,19 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
-import numpy as np
-
-from .core import NumeratorKind, StepSchedule, ValidationError, validate_class
-from .gmlab import (
-    NonFiniteValue,
-    estimate_f_star,
-    export_trajectory_csv,
-    load_matrix_csv,
-    make_huber_problem,
-    make_logistic_l0_problem,
-    run_gm,
-)
-from .pep import (
-    IndefiniteGram,
-    InterpolationFailure,
-    PepProblem,
-    SolverFailure,
-    extract_triplets,
-    solve_pep,
+from . import gmlab, pep, worstcase
+from .core import (
+    CheckFailure,
+    NumeratorKind,
+    NumericalFailure,
+    StepSchedule,
+    ValidationError,
+    validate_class,
 )
 from .rates import (
-    BranchMismatch,
     _threshold,
     conjectured_bound_convex,
     fit_r,
@@ -42,11 +35,6 @@ from .rates import (
     optimal_step,
     step_threshold,
 )
-from .worstcase import build_worst_case, verify_tightness
-
-
-class CheckFailure(RuntimeError):
-    pass
 
 
 def _numbers(text: str, sep: str = ",", conv=float, count: int | None = None) -> list:
@@ -66,14 +54,32 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+MAX_RANGE_VALUES = 100_000  # most values an 'a:step:b' range may expand to
+
+
 def parse_steps(text: str) -> list[float]:
-    """Parse '1,0.5,0.75' or the inclusive range syntax 'a:step:b'."""
+    """Parse '1,0.5,0.75' or the inclusive range syntax 'a:step:b'.
+
+    The range holds a + k * step for k = 0, 1, ... while it is at most b,
+    with a relative slack of 1e-12 on b, each rounded to 12 decimals.
+    """
     if ":" in text:
         a, step, b = _numbers(text, ":", count=3)
+        if not all(map(math.isfinite, (a, step, b))):
+            raise ValidationError(f"--steps range must be finite, got {text!r}")
         if step <= 0:
             raise ValidationError(f"--steps range step must be positive, got {step}")
-        count = 0
-        while a + count * step <= b + 1e-12 * max(1.0, abs(b)):
+        end = b + 1e-12 * max(1.0, abs(b))
+        span = (end - a) / step
+        if span >= MAX_RANGE_VALUES:
+            raise ValidationError(f"--steps range {text!r} has more than "
+                                  f"{MAX_RANGE_VALUES} values")
+        # the closed-form count, then settled on the rounded comparisons:
+        # a + k * step is nondecreasing in k, so the k kept form a prefix
+        count = max(0, math.floor(span) + 1)
+        while count > 0 and a + (count - 1) * step > end:
+            count -= 1
+        while a + count * step <= end:
             count += 1
         return [round(a + k * step, 12) for k in range(count)]
     return _numbers(text)
@@ -124,7 +130,7 @@ def cmd_optstep(args) -> int:
     return 0
 
 
-def _reference_bound(p: PepProblem):
+def _reference_bound(p: pep.PepProblem):
     """Analytic or conjectured reference for a PEP optimum, if one exists.
 
     The analytic rate is returned only where it is exact: every step at most
@@ -141,8 +147,8 @@ def _reference_bound(p: PepProblem):
 
 
 def cmd_pep(args) -> int:
-    p = PepProblem(_cls(args), _schedule_from_args(args), args.delta, _kind(args))
-    sol = solve_pep(p)
+    p = pep.PepProblem(_cls(args), _schedule_from_args(args), args.delta, _kind(args))
+    sol = pep.solve_pep(p)
     print(f"optimum {_fmt(sol.objective)}")
     print(f"iterations {sol.iterations}")
     ref = _reference_bound(p)
@@ -150,7 +156,7 @@ def cmd_pep(args) -> int:
         print(f"reference {_fmt(ref)}")
         print(f"rel_error {_fmt(abs(sol.objective - ref) / ref)}")
     if args.emit_triplets:
-        ts = extract_triplets(p, sol)
+        ts = pep.extract_triplets(p, sol)
         with open(args.emit_triplets, "w") as fh:
             fh.write(ts.to_json())
         print(f"triplets {args.emit_triplets}")
@@ -160,7 +166,7 @@ def cmd_pep(args) -> int:
 def cmd_tightness(args) -> int:
     cls = _cls(args)
     sched = _schedule_from_args(args)
-    rep = verify_tightness(cls, sched, args.delta, _kind(args), tol=args.tol)
+    rep = worstcase.verify_tightness(cls, sched, args.delta, _kind(args), tol=args.tol)
     print(f"U {_fmt(rep.U)}")
     print(f"iterate_residual {_fmt(rep.iterate_residual)}")
     print(f"bound_residual {_fmt(rep.bound_residual)}")
@@ -175,7 +181,7 @@ def cmd_tightness(args) -> int:
 def cmd_worstcase(args) -> int:
     cls = _cls(args)
     sched = _schedule_from_args(args)
-    wcf = build_worst_case(cls, sched, args.delta, _kind(args))
+    wcf = worstcase.build_worst_case(cls, sched, args.delta, _kind(args))
     print(f"U {_fmt(wcf.U)}")
     print("iterates " + ",".join(_fmt(x) for x in wcf.xs))
     print("values " + ",".join(_fmt(f) for f in wcf.fs))
@@ -190,34 +196,36 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     if args.data_a:
-        A = load_matrix_csv(args.data_a)
+        A = gmlab.load_matrix_csv(args.data_a)
     else:
         A = rng.standard_normal((args.rows, args.cols))
     if args.problem == "huber":
         if args.data_b:
-            b = load_matrix_csv(args.data_b).ravel()
+            b = gmlab.load_matrix_csv(args.data_b).ravel()
         else:
             b = A @ rng.standard_normal(A.shape[1]) + 0.1 * rng.standard_normal(A.shape[0])
-        tp = make_huber_problem(A, b, args.delta_h, args.mu_reg)
+        tp = gmlab.make_huber_problem(A, b, args.delta_h, args.mu_reg)
     else:
         if args.data_y:
-            y = load_matrix_csv(args.data_y).ravel()
+            y = gmlab.load_matrix_csv(args.data_y).ravel()
         else:
             logits = A @ rng.standard_normal(A.shape[1])
             y = (rng.uniform(size=A.shape[0]) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
-        tp = make_logistic_l0_problem(A, y, args.lambda_ll, args.sigma_ll, args.reg_weight)
+        tp = gmlab.make_logistic_l0_problem(A, y, args.lambda_ll, args.sigma_ll, args.reg_weight)
     sched = _schedule_from_args(args)
-    f_star = estimate_f_star(tp, n_iter=args.fstar_iters)
+    f_star = gmlab.estimate_f_star(tp, n_iter=args.fstar_iters)
     tp = dataclasses.replace(tp, f_star_known=f_star)
-    traj = run_gm(tp, sched)
+    traj = gmlab.run_gm(tp, sched)
     print(f"mu {_fmt(tp.cls.mu)}")
     print(f"L {_fmt(tp.cls.L)}")
     print(f"f_star_estimate {_fmt(f_star)}")
     print(f"min_grad_sq {_fmt(traj.min_grad_sq)} at {traj.min_grad_index}")
     if args.out:
-        export_trajectory_csv(traj, tp, args.out)
+        gmlab.export_trajectory_csv(traj, tp, args.out)
         print(f"csv {args.out}")
     return 0
 
@@ -238,14 +246,14 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
             res = nstep_bound(cls, sched, delta, kind)
             row.update(bound=_fmt(res.bound), denominator=_fmt(res.denominator))
         else:
-            p = PepProblem(cls, sched, delta, kind)
-            sol = solve_pep(p)
+            p = pep.PepProblem(cls, sched, delta, kind)
+            sol = pep.solve_pep(p)
             ref = _reference_bound(p)
             row["optimum"] = _fmt(sol.objective)
             if ref is not None:
                 row.update(reference=_fmt(ref), rel_error=_fmt(abs(sol.objective - ref) / ref))
     # per-point failures go to the error column; anything else is a bug
-    except (ValidationError, SolverFailure, NonFiniteValue) as exc:
+    except (ValidationError, NumericalFailure) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -284,7 +292,7 @@ def cmd_fit_r(args) -> int:
     kind = _kind(args)
     values = []
     for n in range(lo, hi + 1):
-        sol = solve_pep(PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind))
+        sol = pep.solve_pep(pep.PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind))
         values.append((n, sol.objective))
         print(f"N={n} optimum {_fmt(sol.objective)}")
     res = fit_r(cls, args.h, values, delta=args.delta)
@@ -409,10 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:  # bad input: a value, or a file to read or write
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, NonFiniteValue, IndefiniteGram) as exc:
+    except NumericalFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (CheckFailure, InterpolationFailure, BranchMismatch) as exc:
+    except CheckFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -6,12 +6,27 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# The three bases of the CLI's exit codes: ValidationError 2, NumericalFailure
+# 3, CheckFailure 4. They live here so the CLI maps an error to its code
+# without loading the numpy modules that raise the subclasses.
 
 
 class ValidationError(ValueError):
     """Base class for all typed input-rejection errors."""
+
+
+class NumericalFailure(RuntimeError):
+    """A computation on valid input failed: the solver, a non-finite value, a Gram matrix."""
+
+
+class CheckFailure(RuntimeError):
+    """A computed answer failed a check: tightness, interpolation, the fitted branch."""
 
 
 class NonPositiveL(ValidationError):
@@ -121,6 +136,8 @@ class OracleTriplet:
     f: float
 
     def __post_init__(self):
+        import numpy as np
+
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         g = np.atleast_1d(np.asarray(self.g, dtype=float))
         object.__setattr__(self, "x", x)

@@ -33,6 +33,7 @@ from .core import (
     CurvatureClass,
     DimensionMismatch,
     NumeratorKind,
+    NumericalFailure,
     OracleTriplet,
     StepSchedule,
     ValidationError,
@@ -40,7 +41,7 @@ from .core import (
 from .rates import PositiveKappa, StepAboveThreshold, nstep_bound, one_step_p
 
 
-class NonFiniteValue(RuntimeError):
+class NonFiniteValue(NumericalFailure):
     """NaN or infinity encountered along a trajectory."""
 
 
@@ -394,16 +395,27 @@ def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Dense float matrix from a comma-delimited file, header row optional."""
+    """Dense float matrix from a comma-delimited file, header row optional.
+
+    Raises ValidationError for a file with no data row, rows of unequal
+    length, or a data cell that is not a number.
+    """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     start = 0
     try:
-        [float(v) for v in rows[0]]
+        [float(v) for v in (rows[0] if rows else [])]
     except ValueError:
-        start = 1
-    data = np.array([[float(v) for v in row] for row in rows[start:]], dtype=float)
-    return data
+        start = 1  # a header row
+    data = rows[start:]
+    if not data:
+        raise ValidationError(f"{path}: no data rows")
+    if len({len(row) for row in data}) != 1:
+        raise ValidationError(f"{path}: rows of unequal length")
+    try:
+        return np.array([[float(v) for v in row] for row in data], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _bound_cell(cls: CurvatureClass, steps: tuple[float, ...], delta: float,

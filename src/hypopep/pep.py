@@ -37,8 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    CheckFailure,
     CurvatureClass,
     NumeratorKind,
+    NumericalFailure,
     OracleTriplet,
     StepSchedule,
     TripletSet,
@@ -65,15 +67,15 @@ RANK_TOL = 1e-7  # eigenvalues of the Gram matrix kept, relative to the largest
 _BLOCK_ELEMENTS = 1 << 15
 
 
-class IndefiniteGram(RuntimeError):
+class IndefiniteGram(NumericalFailure):
     pass
 
 
-class InterpolationFailure(RuntimeError):
+class InterpolationFailure(CheckFailure):
     pass
 
 
-class SolverFailure(RuntimeError):
+class SolverFailure(NumericalFailure):
     """The solver did not return a verified optimum."""
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import (
+    CheckFailure,
     CurvatureClass,
     NumeratorKind,
     RateRegime,
@@ -56,7 +57,7 @@ class InsufficientData(ValidationError):
     pass
 
 
-class BranchMismatch(RuntimeError):
+class BranchMismatch(CheckFailure):
     pass
 
 

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +208,7 @@ def test_emit_triplets_failure_exit_code(capsys, tmp_path, monkeypatch, exc, cod
     def fail(p, sol):
         raise exc("injected")
 
-    monkeypatch.setattr(cli, "extract_triplets", fail)
+    monkeypatch.setattr(pep, "extract_triplets", fail)
     rc, _, err = run(capsys, "pep", "--kappa", "-1", "--steps", "1",
                      "--emit-triplets", str(tmp_path / "t.json"))
     assert rc == code
@@ -356,14 +359,55 @@ def test_non_finite_input_exit_code(capsys, argv):
     ("pep", "--kappa=-1", "--steps", "1", "--emit-triplets", "missing/d/t.json"),
     ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--fstar-iters", "20",
      "--out", "missing/d/x.csv"),
+    ("rate", "--kappa=-1", "--steps", "0:1e-300:1"),
+    ("rate", "--kappa=-1", "--steps", "0:1:inf"),
 ])
 def test_malformed_argument_or_path_exit_code(capsys, tmp_path, monkeypatch, argv):
-    # a value that is not a number, list or range, or a file that cannot be
-    # opened, ends in exit 2 and one error line, not a traceback
+    # a value that is not a number, list or range, a range that is not finite
+    # or too long, or a file that cannot be opened, ends in exit 2 and one
+    # error line, not a traceback
     monkeypatch.chdir(tmp_path)
     rc, _, err = run(capsys, *argv)
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["1,2\nx,3\n4,5\n", "1,2\n3\n", ""])
+def test_malformed_matrix_file_exit_code(capsys, tmp_path, text):
+    # a non-numeric data cell, a ragged row or an empty file is bad input
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    rc, out, err = run(capsys, "experiment", "--problem", "huber", "--steps", "1", "--N", "2",
+                       "--data-a", str(path))
+    assert rc == 2, err
+    assert out == "" and err.startswith("error: ValidationError: ") and err.count("\n") == 1, err
+
+
+STARTUP_PROBE = """
+import json, sys
+from hypopep import cli
+codes = [cli.main(argv) for argv in (
+    ["rate", "--kappa=-1", "--steps", "1", "--N", "10"],
+    ["optstep", "--kappa=-1"],
+    ["sweep", "--target", "rate", "--kappa=-1,-0.5", "--h", "0.5:0.5:2", "--N", "1,10"],
+    ["rate", "--kappa=-1", "--steps", "1.9"],
+)]
+numpy_loaded = "numpy" in sys.modules
+print(json.dumps([codes, numpy_loaded, sys.modules["hypopep.pep"].solve_pep.__name__]))
+"""
+
+
+def test_closed_form_commands_start_without_numpy():
+    # the numpy modules load on first use: the closed-form commands and an
+    # exit-2 input never import numpy, and the lazy modules still resolve
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_loaded, name = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 2]
+    assert not numpy_loaded
+    assert name == "solve_pep"
 
 
 @pytest.mark.parametrize("extra", [("--steps", "1.9"), ("--steps", "1", "--mu-reg", "0.5")])
