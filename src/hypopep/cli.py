@@ -198,6 +198,8 @@ def cmd_worstcase(args) -> int:
 def cmd_experiment(args) -> int:
     import numpy as np
 
+    if min(args.rows, args.cols) < 1 or args.seed < 0:
+        raise ValidationError("--rows and --cols must be at least 1 and --seed nonnegative")
     rng = np.random.default_rng(args.seed)
     if args.data_a:
         A = gmlab.load_matrix_csv(args.data_a)

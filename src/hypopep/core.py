@@ -191,7 +191,6 @@ class RateRegime(str, Enum):
     short = "short"          # h <= 1
     mid = "mid"              # 1 < h <= h_bar(kappa)
     large = "large"          # h > h_bar(kappa), conjectured
-    convex_large = "convex_large"  # kappa = 0, h in (3/2, 2), conjectured
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,6 @@ class RateResult:
 
     bound: float
     denominator: float
-    numerator_kind: NumeratorKind
     regime: RateRegime
     conjectured: bool = False
     per_step_p: tuple[float, ...] = field(default=())

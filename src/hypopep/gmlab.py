@@ -1,4 +1,4 @@
-"""Gradient-method runner, per-step certificate checks and testbed problems.
+"""Gradient-method runner and testbed problems.
 
 A problem is a first-order oracle x -> (f(x), grad f(x)): one call gives
 both the value and the gradient, as one oracle triplet (x, g, f) needs.
@@ -38,7 +38,7 @@ from .core import (
     StepSchedule,
     ValidationError,
 )
-from .rates import PositiveKappa, StepAboveThreshold, nstep_bound, one_step_p
+from .rates import PositiveKappa, StepAboveThreshold, nstep_bound
 
 
 class NonFiniteValue(NumericalFailure):
@@ -69,8 +69,7 @@ class TestProblem:
 
     ``oracle(x)`` returns ``(f(x), grad f(x))`` from one evaluation and
     must be a deterministic function of the bits of x, which
-    ``estimate_f_star`` relies on to stop its run at a repeated iterate;
-    ``f_eval`` and ``grad_eval`` read one half of it.
+    ``estimate_f_star`` relies on to stop its run at a repeated iterate.
     """
 
     __test__ = False  # not a pytest collection target despite the name
@@ -80,12 +79,6 @@ class TestProblem:
     cls: CurvatureClass
     x0: np.ndarray
     f_star_known: float | None = None
-
-    def f_eval(self, x: np.ndarray) -> float:
-        return self.oracle(x)[0]
-
-    def grad_eval(self, x: np.ndarray) -> np.ndarray:
-        return self.oracle(x)[1]
 
 
 def _first_nonfinite(X: np.ndarray, G: np.ndarray, F: np.ndarray) -> int | None:
@@ -176,58 +169,6 @@ def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
 
 
 @dataclass(frozen=True)
-class CertificateReport:
-    """Slack report for the one-step decrease certificates."""
-
-    passed: bool
-    rate_slack: float
-    descent_slack: float
-    combined_slack: float | None
-    tol: float
-
-
-def one_step_certificate(
-    t0: OracleTriplet,
-    t1: OracleTriplet,
-    h: float,
-    cls: CurvatureClass,
-    tol: float = 1e-9,
-) -> CertificateReport:
-    """Check the one-step rate, the descent lemma and the weighted combination.
-
-    The rate check is min{|g_0|^2, |g_1|^2} <= (f_0 - f_1) * 2L / p(h, kappa);
-    the combination check (for h >= 1) recomputes the two-coefficient
-    inequality whose tightness drives the mid-range branch of p.
-    """
-    L = cls.L
-    kappa = cls.kappa
-    g0 = float(t0.g @ t0.g)
-    g1 = float(t1.g @ t1.g)
-    df = t0.f - t1.f
-    p = one_step_p(h, kappa)
-    rate_slack = df * 2.0 * L / p - min(g0, g1)
-    descent_slack = df - h * (2.0 - h) / (2.0 * L) * g0
-    combined_slack = None
-    if h >= 1.0:
-        denom = 2.0 * L * (2.0 - h * (1.0 + kappa))
-        lhs = (
-            h * (kappa * h * h - 2.0 * h * (1.0 + kappa) + 3.0) / denom * g0
-            + h / denom * g1
-        )
-        combined_slack = df - lhs
-    passed = rate_slack >= -tol and descent_slack >= -tol
-    if combined_slack is not None:
-        passed = passed and combined_slack >= -tol
-    return CertificateReport(
-        passed=passed,
-        rate_slack=rate_slack,
-        descent_slack=descent_slack,
-        combined_slack=combined_slack,
-        tol=tol,
-    )
-
-
-@dataclass(frozen=True)
 class MonotonicityReport:
     applicable: bool
     passed: bool
@@ -259,6 +200,19 @@ def convex_grad_monotonicity(
     )
 
 
+def _data_arrays(A, v, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A as a nonzero float matrix and v as a float vector with one entry per row of A."""
+    A = np.asarray(A, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatch(f"A must be a matrix, got shape {A.shape}")
+    if v.shape != (A.shape[0],):
+        raise DimensionMismatch(f"{name} must have shape ({A.shape[0]},), got {v.shape}")
+    if not np.any(A):
+        raise ZeroMatrix("A must be nonzero")
+    return A, v
+
+
 def make_huber_problem(
     A: np.ndarray,
     b: np.ndarray,
@@ -272,11 +226,8 @@ def make_huber_problem(
     function; the declared class is (mu_reg, |A^T A| / delta_h + mu_reg). A
     negative mu_reg makes the problem hypoconvex on purpose.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.any(A):
-        raise ZeroMatrix("A must be nonzero")
-    if delta_h <= 0:
+    A, b = _data_arrays(A, b, "b")
+    if not delta_h > 0:
         raise ValidationError(f"delta_h must be positive, got {delta_h}")
     s = float(np.linalg.eigvalsh(A.T @ A)[-1])
     L_smooth = s / delta_h
@@ -341,16 +292,16 @@ def make_logistic_l0_problem(
     """Mean logistic loss plus a smoothed-l0 sparsity penalty.
 
     The loss uses the overflow-safe softplus form; the declared class is
-    [-reg_weight / sigma, |A^T A| / n_data + reg_weight / (lam - sigma)].
+    [-reg_weight / sigma, |A^T A| / n_data + reg_weight / (lam - sigma)],
+    which needs a finite reg_weight >= 0.
     """
     if not (0.0 < sigma_ll < lambda_ll):
         raise BadEnvelopeParams(
             f"need 0 < sigma < lambda, got sigma={sigma_ll}, lambda={lambda_ll}"
         )
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.any(A):
-        raise ZeroMatrix("A must be nonzero")
+    if not 0.0 <= reg_weight < math.inf:
+        raise ValidationError(f"reg_weight must be nonnegative and finite, got {reg_weight}")
+    A, y = _data_arrays(A, y, "y")
     n_data = A.shape[0]
     L_loss = float(np.linalg.eigvalsh(A.T @ A)[-1]) / n_data
     mu = -reg_weight / sigma_ll

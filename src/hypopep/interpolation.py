@@ -130,19 +130,22 @@ def check_interpolable(
 
 
 def quadratic_bounds_check(
-    f_eval,
-    grad_eval,
+    oracle,
     cls: CurvatureClass,
     sample_pairs: list[tuple[np.ndarray, np.ndarray]],
     tol: float = 1e-9,
 ) -> bool:
-    """True iff the two-sided curvature inequality holds at every sampled pair."""
+    """True iff the two-sided curvature inequality holds at every sampled pair.
+
+    ``oracle(x)`` returns ``(f(x), grad f(x))``, as ``TestProblem.oracle`` does.
+    """
     for x, y in sample_pairs:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         dx = x - y
         nrm2 = float(dx @ dx)
-        r = f_eval(x) - f_eval(y) - float(np.atleast_1d(grad_eval(y)) @ dx)
+        f_y, g_y = oracle(y)
+        r = oracle(x)[0] - f_y - float(np.atleast_1d(g_y) @ dx)
         if r < 0.5 * cls.mu * nrm2 - tol or r > 0.5 * cls.L * nrm2 + tol:
             return False
     return True

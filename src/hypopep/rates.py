@@ -12,7 +12,7 @@ the unbounded-below class (kappa -> -inf), where p = 2h - h^2 and h_bar = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -142,7 +142,6 @@ def nstep_bound(
     return RateResult(
         bound=bound,
         denominator=denom,
-        numerator_kind=kind,
         regime=regime,
         per_step_p=tuple(ps),
     )
@@ -236,19 +235,12 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     return OptimalStep(h_star=_optimal_step_root(t, -kappa * t), branch=OptimalStepBranch.cubic_root)
 
 
-def third_regime_slope(kappa: float, h: float) -> float:
-    """Linear-in-N denominator growth of the conjectured third-regime bound:
-    the h > 1 branch of ``one_step_p``, conjectured to hold beyond h_bar."""
-    return _slope(_t(kappa), h)
-
-
 def conjectured_bound_convex(
     h: float, n: int, L: float, delta: float, kind: NumeratorKind
 ) -> RateResult:
     """Conjectured convex bound for constant steps h in (3/2, 2): the third
     regime at kappa = 0, where h_bar = 3/2, r = 1 and the slope is 2h."""
-    res = conjectured_bound_third_regime(h, n, CurvatureClass(0.0, L), delta, 1.0, kind)
-    return replace(res, regime=RateRegime.convex_large)
+    return conjectured_bound_third_regime(h, n, CurvatureClass(0.0, L), delta, 1.0, kind)
 
 
 def conjectured_bound_third_regime(
@@ -276,7 +268,6 @@ def conjectured_bound_third_regime(
     return RateResult(
         bound=2.0 * cls.L * delta / denom,
         denominator=denom,
-        numerator_kind=kind,
         regime=RateRegime.large,
         conjectured=True,
     )

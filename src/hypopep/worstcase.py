@@ -125,6 +125,8 @@ class WorstCaseFunction:
 
     def sample_csv(self, path: str, num: int = 400) -> None:
         """Write a (x, f, grad) sample table spanning the breakpoint range."""
+        if num < 0:
+            raise ValidationError(f"the sample count must be nonnegative, got {num}")
         lo = min(self.xs) - SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
         hi = max(self.xs) + SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
         with open(path, "w", newline="") as fh:

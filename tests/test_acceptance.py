@@ -168,8 +168,7 @@ def test_criterion_9_testbed_soundness():
     pairs = [(np.array([a]), np.array([b]))
              for a, b in rng.uniform(-4.0, 4.0, size=(200, 2))]
     env_ok = quadratic_bounds_check(
-        lambda x: float(ll_envelope_l0(x, lam, sig)[0][0]),
-        lambda x: ll_envelope_l0(x, lam, sig)[1],
+        lambda x: (float(ll_envelope_l0(x, lam, sig)[0][0]), ll_envelope_l0(x, lam, sig)[1]),
         env_cls, pairs, tol=1e-9,
     )
     t = math.sqrt(2 * lam)
@@ -187,9 +186,9 @@ def test_criterion_9_testbed_soundness():
     for tp in (huber, logit):
         for _ in range(50):
             x = rng.standard_normal(5)
-            g = tp.grad_eval(x)
+            _, g = tp.oracle(x)
             fd = np.array([
-                (tp.f_eval(x + e) - tp.f_eval(x - e)) / 2e-6
+                (tp.oracle(x + e)[0] - tp.oracle(x - e)[0]) / 2e-6
                 for e in np.eye(5) * 1e-6
             ])
             grad_ok = grad_ok and (

@@ -361,11 +361,16 @@ def test_non_finite_input_exit_code(capsys, argv):
      "--out", "missing/d/x.csv"),
     ("rate", "--kappa=-1", "--steps", "0:1e-300:1"),
     ("rate", "--kappa=-1", "--steps", "0:1:inf"),
+    ("worstcase", "--kappa=-1", "--steps", "0.5", "--csv-out", "w.csv", "--samples", "-1"),
+    ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--rows", "-1"),
+    ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--cols", "-1"),
+    ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--seed", "-1"),
+    ("experiment", "--problem", "logistic", "--reg-weight=-0.1", "--steps", "1", "--N", "5"),
 ])
 def test_malformed_argument_or_path_exit_code(capsys, tmp_path, monkeypatch, argv):
     # a value that is not a number, list or range, a range that is not finite
-    # or too long, or a file that cannot be opened, ends in exit 2 and one
-    # error line, not a traceback
+    # or too long, a count, size, seed or weight out of range, or a file that
+    # cannot be opened, ends in exit 2 and one error line, not a traceback
     monkeypatch.chdir(tmp_path)
     rc, _, err = run(capsys, *argv)
     assert rc == 2, err
@@ -381,6 +386,23 @@ def test_malformed_matrix_file_exit_code(capsys, tmp_path, text):
                        "--data-a", str(path))
     assert rc == 2, err
     assert out == "" and err.startswith("error: ValidationError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("problem,flag,a_text,v_text", [
+    ("huber", "--data-b", "1,2\n3,4\n5,6\n", "1\n2\n"),
+    ("logistic", "--data-y", "1,2\n3,4\n5,6\n", "1\n0\n"),
+    ("huber", "--data-b", "1,2\n3,4\n", "1,2\n3,4\n"),  # raveled to length 4
+    ("logistic", "--data-y", "1,2\n3,4\n", "1,0\n0,1\n"),
+], ids=["huber-b-short", "logistic-y-short", "huber-b-matrix", "logistic-y-matrix"])
+def test_data_length_mismatch_exit_code(capsys, tmp_path, problem, flag, a_text, v_text):
+    # b or y needs one entry per row of A
+    a, v = tmp_path / "a.csv", tmp_path / "v.csv"
+    a.write_text(a_text)
+    v.write_text(v_text)
+    rc, out, err = run(capsys, "experiment", "--problem", problem, "--steps", "1", "--N", "2",
+                       "--data-a", str(a), flag, str(v))
+    assert rc == 2, err
+    assert out == "" and err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1, err
 
 
 STARTUP_PROBE = """
@@ -493,6 +515,48 @@ def test_exit_codes_and_finite_output(argv):
             assert math.isfinite(value), (argv, out.getvalue())
         if "rel_error" in out.getvalue():  # a pep optimum agrees with its reference
             assert float(grab(out.getvalue(), "rel_error")) <= _pep_rel_tol(argv), argv
+
+
+# experiment and worstcase --samples, which _cli_argv never draws: signed
+# sizes, seeds and sample counts, and signed or non-finite testbed weights
+_signed_ints = st.integers(-1, 8)
+_weights = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _testbed_argv(draw):
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3))
+        return ["worstcase", "--kappa=-1", f"--steps={','.join(map(repr, steps))}",
+                "--csv-out", os.devnull, f"--samples={draw(st.integers(-3, 5))}"]
+    problem = draw(st.sampled_from(["huber", "logistic"]))
+    argv = ["experiment", "--problem", problem, f"--rows={draw(_signed_ints)}",
+            f"--cols={draw(_signed_ints)}", f"--seed={draw(_signed_ints)}",
+            f"--fstar-iters={draw(st.integers(0, 50))}",
+            f"--steps={draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))!r}",
+            f"--N={draw(st.integers(1, 5))}"]
+    if problem == "huber":
+        return argv + [f"--delta-h={draw(_weights)!r}", f"--mu-reg={draw(_weights)!r}"]
+    return argv + [f"--reg-weight={draw(_weights)!r}"]
+
+
+@given(argv=_testbed_argv())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_testbed_exit_codes_and_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    if rc == 0:
+        for token in re.split(r"[\s=,]+", out.getvalue()):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (argv, out.getvalue())
 
 
 @pytest.mark.xfail(strict=True, reason=DEFECT_F)

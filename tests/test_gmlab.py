@@ -12,6 +12,8 @@ from hypopep.core import (
     NumeratorKind,
     OracleTriplet,
     StepSchedule,
+    TripletSet,
+    ValidationError,
     validate_class,
 )
 from hypopep.gmlab import (
@@ -27,10 +29,9 @@ from hypopep.gmlab import (
     load_matrix_csv,
     make_huber_problem,
     make_logistic_l0_problem,
-    one_step_certificate,
     run_gm,
 )
-from hypopep.interpolation import quadratic_bounds_check
+from hypopep.interpolation import check_interpolable, quadratic_bounds_check
 from hypopep.rates import nstep_bound
 from hypopep.worstcase import build_worst_case
 
@@ -75,15 +76,22 @@ def test_run_gm_detects_nonfinite():
         run_gm(tp, StepSchedule((1.0,)))
 
 
+def _one_step_rate(t0, t1, h, cls):
+    # min(|g_0|^2, |g_1|^2) and the one-step gap-to-last bound for f_0 - f_1
+    gmin = min(float(t0.g @ t0.g), float(t1.g @ t1.g))
+    bound = nstep_bound(cls, StepSchedule((h,)), t0.f - t1.f, NumeratorKind.gap_to_last).bound
+    return gmin, bound
+
+
 def test_one_step_certificate_quadratic():
     tp = quadratic_problem()
     traj = run_gm(tp, StepSchedule((0.5,)))
-    rep = one_step_certificate(
-        traj.iterates[0], traj.iterates[1], 0.5, validate_class(0.0, 1.0)
-    )
-    assert rep.passed
-    assert rep.rate_slack > 0 and rep.descent_slack >= 0.0
-    assert rep.combined_slack is None  # h < 1
+    cls = validate_class(0.0, 1.0)
+    gmin, bound = _one_step_rate(traj.iterates[0], traj.iterates[1], 0.5, cls)
+    assert gmin < bound
+    # the pair's interpolation inequalities imply the descent lemma
+    # f_0 - f_1 >= h (2 - h) |g_0|^2 / (2L), the (0, 1) slack at t = 0
+    assert check_interpolable(TripletSet(traj.iterates), cls).feasible
 
 
 def test_one_step_certificate_tight_on_worst_case():
@@ -98,11 +106,11 @@ def test_one_step_certificate_tight_on_worst_case():
     )
     traj = run_gm(tp, sched)
     for i, h in enumerate(sched.steps):
-        rep = one_step_certificate(traj.iterates[i], traj.iterates[i + 1], h, cls)
-        assert rep.passed
-        assert abs(rep.rate_slack) <= 1e-9  # tight along the worst case
-        if h >= 1.0:
-            assert rep.combined_slack is not None
+        t0, t1 = traj.iterates[i], traj.iterates[i + 1]
+        gmin, bound = _one_step_rate(t0, t1, h, cls)
+        assert abs(gmin - bound) <= 1e-9 * bound  # tight along the worst case
+        # at h = 1 the pair's (0, 1) slack is the combined two-coefficient inequality
+        assert check_interpolable(TripletSet((t0, t1)), cls).feasible
 
 
 def test_monotonicity_on_convex_quadratic():
@@ -141,14 +149,14 @@ def test_huber_branch_continuity():
     g_smooth = x / 1.0
     g_norm = x / np.linalg.norm(x)
     assert np.allclose(g_smooth, g_norm, atol=1e-15)
-    assert np.allclose(tp.grad_eval(x), g_smooth, atol=1e-15)
+    assert np.allclose(tp.oracle(x)[1], g_smooth, atol=1e-15)
 
 
 def test_huber_unit_gradient_branch():
     A = np.eye(3)
     tp = make_huber_problem(A, np.zeros(3), delta_h=1.0)
     x = np.array([3.0, 0.0, 0.0])
-    g = tp.grad_eval(x)
+    _, g = tp.oracle(x)
     assert np.allclose(g, x / np.linalg.norm(x), atol=1e-14)
 
 
@@ -160,6 +168,34 @@ def test_huber_fixed_kappa_recovery():
     mu_reg = kappa / (1.0 - kappa) * s / 1.0
     tp = make_huber_problem(A, rng.standard_normal(10), delta_h=1.0, mu_reg=mu_reg)
     assert abs(tp.cls.kappa - kappa) < 1e-9
+
+
+@pytest.mark.parametrize("w", [-0.1, -1e-300, math.nan, math.inf])
+def test_logistic_rejects_a_negative_or_non_finite_weight(w):
+    with pytest.raises(ValidationError, match="reg_weight"):
+        make_logistic_l0_problem(np.eye(2), np.array([0.0, 1.0]), 2.0, 1.0, reg_weight=w)
+
+
+@pytest.mark.parametrize("w", [0.0, 0.1, 1.0])
+def test_logistic_declared_class_holds(w):
+    rng = np.random.default_rng(12)
+    A = 3.0 * rng.standard_normal((20, 3))
+    y = (rng.uniform(size=20) < 0.5).astype(float)
+    tp = make_logistic_l0_problem(A, y, 2.0, 1.0, reg_weight=w)
+    pairs = list(rng.uniform(-4.0, 4.0, size=(500, 2, 3)))
+    assert quadratic_bounds_check(tp.oracle, tp.cls, pairs)
+
+
+@pytest.mark.parametrize("make,v", [
+    (lambda A, v: make_huber_problem(A, v, 1.0), np.zeros(2)),
+    (lambda A, v: make_huber_problem(A, v, 1.0), np.zeros((3, 1))),
+    (lambda A, v: make_logistic_l0_problem(A, v, 2.0, 1.0), np.zeros(4)),
+])
+def test_testbed_data_shapes(make, v):
+    with pytest.raises(DimensionMismatch):
+        make(np.ones((3, 2)), v)
+    with pytest.raises(DimensionMismatch, match="matrix"):
+        make(np.ones(3), np.zeros(3))
 
 
 def test_envelope_reference_values():
@@ -193,8 +229,7 @@ def test_envelope_class_membership():
         for a, b in rng.uniform(-4.0, 4.0, size=(300, 2))
     ]
     ok = quadratic_bounds_check(
-        lambda x: float(ll_envelope_l0(x, lam, sig)[0][0]),
-        lambda x: ll_envelope_l0(x, lam, sig)[1],
+        lambda x: (float(ll_envelope_l0(x, lam, sig)[0][0]), ll_envelope_l0(x, lam, sig)[1]),
         cls,
         pairs,
         tol=1e-9,
@@ -292,8 +327,8 @@ def test_gradients_match_finite_differences(factory):
         tp = make_logistic_l0_problem(A, y, 2.0, 1.0, reg_weight=0.1)
     for _ in range(20):
         x = rng.standard_normal(5)
-        g = tp.grad_eval(x)
-        fd = finite_difference_grad(tp.f_eval, x)
+        _, g = tp.oracle(x)
+        fd = finite_difference_grad(lambda z: tp.oracle(z)[0], x)
         denom = max(1.0, float(np.linalg.norm(g)))
         assert np.linalg.norm(g - fd) / denom < 1e-5
 
@@ -403,7 +438,6 @@ def _assert_bitwise(tp, f_ref, g_ref, x):
     expected = np.asarray(g_ref(x))
     assert g.dtype == expected.dtype and g.shape == expected.shape
     assert g.tobytes() == expected.tobytes()
-    assert tp.f_eval(x) == f and tp.grad_eval(x).tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("mu_reg", [0.0, 0.3, -0.2])

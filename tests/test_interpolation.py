@@ -94,14 +94,11 @@ def test_shift_equivalence(mu):
 def test_quadratic_bounds_check_negative_control():
     cls = validate_class(-0.1, 1.0)
 
-    def f(x):
-        return float(x @ x)  # curvature 2 > L
-
-    def g(x):
-        return 2.0 * x
+    def oracle(x):
+        return float(x @ x), 2.0 * x  # curvature 2 > L
 
     pairs = [(np.array([0.0]), np.array([1.0]))]
-    assert not quadratic_bounds_check(f, g, cls, pairs)
+    assert not quadratic_bounds_check(oracle, cls, pairs)
 
 
 # Reference: the per-pair loop that check_interpolable replaced, kept here

@@ -16,6 +16,8 @@ from hypopep.rates import (
     StepAboveThreshold,
     StepNonPositive,
     StepOutOfRange,
+    _slope,
+    _t,
     conjectured_bound_convex,
     conjectured_bound_third_regime,
     fit_r,
@@ -25,7 +27,6 @@ from hypopep.rates import (
     optimal_step,
     solve_bracketed_root,
     step_threshold,
-    third_regime_slope,
 )
 
 kappas = st.floats(min_value=-50.0, max_value=0.0, allow_nan=False)
@@ -275,14 +276,14 @@ def test_third_regime_bound_requires_large_h():
     with pytest.raises(StepOutOfRange):
         conjectured_bound_third_regime(1.5, 3, cls, 1.0, 1.0, NumeratorKind.gap_to_optimal)
     res = conjectured_bound_third_regime(1.8, 3, cls, 1.0, 0.9, NumeratorKind.gap_to_optimal)
-    lin = 0.9 + 3 * third_regime_slope(-1.0, 1.8)
+    lin = 0.9 + 3 * _slope(_t(-1.0), 1.8)
     assert abs(res.denominator - min((1.0 - 1.8) ** -6, lin)) < 1e-12
 
 
 def test_fit_r_recovers_planted_intercept():
     cls = validate_class(-1.0, 1.0)
     h = 1.8
-    slope = third_regime_slope(-1.0, h)
+    slope = _slope(_t(-1.0), h)
     r_true = 0.9
     data = [(n, 2.0 / (r_true + n * slope)) for n in range(3, 8)]
     res = fit_r(cls, h, data)

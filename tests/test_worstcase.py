@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hypopep.core import NumeratorKind, StepSchedule, validate_class
+from hypopep.core import NumeratorKind, StepSchedule, ValidationError, validate_class
 from hypopep.interpolation import quadratic_bounds_check
 from hypopep.rates import nstep_bound
 from hypopep.worstcase import StepAboveOne, WorstCaseFunction, build_worst_case, verify_tightness
@@ -104,8 +104,7 @@ def test_class_membership_dense_pairs():
         for a, b in rng.uniform(lo, hi, size=(200, 2))
     ]
     ok = quadratic_bounds_check(
-        lambda x: w.eval(float(x[0]))[0],
-        lambda x: np.array([w.eval(float(x[0]))[1]]),
+        lambda x: w.eval(float(x[0])),
         cls,
         pairs,
         tol=1e-9,
@@ -197,6 +196,10 @@ def test_json_and_csv_export(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x,f,grad"
     assert len(rows) == 51
+    w.sample_csv(str(path), num=0)
+    assert path.read_text().splitlines() == ["x,f,grad"]
+    with pytest.raises(ValidationError):
+        w.sample_csv(str(path), num=-1)
 
 
 def test_eval_matches_linear_scan_lookup():
