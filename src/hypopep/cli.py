@@ -179,6 +179,8 @@ def cmd_tightness(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
+    if args.samples < 0:
+        raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
     cls = _cls(args)
     sched = _schedule_from_args(args)
     wcf = worstcase.build_worst_case(cls, sched, args.delta, _kind(args))

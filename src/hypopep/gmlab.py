@@ -227,6 +227,9 @@ def make_huber_problem(
     negative mu_reg makes the problem hypoconvex on purpose.
     """
     A, b = _data_arrays(A, b, "b")
+    for name, v in (("delta_h", delta_h), ("mu_reg", mu_reg)):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v}")
     if not delta_h > 0:
         raise ValidationError(f"delta_h must be positive, got {delta_h}")
     s = float(np.linalg.eigvalsh(A.T @ A)[-1])
@@ -349,7 +352,7 @@ def load_matrix_csv(path: str) -> np.ndarray:
     """Dense float matrix from a comma-delimited file, header row optional.
 
     Raises ValidationError for a file with no data row, rows of unequal
-    length, or a data cell that is not a number.
+    length, or a data cell that is not a finite number.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -364,9 +367,14 @@ def load_matrix_csv(path: str) -> np.ndarray:
     if len({len(row) for row in data}) != 1:
         raise ValidationError(f"{path}: rows of unequal length")
     try:
-        return np.array([[float(v) for v in row] for row in data], dtype=float)
+        M = np.array([[float(v) for v in row] for row in data], dtype=float)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"{path}: data row {i + 1}, column {j + 1} is not finite: {data[i][j]!r}")
+    return M
 
 
 def _bound_cell(cls: CurvatureClass, steps: tuple[float, ...], delta: float,

@@ -187,14 +187,13 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     return SdpProblem(n, var_names, SdpRows(B, const, tuple(labels)))
 
 
-def _user_scale(p: PepProblem) -> tuple[float, float, np.ndarray]:
+def _user_scale(p: PepProblem, Gc: np.ndarray) -> tuple[float, float, np.ndarray]:
     """The map to user units: the iterate scale sx = sqrt(delta / L), the
     gradient scale sg = sqrt(L delta) and the diagonal D over the Gram basis
-    (sg on the gradients' coordinates, sx on x_0), so a unit Gram matrix G
-    becomes D G D. Values scale by delta and l by L delta; at L = delta = 1
-    every scale is 1.0."""
+    (sg on the gradients' coordinates Gc of ``_points``, sx on x_0), so a
+    unit Gram matrix G becomes D G D. Values scale by delta and l by L delta;
+    at L = delta = 1 every scale is 1.0."""
     sx, sg = np.sqrt(p.delta) / np.sqrt(p.cls.L), np.sqrt(p.cls.L) * np.sqrt(p.delta)
-    Gc, _ = _points(p)
     return sx, sg, np.where(Gc.any(axis=0), sg, sx)
 
 
@@ -213,7 +212,7 @@ def solve_pep(p: PepProblem) -> SdpSolution:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
     Ld = p.cls.L * p.delta
     with np.errstate(over="ignore"):  # an inf raises ScaleOverflow below
-        _, _, d = _user_scale(p)
+        _, _, d = _user_scale(p, _points(p)[0])
         gram = d[:, None] * sol.gram * d
     values = {k: v * (Ld if k == OBJECTIVE else p.delta) for k, v in sol.linear_values.items()}
     objective = sol.objective * Ld
@@ -232,7 +231,8 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     triplets against the interpolation conditions of ``p.cls`` at L = 1 and
     returns them in user units.
     """
-    sx, sg, d = _user_scale(p)
+    Gc, Xc = _points(p)
+    sx, sg, d = _user_scale(p, Gc)
     G = np.asarray(sdp_solution.gram, dtype=float) / d[:, None] / d
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w.min() < -1e-6:
@@ -244,7 +244,6 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     if rank > 0:
         P[:rank] = (np.sqrt(w[keep])[:, None] * V[:, keep].T)
 
-    Gc, Xc = _points(p)
     vals = [sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0]
     # checked at unit scale, where the slacks are finite: in user units
     # |x_i - x_j|^2 can overflow a double

@@ -19,8 +19,14 @@ relative gap are all below ``TOL``, or after ``MAX_ITER`` iterations;
 ``verify_solution`` rechecks a solution against the rows at ``VERIFY_TOL``.
 
 The iterate is u, the m row slacks s = B u + d >= 0, their multipliers
-z_l >= 0 and the dual matrix Z >= 0. G is held once, in u: the PSD block's
-point S below is smat(u[:sd]) and its direction smat(du[:sd]). With the
+z_l >= 0 and the dual matrix Z >= 0, held as one vector
+w = (u, s, z_l, svec(Z)): the orthant block (s, z_l) is one slice and
+z = (z_l, svec(Z)) is the tail. G is held once, in u. In the loop the PSD
+block's point S = smat(u[:sd]) and Z, and their directions, come from one
+gather through a cached n x n map into svec; ``smat`` builds only the
+returned Gram. Each floating-point operation, with its operands and the
+memory layout of each matmul operand, is that of the form with u, s and z
+held apart, so the iterates are bit-for-bit the same. With the
 cost c (minimizing c.u maximizes l) the KKT conditions read
 
     r_p = B u + d - s = 0,    r_d = B^T z_l + [svec(Z); 0] - c = 0,
@@ -67,6 +73,7 @@ one, also spares each iteration the page faults of fresh memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -110,6 +117,19 @@ def _skron_weight(n: int) -> np.ndarray:
     w = 0.5 * np.outer(scale, scale)
     w.flags.writeable = False
     return w
+
+
+@lru_cache(maxsize=None)
+def _smat_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The svec position idx of every entry of an n x n matrix and the svec
+    scale of that entry: smat(v, n) == v[idx] / scale."""
+    rows, cols, scale = _triu(n)
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[rows, cols] = idx[cols, rows] = np.arange(len(rows))
+    scale = scale[idx]
+    for a in (idx, scale):
+        a.flags.writeable = False
+    return idx, scale
 
 
 def svec(S: np.ndarray) -> np.ndarray:
@@ -157,7 +177,7 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     upper-triangular matrix needs no row exchange, so the strict upper
     triangle of the result is exactly zero.
     """
-    Li = np.zeros_like(L)
+    Li = np.zeros(L.shape)
 
     def fill(L, Li):
         n = L.shape[0]
@@ -175,15 +195,16 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return Li
 
 
-def _nt_scaling_psd(S: np.ndarray, Z: np.ndarray):
-    """NT scaling of the PSD block from chol(S), chol(Z) and one SVD.
+def _nt_scaling_psd(SZ: np.ndarray):
+    """NT scaling of the PSD block, S and Z stacked in SZ, from chol(S),
+    chol(Z) and one SVD.
 
     With S = Ls Ls^T, Z = Lz Lz^T and Lz^T Ls = U diag(lam) V^T, the factor
     G = Ls V lam^-1/2 has G^-1 = lam^-1/2 U^T Lz^T, W = G G^T satisfies
     W Z W = S, and G^-1 S G^-T = G^T Z G = diag(lam). Returns
     (G, G^-1, W^-1, lam); raises LinAlgError unless S and Z are positive definite.
     """
-    Ls, Lz = np.linalg.cholesky(np.stack([S, Z]))
+    Ls, Lz = np.linalg.cholesky(SZ)
     U, lam, Vt = np.linalg.svd(Lz.T @ Ls)
     r = 1.0 / np.sqrt(lam)
     G = (Ls @ Vt.T) * r
@@ -195,14 +216,15 @@ def _psd_step(lam: np.ndarray, D: np.ndarray) -> float:
     """Largest alpha with diag(lam) + alpha D PSD, or with every matrix of a
     stack D; inf when no eigenvalue binds."""
     r = 1.0 / np.sqrt(lam)
-    e = float(np.linalg.eigvalsh(D * np.outer(r, r)).min())
+    e = float(np.linalg.eigvalsh(D * (r[:, None] * r)).min())
     return -1.0 / e if e < 0 else np.inf
 
 
 def _orthant_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha dv >= 0; inf when no entry decreases."""
+    """Largest alpha with v + alpha dv >= 0; inf when no entry decreases.
+    Only the decreasing entries are divided: a zero in dv is skipped."""
     neg = dv < 0
-    return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
+    return -float((v[neg] / dv[neg]).max(initial=-np.inf))
 
 
 @dataclass(frozen=True)
@@ -274,32 +296,38 @@ def solve(problem: SdpProblem) -> SdpSolution:
     B, d, cvec = problem.constraints.B, problem.constraints.const, _cost(problem)
     nv = B.shape[1]
 
+    # w = (u, s, z_l, svec(Z)): views of its blocks, updated in place
     rho = max(1.0, float(np.abs(d).max(initial=0.0)))
     ident = svec(np.eye(n))
-    u = np.concatenate([rho * ident, np.zeros(nv - sd)])
-    s = np.full(m, rho)
-    z = np.concatenate([np.ones(m), ident])  # (z_l, svec(Z))
+    w = np.concatenate([rho * ident, np.zeros(nv - sd), np.full(m, rho), np.ones(m), ident])
+    SL, ZL, ZV = slice(nv, nv + m), slice(nv + m, nv + 2 * m), slice(nv + 2 * m, None)
+    ORTH = slice(nv, nv + 2 * m)  # (s, z_l)
+    u, s, zl, zv, z = w[:nv], w[SL], w[ZL], w[ZV], w[nv + m :]
+    idx, scale = _smat_index(n)
+    pidx = np.array([idx, nv + 2 * m + idx])
 
-    d_norm = 1.0 + float(np.linalg.norm(d))
-    c_norm = 1.0 + float(np.linalg.norm(cvec))
+    def pair(v):
+        """smat(v[:sd], n) and smat(v[ZV], n), stacked, from one gather."""
+        return v[pidx] / scale
+
+    d_norm = 1.0 + math.sqrt(d @ d)
+    c_norm = 1.0 + math.sqrt(cvec @ cvec)
     best = None
 
-    def duality_gap(u, s, z):
-        return float(s @ z[:m] + u[:sd] @ z[m:])
-
     M = np.empty((nv, nv))  # the Newton matrix, refilled in place every iteration
+    M_diag, eye = M.reshape(-1)[:: nv + 1], np.eye(n)
     status = SolveStatus.MaxIter
     for it in range(1, MAX_ITER + 1):
         r_p = d + B @ u - s
-        r_d = z[:m] @ B - cvec
-        r_d[:sd] += z[m:]
-        gap = duality_gap(u, s, z)
-        pres = float(np.linalg.norm(r_p)) / d_norm
-        dres = float(np.linalg.norm(r_d)) / c_norm
-        rel_gap = gap / (1.0 + abs(float(cvec @ u)) + abs(float(d @ z[:m])))
+        r_d = zl @ B - cvec
+        r_d[:sd] += zv
+        gap = float(s @ zl + u[:sd] @ zv)
+        pres = math.sqrt(r_p @ r_p) / d_norm
+        dres = math.sqrt(r_d @ r_d) / c_norm
+        rel_gap = gap / (1.0 + abs(float(cvec @ u)) + abs(float(d @ zl)))
         score = max(pres, dres, rel_gap)
         if best is None or score < best[0]:
-            best = (score, u.copy(), z.copy(), pres, dres, rel_gap)
+            best = (score, w.copy(), pres, dres, rel_gap)
             best_it = it
         if pres <= TOL and dres <= TOL and rel_gap <= TOL:
             status = SolveStatus.Optimal
@@ -307,84 +335,85 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if it - best_it > 15:
             break
 
-        if not (np.isfinite(s).all() and np.isfinite(z).all() and np.isfinite(u).all()):
+        if not np.isfinite(w).all():
             break
         mu = gap / (m + n)
         try:
-            G, Ginv, Winv, lam = _nt_scaling_psd(smat(u[:sd], n), smat(z[m:], n))
+            G, Ginv, Winv, lam = _nt_scaling_psd(pair(w))
         except np.linalg.LinAlgError:
             break
 
-        frame = np.stack([Ginv, G.T])
-        slzl = np.concatenate([s, z[:m]])
-        zs = z[:m] / s
+        frame = np.array([Ginv, G.T])
+        zs = zl / s
+        zs_rp = zs * r_p
         K = skron(Winv)
         schur_matrix(B, zs, K, out=M)
-        M.flat[:: nv + 1] += 1e-14 * np.trace(M) / nv
+        M_diag += 1e-14 * M.trace() / nv
         try:
             Li = _tril_inv(np.linalg.cholesky(M))  # positive-definiteness guard; M^-1 = Li^T Li
         except np.linalg.LinAlgError:
             break
 
-        def direction(q):
-            """(du, ds, dz) for the complementarity right side q = (q_l, svec(Q))."""
-            rhs = r_d + (q[:m] - zs * r_p) @ B
-            rhs[:sd] += q[m:]
-            du = (Li @ rhs) @ Li
-            ds = r_p + B @ du
-            dz = q.copy()
-            dz[:m] -= zs * ds
-            dz[m:] -= K @ du[:sd]
-            return du, ds, dz
+        def direction(q_l, q_z):
+            """dw = (du, ds, dz_l, svec(dZ)) for the complementarity right side (q_l, q_z)."""
+            dw = np.empty_like(w)
+            du, ds = dw[:nv], dw[SL]
+            rhs = r_d + (q_l - zs_rp) @ B
+            rhs[:sd] += q_z
+            np.matmul(Li @ rhs, Li, out=du)
+            np.add(r_p, B @ du, out=ds)
+            np.subtract(q_l, zs * ds, out=dw[ZL])
+            np.subtract(q_z, K @ du[:sd], out=dw[ZV])
+            return dw
 
-        def scaled_step(du, ds, dz):
+        def scaled_step(dw):
             """The direction's PSD parts in the NT frame, G^-1 dS G^-T and
             G^T dZ G, and the largest step that keeps s, S, z_l and Z in the cones."""
-            D = frame @ np.stack([smat(du[:sd], n), smat(dz[m:], n)]) @ frame.transpose(0, 2, 1)
-            alpha = min(_orthant_step(slzl, np.concatenate([ds, dz[:m]])), _psd_step(lam, D))
+            D = frame @ pair(dw) @ frame.transpose(0, 2, 1)
+            alpha = min(_orthant_step(w[ORTH], dw[ORTH]), _psd_step(lam, D))
             return D[0], D[1], alpha
 
         # predictor (affine) direction: q = -z
         try:
-            du_a, ds_a, dz_a = direction(-z)
-            Sa, Za, a_aff = scaled_step(du_a, ds_a, dz_a)
+            q = -z
+            dw_a = direction(q[:m], q[m:])
+            Sa, Za, a_aff = scaled_step(dw_a)
         except np.linalg.LinAlgError:
             break
         alpha_aff = min(1.0, 0.999 * a_aff)
-        gap_aff = duality_gap(u + alpha_aff * du_a, s + alpha_aff * ds_a, z + alpha_aff * dz_a)
+        w_aff = w + alpha_aff * dw_a
+        gap_aff = float(w_aff[SL] @ w_aff[ZL] + w_aff[:sd] @ w_aff[ZV])
         sigma = min(max((gap_aff / gap) ** 3, 1e-10), 0.99)
 
         # corrector with Mehrotra second-order terms; in the NT frame the
         # Lyapunov equation diag(lam) o X = sigma mu I - (Sa Za + Za Sa) / 2
         # is solved entrywise
-        ql = (sigma * mu - ds_a * dz_a[:m]) / s - z[:m]
+        ql = (sigma * mu - dw_a[SL] * dw_a[ZL]) / s - zl
         SZ = Sa @ Za
-        X = (2.0 * sigma * mu * np.eye(n) - SZ - SZ.T) / np.add.outer(lam, lam)
+        X = (2.0 * sigma * mu * eye - SZ - SZ.T) / np.add.outer(lam, lam)
         Qp = Ginv.T @ (X - np.diag(lam)) @ Ginv
         try:
-            du, ds, dz = direction(np.concatenate([ql, svec(Qp)]))
-            alpha = min(1.0, 0.99 * scaled_step(du, ds, dz)[2])
+            dw = direction(ql, svec(Qp))
+            alpha = min(1.0, 0.99 * scaled_step(dw)[2])
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(alpha) or alpha <= 1e-14:
             break
-        u = u + alpha * du
-        s = s + alpha * ds
-        z = z + alpha * dz
+        w += alpha * dw
         # one Newton system at a time: drop this one's factor inverse,
         # skron(W^-1) and directions before the next is assembled into M
-        del Li, K, du_a, ds_a, dz_a, du, ds, dz
+        del Li, K, dw_a, w_aff, dw
 
-    _, u, z, pres, dres, rel_gap = best
+    _, w, pres, dres, rel_gap = best
+    linear_values = {v: float(y) for v, y in zip(problem.var_names, w[sd:nv])}
     if status != SolveStatus.Optimal and max(pres, dres, rel_gap) <= 100 * TOL:
         status = SolveStatus.Optimal
 
-    linear_values = {v: float(y) for v, y in zip(problem.var_names, u[sd:])}
     return SdpSolution(
         objective=linear_values[OBJECTIVE],
-        gram=smat(u[:sd], n),
+        gram=smat(w[:sd], n),
         linear_values=linear_values,
-        duals=z[:m].copy(),
+        duals=w[ZL].copy(),
         status=status,
         kkt_residuals={"primal": pres, "dual": dres, "gap": rel_gap},
         iterations=it,

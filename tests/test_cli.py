@@ -237,6 +237,23 @@ def test_worstcase_exports(capsys, tmp_path):
     assert json.loads(json_out.read_text())["kind"] == "gap_to_optimal"
 
 
+def test_worstcase_negative_samples_writes_nothing(capsys, tmp_path):
+    csv_out, json_out = tmp_path / "w.csv", tmp_path / "w.json"
+    rc, out, err = run(capsys, "worstcase", "--kappa=-1", "--steps", "0.5", "--csv-out", str(csv_out),
+                       "--json-out", str(json_out), "--samples=-1")
+    assert rc == 2 and out == "", out
+    assert err == "error: ValidationError: --samples must be nonnegative, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, name", [("--mu-reg=inf", "mu_reg"), ("--delta-h=inf", "delta_h"),
+                                        ("--mu-reg=nan", "mu_reg"), ("--delta-h=-inf", "delta_h")])
+def test_non_finite_huber_weight_is_named(capsys, flag, name):
+    rc, out, err = run(capsys, "experiment", "--problem", "huber", "--steps", "1", "--N", "2", flag)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: ValidationError: {name} must be finite"), err
+
+
 def test_sweep_row_count_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -386,6 +403,17 @@ def test_malformed_matrix_file_exit_code(capsys, tmp_path, text):
                        "--data-a", str(path))
     assert rc == 2, err
     assert out == "" and err.startswith("error: ValidationError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text, cell", [("1,2\n1,nan\n", "data row 2, column 2 is not finite: 'nan'"),
+                                        ("a,b\n-inf,2\n", "data row 1, column 1 is not finite: '-inf'")])
+def test_non_finite_matrix_cell_is_named(capsys, tmp_path, text, cell):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    rc, out, err = run(capsys, "experiment", "--problem", "huber", "--steps", "1", "--N", "2",
+                       "--data-a", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: ValidationError: {path}: {cell}\n"
 
 
 @pytest.mark.parametrize("problem,flag,a_text,v_text", [

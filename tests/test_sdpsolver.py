@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from hypopep.sdpsolver import (
     SdpRows,
     SdpSolution,
     _nt_scaling_psd,
+    _orthant_step,
     _psd_step,
+    _smat_index,
     _tril_inv,
     SolveStatus,
     schur_matrix,
@@ -49,6 +52,16 @@ def test_svec_roundtrip_and_inner_product():
         Y = Y + Y.T
         assert np.allclose(smat(svec(X), n), X)
         assert abs(svec(X) @ svec(Y) - np.sum(X * Y)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 22])
+def test_smat_index_gather_is_bitwise_smat(n):
+    # the solver's gather of S and Z out of its iterate reads as smat does
+    rng = np.random.default_rng([n, 3])
+    idx, scale = _smat_index(n)
+    for _ in range(3):
+        v = rng.standard_normal(n * (n + 1) // 2) * 10.0 ** rng.uniform(-8, 8)
+        assert smat(v, n).tobytes() == (v[idx] / scale).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -177,7 +190,7 @@ def test_nt_scaling_identities(n, cond_s, cond_z):
     for _ in range(4):
         S = _random_pd(rng, n, cond_s)
         Z = _random_pd(rng, n, cond_z) * 10.0 ** rng.uniform(-3, 3)
-        G, Ginv, Winv, lam = _nt_scaling_psd(S, Z)
+        G, Ginv, Winv, lam = _nt_scaling_psd(np.stack([S, Z]))
         W = G @ G.T
         assert np.all(lam > 0)
         assert np.linalg.norm(W @ Z @ W - S) <= tol * norm2(W) ** 2 * norm2(Z)
@@ -190,9 +203,9 @@ def test_nt_scaling_identities(n, cond_s, cond_z):
 def test_nt_scaling_rejects_indefinite():
     S = np.diag([1.0, -1e-3])
     with pytest.raises(np.linalg.LinAlgError):
-        _nt_scaling_psd(S, np.eye(2))
+        _nt_scaling_psd(np.stack([S, np.eye(2)]))
     with pytest.raises(np.linalg.LinAlgError):
-        _nt_scaling_psd(np.eye(2), S)
+        _nt_scaling_psd(np.stack([np.eye(2), S]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -202,7 +215,7 @@ def test_psd_step_matches_cholesky_reference(n, cond):
     for _ in range(4):
         S = _random_pd(rng, n, cond)
         Z = _random_pd(rng, n, cond)
-        G, Ginv, _, lam = _nt_scaling_psd(S, Z)
+        G, Ginv, _, lam = _nt_scaling_psd(np.stack([S, Z]))
         X = rng.standard_normal((n, n))
         dS, dZ = X + X.T, X @ X.T - 0.5 * np.trace(X @ X.T) * np.eye(n)
         Sa, Za = Ginv @ dS @ Ginv.T, G.T @ dZ @ G
@@ -326,6 +339,40 @@ def test_determinism_bitwise():
     assert s1.objective == s2.objective
     assert np.array_equal(s1.gram, s2.gram)
     assert np.array_equal(s1.duals, s2.duals)
+
+
+def test_solve_is_a_function_of_its_problem_alone():
+    # P1, then P2, then P1 again: nothing of one solve reaches the next,
+    # and the solve reads its rows without writing them
+    def problem(kappa, h, N, kind):
+        return build_sdp(PepProblem(validate_class(kappa, 1.0), StepSchedule.constant(h, N), 1.0, kind))
+
+    p1 = problem(-1.0, 1.5, 3, NumeratorKind.gap_to_optimal)
+    p2 = problem(-2.0, 0.4, 6, NumeratorKind.gap_to_last)
+    B_bytes, const_bytes = p1.constraints.B.tobytes(), p1.constraints.const.tobytes()
+    first = solve(p1)
+    assert p1.constraints.B.tobytes() == B_bytes and p1.constraints.const.tobytes() == const_bytes
+    fields = dataclasses.asdict(first)
+    first.gram.fill(np.nan)
+    first.duals.fill(np.nan)
+    solve(p2)
+    again = solve(p1)
+    assert p1.constraints.B.tobytes() == B_bytes and p1.constraints.const.tobytes() == const_bytes
+    for name, value in dataclasses.asdict(again).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == fields[name].tobytes(), name
+        else:
+            assert value == fields[name], name
+
+
+def test_orthant_step_skips_zero_directions():
+    v = np.array([1.0, 2.0, 0.5, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # entries 1 and 4 do not move, 3 grows: only 0 and 2 bind
+        assert _orthant_step(v, np.array([-2.0, 0.0, -0.25, 1.0, -0.0])) == min(1.0 / 2.0, 0.5 / 0.25)
+        assert _orthant_step(v, np.array([0.0, 1.0, 0.0, 2.0, -0.0])) == np.inf
+        assert _orthant_step(np.zeros(0), np.zeros(0)) == np.inf
 
 
 def test_delta_scaling_scales_optimum():
