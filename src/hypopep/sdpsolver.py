@@ -20,14 +20,13 @@ relative gap are all below ``TOL``, or after ``MAX_ITER`` iterations;
 
 The iterate is u, the m row slacks s = B u + d >= 0, their multipliers
 z_l >= 0 and the dual matrix Z >= 0, held as one vector
-w = (u, s, z_l, svec(Z)): the orthant block (s, z_l) is one slice and
-z = (z_l, svec(Z)) is the tail. G is held once, in u. In the loop the PSD
-block's point S = smat(u[:sd]) and Z, and their directions, come from one
-gather through a cached n x n map into svec; ``smat`` builds only the
-returned Gram. Each floating-point operation, with its operands and the
-memory layout of each matmul operand, is that of the form with u, s and z
-held apart, so the iterates are bit-for-bit the same. With the
-cost c (minimizing c.u maximizes l) the KKT conditions read
+w = (u, s, z_l, svec(Z)): the orthant block (s, z_l) is one slice. G is
+held once, in u. In the loop the PSD block's point S = smat(u[:sd]) and Z,
+and their directions, come from one gather through the cached n x n map
+into svec that ``smat`` reads. Each floating-point operation, with its
+operands and the memory layout of each matmul operand, is that of the form
+with u, s, z_l and Z held apart, so the iterates are bit-for-bit the same.
+With the cost c (minimizing c.u maximizes l) the KKT conditions read
 
     r_p = B u + d - s = 0,    r_d = B^T z_l + [svec(Z); 0] - c = 0,
     s o z_l = 0,              S Z = 0,
@@ -122,7 +121,7 @@ def _skron_weight(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _smat_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The svec position idx of every entry of an n x n matrix and the svec
-    scale of that entry: smat(v, n) == v[idx] / scale."""
+    scale of that entry: smat(v, n) is v[idx] / scale."""
     rows, cols, scale = _triu(n)
     idx = np.empty((n, n), dtype=np.intp)
     idx[rows, cols] = idx[cols, rows] = np.arange(len(rows))
@@ -139,12 +138,9 @@ def svec(S: np.ndarray) -> np.ndarray:
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    rows, cols, scale = _triu(n)
-    S = np.zeros((n, n))
-    vs = v / scale
-    S[rows, cols] = vs
-    S[cols, rows] = vs
-    return S
+    """The symmetric matrix S with svec(S) = v."""
+    idx, scale = _smat_index(n)
+    return v[idx] / scale
 
 
 def skron(V: np.ndarray) -> np.ndarray:
@@ -302,7 +298,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     w = np.concatenate([rho * ident, np.zeros(nv - sd), np.full(m, rho), np.ones(m), ident])
     SL, ZL, ZV = slice(nv, nv + m), slice(nv + m, nv + 2 * m), slice(nv + 2 * m, None)
     ORTH = slice(nv, nv + 2 * m)  # (s, z_l)
-    u, s, zl, zv, z = w[:nv], w[SL], w[ZL], w[ZV], w[nv + m :]
+    u, s, zl, zv = w[:nv], w[SL], w[ZL], w[ZV]
     idx, scale = _smat_index(n)
     pidx = np.array([idx, nv + 2 * m + idx])
 
@@ -373,10 +369,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             alpha = min(_orthant_step(w[ORTH], dw[ORTH]), _psd_step(lam, D))
             return D[0], D[1], alpha
 
-        # predictor (affine) direction: q = -z
+        # predictor (affine) direction: q = -(z_l, svec(Z))
         try:
-            q = -z
-            dw_a = direction(q[:m], q[m:])
+            dw_a = direction(-zl, -zv)
             Sa, Za, a_aff = scaled_step(dw_a)
         except np.linalg.LinAlgError:
             break

@@ -17,7 +17,6 @@ from hypopep.sdpsolver import (
     _nt_scaling_psd,
     _orthant_step,
     _psd_step,
-    _smat_index,
     _tril_inv,
     SolveStatus,
     schur_matrix,
@@ -55,13 +54,14 @@ def test_svec_roundtrip_and_inner_product():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 22])
-def test_smat_index_gather_is_bitwise_smat(n):
-    # the solver's gather of S and Z out of its iterate reads as smat does
+def test_smat_is_symmetric_and_inverts_svec(n):
+    # smat's gather reads each upper-triangle entry of v into both halves
     rng = np.random.default_rng([n, 3])
-    idx, scale = _smat_index(n)
     for _ in range(3):
         v = rng.standard_normal(n * (n + 1) // 2) * 10.0 ** rng.uniform(-8, 8)
-        assert smat(v, n).tobytes() == (v[idx] / scale).tobytes()
+        S = smat(v, n)
+        assert S.flags.c_contiguous and np.array_equal(S, S.T)
+        assert np.allclose(svec(S), v, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
