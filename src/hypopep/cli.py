@@ -164,6 +164,8 @@ def cmd_pep(args) -> int:
 
 
 def cmd_tightness(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValidationError(f"--tol must be nonnegative and finite, got {args.tol}")
     cls = _cls(args)
     sched = _schedule_from_args(args)
     rep = worstcase.verify_tightness(cls, sched, args.delta, _kind(args), tol=args.tol)
@@ -202,6 +204,8 @@ def cmd_experiment(args) -> int:
 
     if min(args.rows, args.cols) < 1 or args.seed < 0:
         raise ValidationError("--rows and --cols must be at least 1 and --seed nonnegative")
+    if args.fstar_iters < 1:
+        raise ValidationError(f"--fstar-iters must be at least 1, got {args.fstar_iters}")
     rng = np.random.default_rng(args.seed)
     if args.data_a:
         A = gmlab.load_matrix_csv(args.data_a)

@@ -1,4 +1,8 @@
-"""Shared domain types: curvature classes, step schedules, oracle triplets."""
+"""Shared domain types: curvature classes, step schedules, oracle triplets.
+
+Oracle triplets (x_i, g_i, f_i) are held as stacked rows in a ``TripletSet``,
+checked once for shape and finiteness; ``OracleTriplet`` is the view of one row.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,54 +131,53 @@ class StepSchedule:
         return StepSchedule(tuple([h] * n))
 
 
-@dataclass(frozen=True)
-class OracleTriplet:
-    """A first-order oracle sample (x, g, f) at one point; all entries finite."""
+class OracleTriplet(NamedTuple):
+    """Row i of a TripletSet, ``ts[i]``: the oracle sample (x, g, f) at one point."""
 
     x: np.ndarray
     g: np.ndarray
     f: float
 
-    def __post_init__(self):
-        import numpy as np
-
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "g", g)
-        if x.shape != g.shape or x.ndim != 1:
-            raise DimensionMismatch(f"x shape {x.shape} != g shape {g.shape}")
-        if not (np.isfinite(x).all() and np.isfinite(g).all() and np.isfinite(self.f)):
-            raise NonFiniteTriplet("oracle triplet has a NaN or infinite entry")
-
 
 @dataclass(frozen=True)
 class TripletSet:
-    """An indexed collection of oracle triplets sharing one dimension."""
+    """Oracle samples (x_i, g_i, f_i) as stacked rows: points X and gradients
+    G, both n x d, and values f of length n, with n >= 1 and every entry finite."""
 
-    triplets: tuple[OracleTriplet, ...]
+    X: np.ndarray
+    G: np.ndarray
+    f: np.ndarray
 
     def __post_init__(self):
-        if len(self.triplets) == 0:
-            raise DimensionMismatch("triplet set must be nonempty")
-        d = self.triplets[0].x.shape[0]
-        for t in self.triplets:
-            if t.x.shape[0] != d:
-                raise DimensionMismatch("triplets have mixed dimensions")
+        import numpy as np
+
+        X, G, f = (np.asarray(a, dtype=float) for a in (self.X, self.G, self.f))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "f", f)
+        if X.ndim != 2 or G.shape != X.shape or f.shape != X.shape[:1] or len(f) == 0:
+            raise DimensionMismatch(f"need X, G of shape (n, d) and f of shape (n,), n >= 1; "
+                                    f"got {X.shape}, {G.shape} and {f.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(G).all() and np.isfinite(f).all()):
+            raise NonFiniteTriplet("oracle triplet has a NaN or infinite entry")
 
     @property
     def dim(self) -> int:
-        return self.triplets[0].x.shape[0]
+        return self.X.shape[1]
 
     def __len__(self) -> int:
-        return len(self.triplets)
+        return len(self.f)
+
+    def __getitem__(self, i: int) -> OracleTriplet:
+        return OracleTriplet(self.X[i], self.G[i], float(self.f[i]))
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "dim": self.dim,
                 "triplets": [
-                    {"x": t.x.tolist(), "g": t.g.tolist(), "f": t.f} for t in self.triplets
+                    {"x": x, "g": g, "f": f}
+                    for x, g, f in zip(self.X.tolist(), self.G.tolist(), self.f.tolist())
                 ],
             }
         )

@@ -5,8 +5,8 @@ both the value and the gradient, as one oracle triplet (x, g, f) needs.
 One kernel runs the method: it calls the oracle once per iterate, writes
 iterates, gradients and values into stacked rows, checks each gradient's
 shape as it arrives and checks finiteness once over all rows at the end.
-``run_gm`` wraps the rows into oracle triplets; ``estimate_f_star`` reads
-them directly and builds no triplet, and its constant-step run stops at the
+``run_gm`` passes the rows as they are into a ``TripletSet``;
+``estimate_f_star`` reads them directly, and its constant-step run stops at the
 first iterate whose bytes repeat an earlier iterate's. The oracle must be a
 deterministic function of the bits of x: the same bytes in, the same value and
 gradient out. Testbed factories
@@ -34,8 +34,8 @@ from .core import (
     DimensionMismatch,
     NumeratorKind,
     NumericalFailure,
-    OracleTriplet,
     StepSchedule,
+    TripletSet,
     ValidationError,
 )
 from .rates import PositiveKappa, StepAboveThreshold, nstep_bound
@@ -57,7 +57,7 @@ class BadEnvelopeParams(ValidationError):
 class Trajectory:
     """Iterates of one gradient-method run and its performance measure."""
 
-    iterates: tuple[OracleTriplet, ...]
+    iterates: TripletSet
     sched: StepSchedule
     min_grad_sq: float
     min_grad_index: int
@@ -153,15 +153,13 @@ def run_gm(tp: TestProblem, sched: StepSchedule) -> Trajectory:
     """Run x_{i+1} = x_i - (h_i / L) g_i with one oracle call per iterate.
 
     The kernel's shape and finiteness checks raise DimensionMismatch and
-    NonFiniteValue; each row then becomes an OracleTriplet, which runs its
-    own validation.
+    NonFiniteValue; its rows are the iterates' TripletSet.
     """
     X, G, F = _gm_rows(tp, sched)
-    trips = tuple(OracleTriplet(x, g, f) for x, g, f in zip(X, G, F.tolist()))
     norms = _grad_sq(G)
     idx = int(np.argmin(norms))
     return Trajectory(
-        iterates=trips,
+        iterates=TripletSet(X, G, F),
         sched=sched,
         min_grad_sq=float(norms[idx]),
         min_grad_index=idx,
@@ -189,9 +187,9 @@ def convex_grad_monotonicity(
         return MonotonicityReport(applicable=False, passed=True, worst_slack=0.0, worst_index=None)
     worst = math.inf
     worst_i = None
+    G = traj.iterates.G
     for i, h in enumerate(traj.sched.steps):
-        gi = traj.iterates[i].g
-        gj = traj.iterates[i + 1].g
+        gi, gj = G[i], G[i + 1]
         slack = float(gi @ gi) - float(gj @ gj) - (2.0 - h) / h * float((gi - gj) @ (gi - gj))
         if slack < worst:
             worst, worst_i = slack, i
@@ -334,7 +332,7 @@ def estimate_f_star(tp: TestProblem, n_iter: int = 2000) -> float:
     Refines the best observed value with the descent bound
     min_i {f_i - |g_i|^2 / (2L)}, which can only under-estimate, so
     one-sided bound comparisons built on it stay conservative. The run
-    reads the kernel's rows and builds no oracle triplet; the kernel's
+    reads the kernel's rows and builds no TripletSet; the kernel's
     shape and finiteness checks are the same as ``run_gm``'s.
 
     ``n_iter`` caps the steps: the run stops earlier, before the oracle call,
@@ -400,15 +398,15 @@ def export_trajectory_csv(
     (gap_to_last). Rows where the bound is undefined leave the cell empty:
     no positive gap, a step above h_bar, or mu > 0.
     """
-    f0 = traj.iterates[0].f
+    ts = traj.iterates
+    f0 = float(ts.f[0])
     running_min = math.inf
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iter", "h", "f", "grad_norm_sq", "min_grad_norm_sq_so_far", "bound_so_far"])
-        for i, t in enumerate(traj.iterates):
-            gsq = float(t.g @ t.g)
+        for i, (f, gsq) in enumerate(zip(ts.f.tolist(), _grad_sq(ts.G).tolist())):
             running_min = min(running_min, gsq)
             h = traj.sched.steps[i] if i < traj.sched.n else ""
-            ref = t.f if kind == NumeratorKind.gap_to_last else tp.f_star_known
+            ref = f if kind == NumeratorKind.gap_to_last else tp.f_star_known
             bound = "" if ref is None else _bound_cell(tp.cls, traj.sched.steps[:i], f0 - ref, kind)
-            w.writerow([i, h, f"{t.f:.17g}", f"{gsq:.17g}", f"{running_min:.17g}", bound])
+            w.writerow([i, h, f"{f:.17g}", f"{gsq:.17g}", f"{running_min:.17g}", bound])

@@ -4,7 +4,8 @@ The pairwise interpolation inequality of Taylor, Hendrickx & Glineur
 (Math. Prog. 2017) is written once, in ``interpolation_slack``, as a
 function of the differences of a pair and of the bilinear product used to
 combine them. ``slack_matrix`` evaluates it with plain dot products for all
-n(n-1) ordered pairs of a triplet set in one array pass over row blocks;
+n(n-1) ordered pairs of a triplet set's stacked rows (X, G, f) in one
+array pass over row blocks;
 ``pep.build_sdp`` evaluates it at L = 1 with symmetrized outer products to
 get the Gram-form rows of the performance-estimation SDP. ``check_interpolable``
 reports the most negative slack of a triplet set. The conditions are only
@@ -108,11 +109,8 @@ def check_interpolable(
     """
     if cls.mu == cls.L:
         raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
-    X = np.array([t.x for t in ts.triplets])
-    G = np.array([t.g for t in ts.triplets])
-    f = np.array([t.f for t in ts.triplets], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = slack_matrix(X, G, f, cls)
+        S = slack_matrix(ts.X, ts.G, ts.f, cls)
     # off the diagonal a slack that is not finite (|dx|^2 or |dg|^2 beyond a
     # double) says nothing, so it counts as a violation; the diagonal is 0
     # or NaN and never one, and -0.0 is no violation

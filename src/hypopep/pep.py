@@ -24,6 +24,7 @@ interpolation rows are not written out here: ``build_sdp`` evaluates
 ``check_interpolable`` applies to triplets, on the points' Gram
 coefficients, so the row of the ordered pair (i, j) satisfies
 row_ij . (svec(P^T P), f) = unit-scale slack of the triplets (P x_i, P g_i, f_i).
+``extract_triplets`` returns those triplets as the rows of a ``TripletSet``.
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, in user
@@ -41,7 +42,6 @@ from .core import (
     CurvatureClass,
     NumeratorKind,
     NumericalFailure,
-    OracleTriplet,
     StepSchedule,
     TripletSet,
     ValidationError,
@@ -244,17 +244,14 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     if rank > 0:
         P[:rank] = (np.sqrt(w[keep])[:, None] * V[:, keep].T)
 
-    vals = [sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0]
+    vals = np.array([sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0])
     # checked at unit scale, where the slacks are finite: in user units
-    # |x_i - x_j|^2 can overflow a double
-    unit = TripletSet(tuple(
-        OracleTriplet(P @ x, P @ g, f / p.delta) for x, g, f in zip(Xc, Gc, vals)
-    ))
+    # |x_i - x_j|^2 can overflow a double. P times each point's coefficient
+    # vector as a stack of matrix-vector products: Xc @ P.T would change bits
+    unit = TripletSet((P @ Xc[..., None])[..., 0], (P @ Gc[..., None])[..., 0], vals / p.delta)
     report = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0), tol=1e-6)
     if not report.feasible:
         raise InterpolationFailure(
             f"extracted triplets violate interpolation by {report.worst_violation}"
         )
-    return TripletSet(tuple(
-        OracleTriplet(sx * t.x, sg * t.g, f) for t, f in zip(unit.triplets, vals)
-    ))
+    return TripletSet(sx * unit.X, sg * unit.G, vals)

@@ -25,13 +25,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .core import (
     CurvatureClass,
     NumeratorKind,
-    OracleTriplet,
     StepSchedule,
     TripletSet,
     ValidationError,
@@ -170,7 +170,7 @@ def build_worst_case(
     xs = [base] * (N + 1)
     for i in range(N - 1, -1, -1):
         xs[i] = xs[i + 1] + (U / L) * sched.steps[i]
-    fs = [delta - (U * U / (2.0 * L)) * sum(ps[:i]) for i in range(N + 1)]
+    fs = [delta - (U * U / (2.0 * L)) * s for s in accumulate(ps, initial=0.0)]
     x_bars = [xs[i] - (1.0 - cls.t) * (sched.steps[i] / L) * U for i in range(N)]
 
     pieces = []
@@ -242,20 +242,17 @@ def verify_tightness(
     |1 - h kappa| per step on a concave piece.
     """
     wcf = build_worst_case(cls, sched, delta, kind)
-    evals = [wcf.eval(x) for x in wcf.xs]
-    gs = [g for _, g in evals]
+    fs, gs = zip(*(wcf.eval(x) for x in wcf.xs))
     it_res = max(
         abs(x1 - (x0 - (h / cls.L) * g))
         for x0, x1, h, g in zip(wcf.xs, wcf.xs[1:], sched.steps, gs)
     ) / max(1.0, abs(wcf.xs[0]))
     bound_res = abs(min(g * g for g in gs) - wcf.U**2) / max(1.0, wcf.U**2)
-    trips = [OracleTriplet(np.array([x]), np.array([g]), f) for x, (f, g) in zip(wcf.xs, evals)]
-    if kind == NumeratorKind.gap_to_optimal:
-        trips.append(OracleTriplet(np.array([0.0]), np.array([0.0]), 0.0))
-        gap = evals[0][0]
-    else:
-        gap = evals[0][0] - evals[-1][0]
-    report = check_interpolable(TripletSet(tuple(trips)), cls, tol=tol)
+    opt = kind == NumeratorKind.gap_to_optimal
+    # one row per iterate, and the minimizer (0, 0, 0) for gap-to-optimal
+    X, G, F = np.array([v + ((0.0,) if opt else ()) for v in (wcf.xs, gs, fs)])
+    report = check_interpolable(TripletSet(X[:, None], G[:, None], F), cls, tol=tol)
+    gap = fs[0] if opt else fs[0] - fs[-1]
     interp_violation = -report.worst_violation / max(1.0, delta)
     gap_res = abs(gap - delta) / max(1.0, delta)
     passed = (

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
-from hypopep.core import NumeratorKind, OracleTriplet, StepSchedule, TripletSet, validate_class
+from hypopep.core import NumeratorKind, StepSchedule, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
 from hypopep.pep import IndefiniteGram, InterpolationFailure, PepProblem
 from hypopep.rates import nstep_bound
@@ -125,8 +125,9 @@ def test_pep_gap_to_last_has_no_x0_entry_to_overflow(capsys, tmp_path, monkeypat
     assert data["triplets"][0]["x"] == [0.0] * data["dim"]
     # |x_1 - x_0|^2 ~ 1e400 overflows in user units, so check at unit scale
     sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
-    ts = TripletSet(tuple(OracleTriplet(np.divide(t["x"], sx), np.divide(t["g"], sg),
-                                        t["f"] / delta) for t in data["triplets"]))
+    rows = data["triplets"]
+    ts = TripletSet(np.divide([t["x"] for t in rows], sx), np.divide([t["g"] for t in rows], sg),
+                    [t["f"] / delta for t in rows])
     assert check_interpolable(ts, validate_class(-1.0, 1.0), tol=1e-6).feasible
 
 
@@ -160,7 +161,8 @@ def test_pep_far_from_unit_scale(capsys, tmp_path, argv):
     args = dict(a.lstrip("-").split("=") for a in argv if "=" in a)
     L, delta = float(args.get("L", 1.0)), float(args.get("delta", 1.0))
     data = json.loads(trip.read_text())
-    ts = TripletSet(tuple(OracleTriplet(t["x"], t["g"], t["f"]) for t in data["triplets"]))
+    rows = data["triplets"]
+    ts = TripletSet([t["x"] for t in rows], [t["g"] for t in rows], [t["f"] for t in rows])
     cls = validate_class(float(args["kappa"]) * L, L)
     assert check_interpolable(ts, cls, tol=1e-6 * delta).feasible
 
@@ -363,6 +365,20 @@ def test_non_finite_input_exit_code(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--tol", ("tightness", "--kappa=-1", "--steps", "0.5", "--tol", "nan")),
+    ("--tol", ("tightness", "--kappa=-1", "--steps", "0.5", "--tol=-1")),
+    ("--fstar-iters", ("experiment", "--problem", "huber", "--steps", "1", "--fstar-iters", "0")),
+    ("--fstar-iters", ("experiment", "--problem", "huber", "--steps", "1", "--fstar-iters=-4")),
+])
+def test_bad_tolerance_or_iteration_count_exit_code(capsys, flag, argv):
+    # refused by name before any output, not reported as a failed check or
+    # as an empty step schedule
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "", err
+    assert err.startswith(f"error: ValidationError: {flag} must be"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -60,34 +60,35 @@ def test_schedule_bounds():
 
 
 def test_triplet_shapes():
-    t = OracleTriplet(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 3.0)
-    assert t.x.shape == (2,)
+    ts = TripletSet([[1.0, 2.0]], [[0.5, 0.5]], [3.0])
+    assert ts.dim == 2 and len(ts) == 1 and ts[0].x.shape == (2,)
     with pytest.raises(DimensionMismatch):
-        OracleTriplet(np.array([1.0, 2.0]), np.array([0.5]), 3.0)
-
-
-def test_triplet_scalar_coercion():
-    t = OracleTriplet(1.0, 2.0, 3.0)
-    assert t.x.shape == (1,) and t.g.shape == (1,)
+        TripletSet([[1.0, 2.0]], [[0.5]], [3.0])
 
 
 def test_triplet_set_dimension_check():
-    a = OracleTriplet(np.array([1.0]), np.array([0.0]), 0.0)
-    b = OracleTriplet(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0.0)
-    with pytest.raises(DimensionMismatch):
-        TripletSet((a, b))
+    # X and G of one shape (n, d), f of shape (n,), n >= 1
+    for X, G, f in [
+        ([[1.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),  # x in 1-D, g in 2-D
+        ([[1.0], [2.0]], [[0.0], [0.0]], [0.0]),  # one value for two points
+        (np.empty((0, 1)), np.empty((0, 1)), []),  # no point
+        ([1.0, 2.0], [0.0, 0.0], [0.0, 0.0]),  # X a vector, not rows
+    ]:
+        with pytest.raises(DimensionMismatch):
+            TripletSet(X, G, f)
 
 
 def test_triplet_set_json_roundtrip():
-    ts = TripletSet(
-        (
-            OracleTriplet(np.array([1.0, 2.0]), np.array([0.1, -0.2]), 3.5),
-            OracleTriplet(np.array([0.0, 1.0]), np.array([0.0, 0.0]), -1.0),
-        )
+    ts = TripletSet([[1.0, 2.0], [0.0, 1.0]], [[0.1, -0.2], [0.0, 0.0]], [3.5, -1.0])
+    # the --emit-triplets file format, byte for byte
+    assert ts.to_json() == (
+        '{"dim": 2, "triplets": [{"x": [1.0, 2.0], "g": [0.1, -0.2], "f": 3.5}, '
+        '{"x": [0.0, 1.0], "g": [0.0, 0.0], "f": -1.0}]}'
     )
     obj = json.loads(ts.to_json())
     assert obj["dim"] == 2 and len(obj["triplets"]) == 2
-    for t, back in zip(ts.triplets, obj["triplets"]):
+    for t, back in zip(ts, obj["triplets"]):
+        assert isinstance(t, OracleTriplet) and type(t.f) is float
         assert np.array_equal(t.x, back["x"])
         assert np.array_equal(t.g, back["g"])
         assert t.f == back["f"]
@@ -106,9 +107,11 @@ def test_numerator_kind_values():
         ([0.0, 0.0], [0.0, 0.0], -np.inf),
         # with (0, 0, 0), check_interpolable used to report this one feasible
         ([1.0], [5.0], np.nan),
+        ([-np.inf, 0.0], [0.0, 0.0], 0.0),
+        ([0.0, 0.0], [0.0, np.nan], 0.0),
     ],
 )
 def test_triplet_rejects_non_finite(x, g, f):
+    # the bad triplet as the second row of a set
     with pytest.raises(NonFiniteTriplet):
-        OracleTriplet(np.array(x), np.array(g), f)
-
+        TripletSet([np.zeros(len(x)), x], [np.zeros(len(g)), g], [0.0, f])

@@ -91,7 +91,7 @@ def test_one_step_certificate_quadratic():
     assert gmin < bound
     # the pair's interpolation inequalities imply the descent lemma
     # f_0 - f_1 >= h (2 - h) |g_0|^2 / (2L), the (0, 1) slack at t = 0
-    assert check_interpolable(TripletSet(traj.iterates), cls).feasible
+    assert check_interpolable(traj.iterates, cls).feasible
 
 
 def test_one_step_certificate_tight_on_worst_case():
@@ -110,7 +110,8 @@ def test_one_step_certificate_tight_on_worst_case():
         gmin, bound = _one_step_rate(t0, t1, h, cls)
         assert abs(gmin - bound) <= 1e-9 * bound  # tight along the worst case
         # at h = 1 the pair's (0, 1) slack is the combined two-coefficient inequality
-        assert check_interpolable(TripletSet((t0, t1)), cls).feasible
+        pair = TripletSet([t0.x, t1.x], [t0.g, t1.g], [t0.f, t1.f])
+        assert check_interpolable(pair, cls).feasible
 
 
 def test_monotonicity_on_convex_quadratic():
@@ -529,7 +530,7 @@ def _run_gm_reference(tp, sched):
     trips = []
     for i in range(sched.n + 1):
         f, g = tp.oracle(x)
-        trips.append(OracleTriplet(x, g, float(f)))
+        trips.append(OracleTriplet(x, np.atleast_1d(np.asarray(g, dtype=float)), float(f)))
         if i < sched.n:
             x = x - (sched.steps[i] / tp.cls.L) * trips[-1].g
     return trips, [float(t.g @ t.g) for t in trips]

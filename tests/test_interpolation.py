@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypopep.core import CurvatureClass, OracleTriplet, TripletSet, validate_class
+from hypopep.core import CurvatureClass, TripletSet, validate_class
 from hypopep.interpolation import (
     DegenerateClass,
     check_interpolable,
@@ -17,10 +17,8 @@ from hypopep.interpolation import (
 def sample_quadratic_triplets(curv, xs):
     # f(x) = curv/2 * |x|^2 has gradient curv*x and sits in any class with
     # mu <= curv <= L
-    trips = [
-        OracleTriplet(x, curv * x, 0.5 * curv * float(x @ x)) for x in xs
-    ]
-    return TripletSet(tuple(trips))
+    X = np.array(xs)
+    return TripletSet(X, curv * X, [0.5 * curv * float(x @ x) for x in xs])
 
 
 def test_quadratic_is_interpolable():
@@ -49,7 +47,7 @@ def test_too_steep_quadratic_is_not_interpolable():
 ])
 def test_overflowing_slack_is_a_violation(x1, g1):
     # a slack that is not a finite double says nothing about interpolability
-    ts = TripletSet((OracleTriplet([0.0], [0.0], 0.0), OracleTriplet([x1], [g1], 0.0)))
+    ts = TripletSet([[0.0], [x1]], [[0.0], [g1]], [0.0, 0.0])
     cls = validate_class(-1.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         S = slack_matrix(np.array([[0.0], [x1]]), np.array([[0.0], [g1]]), np.zeros(2), cls)
@@ -69,12 +67,7 @@ def test_degenerate_class_rejected():
 def shift_triplets(ts, mu):
     # curvature subtraction (x, g, f) -> (x, g - mu*x, f - mu/2*|x|^2): the
     # set is (mu, L)-interpolable iff its image is (0, L - mu)-interpolable
-    return TripletSet(
-        tuple(
-            OracleTriplet(t.x, t.g - mu * t.x, t.f - 0.5 * mu * float(t.x @ t.x))
-            for t in ts.triplets
-        )
-    )
+    return TripletSet(ts.X, ts.G - mu * ts.X, [t.f - 0.5 * mu * float(t.x @ t.x) for t in ts])
 
 
 @given(st.floats(min_value=-5.0, max_value=-0.01))
@@ -141,7 +134,7 @@ def test_t_form_is_the_kappa_form(kappa, L, seed):
 def reference_check(ts, cls, tol=1e-9):
     worst = 0.0
     worst_pair = None
-    trip = ts.triplets
+    trip = list(ts)
     for i, j in combinations(range(len(trip)), 2):
         for a, b in ((i, j), (j, i)):
             s = reference_slack(trip[a], trip[b], cls)
@@ -180,10 +173,8 @@ def test_check_matches_pair_loop(d, n, kappa, L, u, log_noise, seed):
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n, d))
     noise = 10.0**log_noise * d * rng.standard_normal(n)
-    trips = tuple(
-        OracleTriplet(x, curv * x, 0.5 * curv * float(x @ x) + e) for x, e in zip(xs, noise)
-    )
-    assert_matches_reference(TripletSet(trips), cls, exact=d == 1)
+    ts = TripletSet(xs, curv * xs, [0.5 * curv * float(x @ x) + e for x, e in zip(xs, noise)])
+    assert_matches_reference(ts, cls, exact=d == 1)
 
 
 def test_single_triplet_has_no_pair():
@@ -196,11 +187,8 @@ def test_tied_violations_break_in_loop_order():
     # with g = 0, kappa = -1: slack(a, b) = f_a - f_b + (x_a - x_b)^2 / 4, so
     # slack(1, 0) = slack(0, 2) = -0.75 exactly; the loop meets (1, 0) first,
     # a row-major scan of the slack matrix would meet (0, 2) first
-    trips = tuple(
-        OracleTriplet(np.array([x]), np.array([0.0]), f)
-        for x, f in ((0.0, 0.0), (1.0, -1.0), (-3.0, 3.0))
-    )
-    ts = TripletSet(trips)
+    ts = TripletSet([[0.0], [1.0], [-3.0]], [[0.0], [0.0], [0.0]], [0.0, -1.0, 3.0])
+    trips = list(ts)
     cls = validate_class(-1.0, 1.0)
     assert reference_slack(trips[1], trips[0], cls) == reference_slack(trips[0], trips[2], cls) == -0.75
     rep = assert_matches_reference(ts, cls, exact=True)
@@ -210,13 +198,11 @@ def test_tied_violations_break_in_loop_order():
 
 def test_tie_within_a_pair_reports_i_before_j():
     # mirror-image triplets: slack(0, 1) and slack(1, 0) are the same sums
-    trips = (
-        OracleTriplet(np.array([-1.0]), np.array([-2.0]), 0.0),
-        OracleTriplet(np.array([1.0]), np.array([2.0]), 0.0),
-    )
+    ts = TripletSet([[-1.0], [1.0]], [[-2.0], [2.0]], [0.0, 0.0])
+    trips = list(ts)
     cls = validate_class(-1.0, 1.0)
     assert reference_slack(trips[0], trips[1], cls) == reference_slack(trips[1], trips[0], cls) < 0.0
-    rep = assert_matches_reference(TripletSet(trips), cls, exact=True)
+    rep = assert_matches_reference(ts, cls, exact=True)
     assert rep.violating_pair == (0, 1)
 
 
@@ -230,9 +216,7 @@ def test_points_far_from_origin():
     f[4] -= 5.0  # one value too low: some pairs violate
 
     def triplets(shift):
-        return TripletSet(
-            tuple(OracleTriplet(shift + x, x, v) for x, v in zip(offsets, f))
-        )
+        return TripletSet(shift + offsets, offsets, f)
 
     near = check_interpolable(triplets(0.0), cls)
     far = assert_matches_reference(triplets(1e9), cls, exact=False)

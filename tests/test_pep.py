@@ -151,12 +151,12 @@ def test_solve_pep_maps_to_user_units(L, delta, kind):
     # p.cls, whose slacks are delta times the unit ones
     ts = extract_triplets(p, sol)
     assert check_interpolable(ts, p.cls, tol=1e-6 * delta).feasible
-    xs = [t.x for t in ts.triplets]
+    xs = [t.x for t in ts]
     for i, h in enumerate(p.sched.steps):
-        step = xs[i] - h / L * ts.triplets[i].g
+        step = xs[i] - h / L * ts[i].g
         assert np.abs(xs[i + 1] - step).max() <= 1e-14 * max(np.abs(x).max() for x in xs)
-    assert abs(ts.triplets[0].f - delta) <= 1e-6 * delta
-    min_g2 = min(float(t.g @ t.g) for t in ts.triplets[: p.sched.n + 1])
+    assert abs(ts[0].f - delta) <= 1e-6 * delta
+    min_g2 = min(float(t.g @ t.g) for t in list(ts)[: p.sched.n + 1])
     assert abs(min_g2 - sol.objective) <= 1e-6 * sol.objective
 
 
@@ -179,11 +179,11 @@ def test_extract_triplets_feasible_and_consistent():
     assert report.feasible
     # step recursion holds among the extracted iterates
     for i, h in enumerate(p.sched.steps):
-        lhs = ts.triplets[i + 1].x
-        rhs = ts.triplets[i].x - h / p.cls.L * ts.triplets[i].g
+        lhs = ts[i + 1].x
+        rhs = ts[i].x - h / p.cls.L * ts[i].g
         assert np.allclose(lhs, rhs, atol=1e-10)
     # the worst case saturates the initial condition
-    assert abs(ts.triplets[0].f - p.delta) < 1e-5
+    assert abs(ts[0].f - p.delta) < 1e-5
 
 
 def test_extract_triplets_gap_to_last():
@@ -191,7 +191,7 @@ def test_extract_triplets_gap_to_last():
     sol = solve(build_sdp(p))
     ts = extract_triplets(p, sol)
     assert len(ts) == 2
-    assert abs(ts.triplets[-1].f) < 1e-12  # pinned last value
+    assert abs(ts[-1].f) < 1e-12  # pinned last value
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -225,7 +225,7 @@ def test_every_gram_coordinate_enters_a_row(kind):
         used = np.any(B[:, : len(i)] != 0.0, axis=0)
         assert all(used[(i == c) | (j == c)].any() for c in range(dim))
         if kind == NumeratorKind.gap_to_last:
-            x0 = extract_triplets(p, solve_pep(p)).triplets[0].x
+            x0 = extract_triplets(p, solve_pep(p))[0].x
             assert np.array_equal(x0, np.zeros_like(x0))
 
 
@@ -405,13 +405,13 @@ def test_extract_triplets_match_step_recursion(kappa, kind, steps, L):
     assert len(ts) == len(xs)
     scale = max(np.abs(x).max() for x in xs)
     if L == 1.0:  # the unit-scale map is the identity: the same factor
-        for t, x, g, f in zip(ts.triplets, xs, gs, fs):
+        for t, x, g, f in zip(ts, xs, gs, fs):
             assert t.g.tobytes() == g.tobytes()
             assert t.f == f
             assert np.abs(t.x - x).max() <= 1e-15 * scale
     else:  # extract_triplets factors at unit scale: the same points up to a rotation
-        assert [t.f for t in ts.triplets] == fs
-        V = np.array([t.x for t in ts.triplets] + [t.g for t in ts.triplets])
+        assert [t.f for t in ts] == fs
+        V = np.array([t.x for t in ts] + [t.g for t in ts])
         V_ref = np.array(xs + gs)
         ref = V_ref @ V_ref.T
         assert np.abs(V @ V.T - ref).max() <= 1e-13 * np.abs(ref).max()
