@@ -54,7 +54,16 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-MAX_RANGE_VALUES = 100_000  # most values an 'a:step:b' range may expand to
+MAX_RANGE_VALUES = 100_000  # most values of a range, --N, --samples or --fstar-iters
+MAX_MATRIX_ENTRIES = 1_000_000  # most entries of experiment's random A and of A^T A (8 MB each)
+
+
+def _count(flag: str, value: int, least: int = 0, most: int = MAX_RANGE_VALUES) -> None:
+    """Refuse a count outside [least, most] by its flag, before it sizes an array."""
+    if not least <= value <= most:
+        rule = (f"at most {most}" if value > most
+                else f"at least {least}" if least else "nonnegative")
+        raise ValidationError(f"{flag} must be {rule}, got {value}")
 
 
 def parse_steps(text: str) -> list[float]:
@@ -94,10 +103,11 @@ def _schedule_from_args(args) -> StepSchedule:
             raise ValidationError("--steps is required")
         steps = parse_steps(args.steps)
     n = getattr(args, "N", None)
-    if n is not None and len(steps) == 1 and n > 1:
-        steps = steps * n
-    if n is not None and len(steps) != n:
-        raise ValidationError(f"--N {n} does not match {len(steps)} steps")
+    if n is not None:
+        _count("--N", n, least=1)
+        steps = steps * n if len(steps) == 1 else steps
+        if len(steps) != n:
+            raise ValidationError(f"--N {n} does not match {len(steps)} steps")
     return StepSchedule(tuple(steps))
 
 
@@ -149,14 +159,14 @@ def _reference_bound(p: pep.PepProblem):
 def cmd_pep(args) -> int:
     p = pep.PepProblem(_cls(args), _schedule_from_args(args), args.delta, _kind(args))
     sol = pep.solve_pep(p)
+    ts = pep.extract_triplets(p, sol) if args.emit_triplets else None  # fails before any output
     print(f"optimum {_fmt(sol.objective)}")
     print(f"iterations {sol.iterations}")
     ref = _reference_bound(p)
     if ref is not None:
         print(f"reference {_fmt(ref)}")
         print(f"rel_error {_fmt(abs(sol.objective - ref) / ref)}")
-    if args.emit_triplets:
-        ts = pep.extract_triplets(p, sol)
+    if ts is not None:
         with open(args.emit_triplets, "w") as fh:
             fh.write(ts.to_json())
         print(f"triplets {args.emit_triplets}")
@@ -181,8 +191,7 @@ def cmd_tightness(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    if args.samples < 0:
-        raise ValidationError(f"--samples must be nonnegative, got {args.samples}")
+    _count("--samples", args.samples)
     cls = _cls(args)
     sched = _schedule_from_args(args)
     wcf = worstcase.build_worst_case(cls, sched, args.delta, _kind(args))
@@ -204,8 +213,10 @@ def cmd_experiment(args) -> int:
 
     if min(args.rows, args.cols) < 1 or args.seed < 0:
         raise ValidationError("--rows and --cols must be at least 1 and --seed nonnegative")
-    if args.fstar_iters < 1:
-        raise ValidationError(f"--fstar-iters must be at least 1, got {args.fstar_iters}")
+    _count("--fstar-iters", args.fstar_iters, least=1)
+    _count("the larger of --rows x --cols and --cols x --cols",
+           max(args.rows, args.cols) * args.cols, most=MAX_MATRIX_ENTRIES)
+    sched = _schedule_from_args(args)
     rng = np.random.default_rng(args.seed)
     if args.data_a:
         A = gmlab.load_matrix_csv(args.data_a)
@@ -224,7 +235,6 @@ def cmd_experiment(args) -> int:
             logits = A @ rng.standard_normal(A.shape[1])
             y = (rng.uniform(size=A.shape[0]) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
         tp = gmlab.make_logistic_l0_problem(A, y, args.lambda_ll, args.sigma_ll, args.reg_weight)
-    sched = _schedule_from_args(args)
     f_star = gmlab.estimate_f_star(tp, n_iter=args.fstar_iters)
     tp = dataclasses.replace(tp, f_star_known=f_star)
     traj = gmlab.run_gm(tp, sched)
@@ -270,6 +280,7 @@ def cmd_sweep(args) -> int:
     kappas = _numbers(args.kappa)
     hs = parse_steps(args.h)
     ns = _numbers(args.N, conv=int)
+    _count("--N", max(ns), least=-math.inf)  # N < 1 is a failed point, in its row
     kind = _kind(args)
     grid = [(k, h, n) for k in kappas for h in hs for n in ns]
     rows = [_sweep_point(args.target, k, h, n, args.L, args.delta, kind) for k, h, n in grid]

@@ -1,11 +1,11 @@
 """Discretized performance-estimation problems for the gradient method and
 their Gram-lifted semidefinite programs.
 
-Every PEP is built and solved at unit scale, L = delta = 1: the map
-x -> x sqrt(delta / L), g -> g sqrt(L delta), f -> f delta (``_user_scale``)
-takes it to (L, delta, kappa, h), whose optimum is L delta times the unit
-one. In t = 1 / (1 - kappa) the unit rows' coefficients are bounded for
-every kappa <= 0, and t = 0 is the unbounded-below class.
+Every PEP is built, solved and checked at unit scale, L = delta = 1, where
+its solution stays: only the optimum and the extracted triplets are mapped to
+(L, delta, kappa, h), by x -> x sqrt(delta / L), g -> g sqrt(L delta),
+f -> f delta, and l -> l L delta. In t = 1 / (1 - kappa) the unit rows'
+coefficients are bounded for every kappa <= 0, and t = 0 is unbounded below.
 
 The Gram basis holds only the coordinates the rows use. The rows see
 iterates only through differences, so by translation invariance one point
@@ -27,12 +27,13 @@ row_ij . (svec(P^T P), f) = unit-scale slack of the triplets (P x_i, P g_i, f_i)
 ``extract_triplets`` returns those triplets as the rows of a ``TripletSet``.
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
-returns only an Optimal solution that passes ``verify_solution``, in user
-units, or raises ScaleOverflow if that answer is not finite.
+returns only an Optimal solution that passes ``verify_solution``, with its
+objective in user units, or raises ScaleOverflow if that is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from .core import (
     CheckFailure,
     CurvatureClass,
     NumeratorKind,
+    NonFiniteTriplet,
     NumericalFailure,
     StepSchedule,
     TripletSet,
@@ -80,8 +82,8 @@ class SolverFailure(NumericalFailure):
 
 
 class ScaleOverflow(ValidationError):
-    """The unit-scale answer does not fit a double in user units: the optimum
-    scales by L delta and, for gap-to-optimal, the x_0 Gram entry by delta / L."""
+    """The optimum, or an emitted triplet entry, is not a finite double in
+    user units, though it is at unit scale."""
 
 
 @dataclass(frozen=True)
@@ -187,22 +189,12 @@ def build_sdp(p: PepProblem) -> SdpProblem:
     return SdpProblem(n, var_names, SdpRows(B, const, tuple(labels)))
 
 
-def _user_scale(p: PepProblem, Gc: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """The map to user units: the iterate scale sx = sqrt(delta / L), the
-    gradient scale sg = sqrt(L delta) and the diagonal D over the Gram basis
-    (sg on the gradients' coordinates Gc of ``_points``, sx on x_0), so a
-    unit Gram matrix G becomes D G D. Values scale by delta and l by L delta;
-    at L = delta = 1 every scale is 1.0."""
-    sx, sg = np.sqrt(p.delta) / np.sqrt(p.cls.L), np.sqrt(p.cls.L) * np.sqrt(p.delta)
-    return sx, sg, np.where(Gc.any(axis=0), sg, sx)
-
-
 def solve_pep(p: PepProblem) -> SdpSolution:
     """Build and solve the unit-scale PEP; only an Optimal solution that passes
     ``verify_solution`` (whose absolute floors suit the unit scale) is
-    returned, mapped to user units by ``_user_scale`` (ScaleOverflow if they
-    overflow); anything else raises SolverFailure. The duals and residuals
-    stay those of the unit problem."""
+    returned, else SolverFailure. The solution is the unit one, which
+    ``extract_triplets`` reads, except ``objective``: L delta times the unit
+    optimum ``linear_values["l"]`` (ScaleOverflow if it is not finite)."""
     sdp = build_sdp(p)
     sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
@@ -210,30 +202,26 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     report = verify_solution(sdp, sol)
     if not report.all_pass:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    Ld = p.cls.L * p.delta
-    with np.errstate(over="ignore"):  # an inf raises ScaleOverflow below
-        _, _, d = _user_scale(p, _points(p)[0])
-        gram = d[:, None] * sol.gram * d
-    values = {k: v * (Ld if k == OBJECTIVE else p.delta) for k, v in sol.linear_values.items()}
-    objective = sol.objective * Ld
-    if not (np.isfinite(gram).all() and np.isfinite([objective, *values.values()]).all()):
-        raise ScaleOverflow(f"the answer at L={p.cls.L!r}, delta={p.delta!r} overflows a double: "
-                            "the optimum scales by L delta, an x_0 Gram entry by delta / L")
-    return replace(sol, objective=objective, gram=gram, linear_values=values)
+    objective = sol.objective * (p.cls.L * p.delta)  # Python floats overflow to inf silently
+    if not math.isfinite(objective):
+        raise ScaleOverflow(f"the optimum at L={p.cls.L!r}, delta={p.delta!r} is L delta "
+                            f"times {sol.objective!r}, beyond a double")
+    return replace(sol, objective=objective)
 
 
 def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
-    """Recover an interpolable triplet set from a solved Gram matrix.
+    """Recover an interpolable triplet set from a unit-scale solution, as
+    ``solve`` or ``solve_pep`` returns it.
 
-    Takes the user-unit Gram matrix back to unit scale, factors G = P^T P
-    through an eigendecomposition (small negative eigenvalues are clipped),
-    maps the points' coefficients through P, verifies the unit-scale
-    triplets against the interpolation conditions of ``p.cls`` at L = 1 and
-    returns them in user units.
+    Factors the Gram matrix G = P^T P through an eigendecomposition (small
+    negative eigenvalues are clipped), maps the points' coefficients through
+    P, verifies these unit-scale triplets against the interpolation
+    conditions of ``p.cls`` at L = 1 and returns them in user units:
+    iterates times sqrt(delta / L), gradients times sqrt(L delta), values
+    times delta (ScaleOverflow if an entry is not finite).
     """
     Gc, Xc = _points(p)
-    sx, sg, d = _user_scale(p, Gc)
-    G = np.asarray(sdp_solution.gram, dtype=float) / d[:, None] / d
+    G = np.asarray(sdp_solution.gram, dtype=float)
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w.min() < -1e-6:
         raise IndefiniteGram(f"Gram matrix has eigenvalue {w.min()}")
@@ -248,10 +236,17 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     # checked at unit scale, where the slacks are finite: in user units
     # |x_i - x_j|^2 can overflow a double. P times each point's coefficient
     # vector as a stack of matrix-vector products: Xc @ P.T would change bits
-    unit = TripletSet((P @ Xc[..., None])[..., 0], (P @ Gc[..., None])[..., 0], vals / p.delta)
+    unit = TripletSet((P @ Xc[..., None])[..., 0], (P @ Gc[..., None])[..., 0], vals)
     report = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0), tol=1e-6)
     if not report.feasible:
         raise InterpolationFailure(
             f"extracted triplets violate interpolation by {report.worst_violation}"
         )
-    return TripletSet(sx * unit.X, sg * unit.G, vals)
+    L, delta = p.cls.L, p.delta
+    try:  # an overflow, or inf times 0 where sqrt(delta / L) = inf, is ScaleOverflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return TripletSet(math.sqrt(delta) / math.sqrt(L) * unit.X,
+                              math.sqrt(L) * math.sqrt(delta) * unit.G, delta * vals)
+    except NonFiniteTriplet:
+        raise ScaleOverflow(f"the triplets at L={L!r}, delta={delta!r} overflow a double "
+                            "in user units") from None

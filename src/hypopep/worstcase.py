@@ -11,7 +11,8 @@ curvature L closing both tails.
 interpolation conditions of Taylor, Hendrickx & Glineur (Math. Prog. 2017):
 each gradient step from a constructed iterate lands on the next one, every
 gradient has magnitude U, the triplets interpolate and the value gap is
-used up. No gradient method is run.
+used up. No gradient method is run. It checks the unit construction,
+L = delta = 1: in user units |x_i - x_j|^2 can overflow a double.
 
 The concave pieces are t h_i U / L wide, t = 1 / (1 - kappa), which nears the
 float spacing of the iterates as kappa falls, so kappa < KAPPA_MIN raises
@@ -24,7 +25,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -38,7 +39,7 @@ from .core import (
     validate_delta,
 )
 from .interpolation import check_interpolable
-from .rates import nstep_bound
+from .rates import BoundOverflow, nstep_bound
 
 
 KAPPA_MIN = -1e8
@@ -109,17 +110,7 @@ class WorstCaseFunction:
                 "iterates": list(self.xs),
                 "inflections": list(self.x_bars),
                 "values": list(self.fs),
-                "pieces": [
-                    {
-                        "lo": p.lo,
-                        "hi": p.hi,
-                        "curvature": p.curvature,
-                        "center": p.center,
-                        "slope": p.slope,
-                        "value": p.value,
-                    }
-                    for p in self.pieces
-                ],
+                "pieces": [asdict(p) for p in self.pieces],
             }
         )
 
@@ -228,45 +219,47 @@ def verify_tightness(
     kind: NumeratorKind,
     tol: float = 1e-9,
 ) -> TightnessReport:
-    """Build the instance and check bound attainment at its own iterates.
+    """Build the unit instance (L = delta = 1) and check bound attainment there.
 
     The function is evaluated once at each constructed iterate x_i. Checks:
-    (a) each step x_i - (h_i / L) g_i lands on x_{i+1} (``iterate_residual``
-    is the largest one-step residual, scaled by max(1, |x_0|)), (b) the
-    minimum squared gradient equals U^2, (c) the evaluated triplets, with
-    (0, 0, 0) added for gap-to-optimal, satisfy the interpolation
-    conditions (the violation is scaled by max(1, delta), as the gap is),
-    (d) the full value gap is consumed. A gradient run from x_0
-    visits exactly these iterates iff every single step does, so (a) states
-    tightness without following a float run that amplifies rounding by
-    |1 - h kappa| per step on a concave piece.
+    (a) each step x_i - h_i g_i lands on x_{i+1} (``iterate_residual`` is
+    the largest one-step residual, scaled by max(1, |x_0|)), (b) the minimum
+    squared gradient equals U^2, (c) the evaluated triplets, with (0, 0, 0)
+    added for gap-to-optimal, satisfy the interpolation conditions, (d) the
+    full value gap 1 is consumed. A gradient run from x_0 visits exactly
+    these iterates iff every single step does, so (a) states tightness
+    without following a float run that amplifies rounding by |1 - h kappa|
+    per step on a concave piece. U is reported in user units, sqrt(L delta)
+    times the unit one (BoundOverflow if that is not a finite double).
     """
-    wcf = build_worst_case(cls, sched, delta, kind)
+    validate_delta(delta)
+    unit = replace(cls, mu=cls.mu / cls.L, L=1.0)
+    wcf = build_worst_case(unit, sched, 1.0, kind)
     fs, gs = zip(*(wcf.eval(x) for x in wcf.xs))
     it_res = max(
-        abs(x1 - (x0 - (h / cls.L) * g))
-        for x0, x1, h, g in zip(wcf.xs, wcf.xs[1:], sched.steps, gs)
+        abs(x1 - (x0 - h * g)) for x0, x1, h, g in zip(wcf.xs, wcf.xs[1:], sched.steps, gs)
     ) / max(1.0, abs(wcf.xs[0]))
     bound_res = abs(min(g * g for g in gs) - wcf.U**2) / max(1.0, wcf.U**2)
     opt = kind == NumeratorKind.gap_to_optimal
     # one row per iterate, and the minimizer (0, 0, 0) for gap-to-optimal
     X, G, F = np.array([v + ((0.0,) if opt else ()) for v in (wcf.xs, gs, fs)])
-    report = check_interpolable(TripletSet(X[:, None], G[:, None], F), cls, tol=tol)
-    gap = fs[0] if opt else fs[0] - fs[-1]
-    interp_violation = -report.worst_violation / max(1.0, delta)
-    gap_res = abs(gap - delta) / max(1.0, delta)
+    report = check_interpolable(TripletSet(X[:, None], G[:, None], F), unit, tol=tol)
+    gap_res = abs((fs[0] if opt else fs[0] - fs[-1]) - 1.0)
+    U = math.sqrt(cls.L) * math.sqrt(delta) * wcf.U  # Python floats overflow to inf silently
+    if not math.isfinite(U):
+        raise BoundOverflow(f"U, sqrt(L delta) {wcf.U!r}, overflows: L={cls.L!r}, delta={delta!r}")
     passed = (
         it_res <= tol
         and bound_res <= tol
-        and interp_violation <= tol
+        and -report.worst_violation <= tol
         and gap_res <= tol
     )
     return TightnessReport(
         passed=passed,
         iterate_residual=it_res,
         bound_residual=bound_res,
-        interpolation_violation=interp_violation,
+        interpolation_violation=-report.worst_violation,
         gap_residual=gap_res,
-        U=wcf.U,
+        U=U,
         tol=tol,
     )

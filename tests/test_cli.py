@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from hypopep import cli, pep
 from hypopep.cli import main, parse_steps
 from hypopep.core import NumeratorKind, StepSchedule, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
-from hypopep.pep import IndefiniteGram, InterpolationFailure, PepProblem
-from hypopep.rates import nstep_bound
-from hypopep.sdpsolver import VerificationReport
+from hypopep.pep import IndefiniteGram, InterpolationFailure, PepProblem, build_sdp
+from hypopep.rates import nstep_bound, step_threshold
+from hypopep.sdpsolver import VerificationReport, solve
 from hypopep.worstcase import KAPPA_MIN
 
 
@@ -101,14 +102,51 @@ def test_pep_extreme_kappa_and_L_solve(capsys, tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("--L=1e200", "--delta=1e200"),  # the optimum, L delta = 1e400 times the unit one
-    ("--L=1e-200", "--delta=1e200", "--emit-triplets", "t.json"),  # x_0 Gram entry, delta / L
+    ("--L=1e-308", "--delta=1e308", "--emit-triplets", "t.json"),  # iterates, sqrt(delta / L)
 ])
 def test_pep_answer_beyond_double_exit_code(capsys, tmp_path, monkeypatch, argv):
-    # the unit-scale solve is fine; its answer in user units is not a finite double
+    # the unit-scale solve is fine; its answer in user units is not a finite
+    # double, so nothing is printed or written
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, "pep", "--kappa=-1", *argv, "--steps", "1")
     assert rc == 2 and out == ""
     assert err.startswith("error: ScaleOverflow: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def check_emitted_triplets(path, steps, L, delta, kappa=-1.0):
+    """The triplets pep --emit-triplets wrote: finite, on the step recursion
+    x_{i+1} = x_i - (h_i / L) g_i, and interpolable at unit scale. Returns
+    the largest |x| over sqrt(delta / L), the iterates' unit-scale size."""
+    rows = json.loads(Path(path).read_text())["triplets"]
+    X, G, f = (np.array([t[k] for t in rows], dtype=float) for k in ("x", "g", "f"))
+    assert np.isfinite(X).all() and np.isfinite(G).all() and np.isfinite(f).all()
+    size = np.abs(X).max()
+    for i, h in enumerate(steps):
+        assert np.abs(X[i + 1] - (X[i] - h / L * G[i])).max() <= 1e-14 * size, (i, X, G)
+    sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
+    unit = TripletSet(X / sx, G / sg, f / delta)
+    assert check_interpolable(unit, validate_class(kappa, 1.0), tol=1e-6).feasible
+    return size / sx
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    # x_0's unit Gram entry times delta / L is 1e400: the iterates are ~1e200
+    ("--L=1e-200", "--delta=1e200", "--steps", "1"),
+    # delta / L = 1e-400: a Gram matrix in user units would underflow
+    ("--L=1e200", "--delta=1e-200", "--steps", "0.5", "--N", "2"),
+])
+def test_pep_triplets_far_from_unit_scale(capsys, tmp_path, monkeypatch, argv):
+    # extract_triplets factors the solver's unit Gram matrix and maps the
+    # triplets once, so only the optimum and the triplets must fit a double
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, "pep", "--kappa=-1", *argv, "--emit-triplets", "t.json")
+    assert rc == 0 and err == "", err
+    assert float(grab(out, "rel_error")) <= 1e-8
+    L, delta = (float(a.partition("=")[2]) for a in argv[:2])
+    steps = [float(argv[3])] * (int(argv[5]) if len(argv) > 4 else 1)
+    assert 0.1 <= check_emitted_triplets(tmp_path / "t.json", steps, L, delta) <= 10.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -167,6 +205,40 @@ def test_pep_far_from_unit_scale(capsys, tmp_path, argv):
     assert check_interpolable(ts, cls, tol=1e-6 * delta).feasible
 
 
+@st.composite
+def _pep_at_any_scale(draw):
+    """kappa in [-3, 0), N <= 3 steps in [0.01, 1] h_bar, and L, delta log-uniform
+    over [1e-200, 1e200] with L delta in [1e-200, 1e200]."""
+    kappa = draw(st.floats(-3.0, 0.0, exclude_max=True))
+    h_bar = step_threshold(kappa)
+    steps = [u * h_bar for u in draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))]
+    e_L = draw(st.floats(-200.0, 200.0))
+    e_delta = draw(st.floats(max(-200.0, -200.0 - e_L), min(200.0, 200.0 - e_L)))
+    return kappa, steps, 10.0**e_L, 10.0**e_delta, draw(st.sampled_from(["last", "opt"]))
+
+
+@given(draw=_pep_at_any_scale())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_pep_at_any_scale_is_the_unit_pep(draw):
+    # every such PEP is the unit one: pep exits 0 and prints L delta times the
+    # unit optimum, bit for bit, and writes finite triplets on the step
+    # recursion in user units, whatever delta / L is
+    kappa, steps, L, delta, kind = draw
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.json")
+        argv = ["pep", f"--kappa={kappa!r}", f"--L={L!r}", f"--delta={delta!r}",
+                f"--steps={','.join(map(repr, steps))}", "--kind", kind, "--emit-triplets", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc == 0, (argv, err.getvalue())
+        numerator = NumeratorKind.gap_to_last if kind == "last" else NumeratorKind.gap_to_optimal
+        p = PepProblem(validate_class(kappa * L, L), StepSchedule(tuple(steps)), delta, numerator)
+        unit = solve(build_sdp(p)).objective
+        assert float(grab(out.getvalue(), "optimum")) == unit * (L * delta), argv
+        check_emitted_triplets(path, steps, L, delta, kappa)
+
+
 def test_optstep_command(capsys):
     rc, out, _ = run(capsys, "optstep", "--kappa", "-1")
     assert rc == 0
@@ -217,15 +289,19 @@ def test_emit_triplets_failure_exit_code(capsys, tmp_path, monkeypatch, exc, cod
     assert err.strip() == f"error: {exc.__name__}: injected"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tightness_pass(capsys):
-    # at delta = 1e7 the interpolation slacks, in units of delta, are compared
-    # with tol relative to max(1, delta), as the gap is
+    # the check runs on the unit construction, L = delta = 1, so it passes at
+    # delta = 1e7 and where |x_i - x_j|^2 ~ delta / L overflows in user units
     for args in (("--kappa=-2", "--L", "2", "--delta", "2", "--steps", "1,0.5,0.75"),
                  ("--kappa=-1e3", "--steps", "1,0.5,0.75"),
-                 ("--kappa=-2", "--delta=1e7", "--steps", "0.5,0.5")):
-        rc, out, _ = run(capsys, "tightness", *args, "--kind", "opt")
-        assert rc == 0, (args, out)
-        assert "PASS" in out
+                 ("--kappa=-2", "--delta=1e7", "--steps", "0.5,0.5"),
+                 ("--kappa=-1", "--steps", "0.5,0.9", "--L=1e-200", "--delta=1e200"),
+                 ("--kappa=-1", "--steps", "0.5,0.9", "--L=1e-300", "--delta=1e300")):
+        for kind in ("opt", "last"):
+            rc, out, err = run(capsys, "tightness", *args, "--kind", kind)
+            assert rc == 0 and err == "", (args, out, err)
+            assert "PASS" in out
 
 
 def test_worstcase_exports(capsys, tmp_path):
@@ -408,6 +484,34 @@ def test_malformed_argument_or_path_exit_code(capsys, tmp_path, monkeypatch, arg
     rc, _, err = run(capsys, *argv)
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--N", ("rate", "--kappa=-1", "--steps", "0.5", "--N", "1000000000000")),
+    ("--N", ("tightness", "--kappa=-1", "--steps", "0.5", "--N", "1000000000000")),
+    ("--N", ("pep", "--kappa=-1", "--steps", "0.5", "--N", "1000000000000")),
+    ("--N", ("sweep", "--target", "rate", "--kappa=-1", "--h", "0.5", "--N", "1,1000000000000")),
+    ("--N", ("experiment", "--problem", "huber", "--steps", "1.0", "--N", "1000000000000")),
+    ("--fstar-iters", ("experiment", "--problem", "huber", "--steps", "1.0", "--N", "5",
+                       "--fstar-iters", "10000000000000")),
+    ("the larger of --rows x --cols and --cols x --cols",
+     ("experiment", "--problem", "huber", "--steps", "1.0", "--N", "5",
+      "--rows", "1000000000", "--cols", "1000000000")),
+    ("the larger of --rows x --cols and --cols x --cols",  # A^T A is cols x cols
+     ("experiment", "--problem", "logistic", "--steps", "1.0", "--N", "5", "--rows", "1",
+      "--cols", "1001")),
+    ("--samples", ("worstcase", "--kappa=-1", "--steps", "0.5", "--samples", "1000000000000",
+                   "--csv-out", "x.csv")),
+])
+def test_oversized_count_exit_code(capsys, tmp_path, monkeypatch, flag, argv):
+    # each count that sizes an array is refused by name before any output,
+    # allocation or file write (it used to end in a MemoryError traceback)
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "", err
+    assert err.startswith(f"error: ValidationError: {flag} must be at most "), err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["1,2\nx,3\n4,5\n", "1,2\n3\n", ""])

@@ -124,7 +124,7 @@ def test_rows_are_held_once():
 
 
 def test_build_sdp_is_unit_scale():
-    # the rows do not depend on L or delta; solve_pep maps the solution
+    # the rows do not depend on L or delta; solve_pep maps only the optimum
     base = build_sdp(make(-0.37, [0.4, 1.7]))
     for L, delta in ((2.5, 1e6), (1e-8, 3.0), (1e8, 1e-8)):
         c = build_sdp(make(-0.37, [0.4, 1.7], L=L, delta=delta)).constraints
@@ -135,20 +135,21 @@ def test_build_sdp_is_unit_scale():
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 @pytest.mark.parametrize("L, delta", [(1e-6, 1e6), (1e4, 1e-4), (2.5, 3.0), (1e-8, 1e-8)])
 def test_solve_pep_maps_to_user_units(L, delta, kind):
-    unit = solve_pep(make(-2.0, [1.3, 0.6, 1.1], kind=kind))
+    # solve_pep returns the solver's unit-scale solution bit for bit, with only
+    # the optimum in user units: L delta times the unit one
     p = make(-2.0, [1.3, 0.6, 1.1], kind=kind, L=L, delta=delta)
+    unit = solve(build_sdp(p))
     sol = solve_pep(p)
     assert sol.objective == unit.objective * (L * delta)
-    assert sol.linear_values["l"] == unit.linear_values["l"] * (L * delta)
-    for name, v in unit.linear_values.items():
-        if name != "l":
-            assert sol.linear_values[name] == v * delta
-    sx = [np.sqrt(delta) / np.sqrt(L)] if kind == NumeratorKind.gap_to_optimal else []
-    d = np.r_[np.full(p.sched.n + 1, np.sqrt(L) * np.sqrt(delta)), sx]
-    assert np.allclose(sol.gram, np.outer(d, d) * unit.gram, rtol=1e-15, atol=0.0)
-    # user-unit triplets: the step recursion with h_i / L, values and gradients
-    # on the scales delta and L delta, and the interpolation conditions of
-    # p.cls, whose slacks are delta times the unit ones
+    assert sol.linear_values["l"] == unit.objective
+    assert [v.hex() for v in sol.linear_values.values()] == [
+        v.hex() for v in unit.linear_values.values()]
+    assert sol.gram.tobytes() == unit.gram.tobytes()
+    assert sol.duals.tobytes() == unit.duals.tobytes()
+    # extract_triplets maps the unit triplets to user units: the step
+    # recursion with h_i / L, values and gradients on the scales delta and
+    # L delta, and the interpolation conditions of p.cls, whose slacks are
+    # delta times the unit ones
     ts = extract_triplets(p, sol)
     assert check_interpolable(ts, p.cls, tol=1e-6 * delta).feasible
     xs = [t.x for t in ts]
@@ -198,11 +199,12 @@ def test_extract_triplets_gap_to_last():
 def test_extract_triplets_checks_where_user_units_overflow():
     # |x_1 - x_0|^2 ~ 1e400 overflows a double in user units, where every
     # off-diagonal slack would be inf; at unit scale the slacks are finite,
-    # so a value moved 0.1 delta off the worst case is still caught
+    # so a value moved 0.1 delta off the worst case (0.1 in the unit values
+    # that solve_pep returns) is still caught
     p = make(-1.0, [1.0], kind=NumeratorKind.gap_to_last, L=1e-200, delta=1e200)
     sol = solve_pep(p)
     assert len(extract_triplets(p, sol)) == 2
-    values = dict(sol.linear_values, f_0=sol.linear_values["f_0"] - 0.1 * p.delta)
+    values = dict(sol.linear_values, f_0=sol.linear_values["f_0"] - 0.1)
     with pytest.raises(pep.InterpolationFailure):
         extract_triplets(p, dataclasses.replace(sol, linear_values=values))
 
@@ -378,19 +380,20 @@ def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
 
 
 def recursion_triplets(p, sol):
-    """Triplets from the factor of the user-unit Gram matrix and the step
-    recursion x_{i+1} = x_i - (h_i / L) g_i."""
+    """Triplets from the factor of the unit Gram matrix, with x_0 and the
+    gradients in user units, and the step recursion x_{i+1} = x_i - (h_i / L) g_i."""
     G = sol.gram
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     w = np.clip(w, 0.0, None)
     keep = w > 1e-7 * max(w.max(), 1.0)
     P = np.sqrt(w[keep])[:, None] * V[:, keep].T
-    N = p.sched.n
+    N, L, delta = p.sched.n, p.cls.L, p.delta
     opt = p.init_kind == NumeratorKind.gap_to_optimal
-    xs, gs = [P[:, N + 1] if opt else np.zeros(len(P))], [P[:, i] for i in range(N + 1)]
+    xs = [np.sqrt(delta / L) * P[:, N + 1] if opt else np.zeros(len(P))]
+    gs = [np.sqrt(L * delta) * P[:, i] for i in range(N + 1)]
     for i in range(N):
-        xs.append(xs[-1] - (p.sched.steps[i] / p.cls.L) * gs[i])
-    fs = [sol.linear_values.get(f"f_{i}", 0.0) for i in range(N + 1)]
+        xs.append(xs[-1] - (p.sched.steps[i] / L) * gs[i])
+    fs = [delta * sol.linear_values.get(f"f_{i}", 0.0) for i in range(N + 1)]
     if opt:
         xs, gs, fs = xs + [np.zeros(len(P))], gs + [np.zeros(len(P))], fs + [0.0]
     return xs, gs, fs
@@ -409,7 +412,7 @@ def test_extract_triplets_match_step_recursion(kappa, kind, steps, L):
             assert t.g.tobytes() == g.tobytes()
             assert t.f == f
             assert np.abs(t.x - x).max() <= 1e-15 * scale
-    else:  # extract_triplets factors at unit scale: the same points up to a rotation
+    else:  # the same unit factor, mapped to user units with other roundings
         assert [t.f for t in ts] == fs
         V = np.array([t.x for t in ts] + [t.g for t in ts])
         V_ref = np.array(xs + gs)

@@ -121,6 +121,10 @@ def test_nesterov_limit_surrogate():
     assert abs(w.U**2 - limit) / limit < 1e-4
 
 
+# (L, delta) far from 1; at the last two |x_i - x_j|^2 ~ delta / L overflows a double
+SCALES = ((2.0, 2.0), (1e-8, 1e6), (1e-200, 1e200), (1e-300, 1e300))
+
+
 def test_tightness_grid():
     kinds = list(NumeratorKind)
     schedules = [
@@ -138,6 +142,14 @@ def test_tightness_grid():
                     validate_class(kappa, 1.0), StepSchedule(steps), 1.0, kind, tol=1e-8
                 )
                 assert rep.passed, (kappa, steps, kind, rep)
+                # the check runs on the unit construction, so it passes where
+                # |x_i - x_j|^2 overflows in user units; U is sqrt(L delta) U_unit
+                for L, delta in SCALES:
+                    scaled = verify_tightness(
+                        validate_class(kappa * L, L), StepSchedule(steps), delta, kind, tol=1e-8
+                    )
+                    assert scaled.passed, (kappa, steps, kind, L, delta, scaled)
+                    assert math.isclose(scaled.U, math.sqrt(L * delta) * rep.U, rel_tol=1e-14)
     # long horizons, where a float gradient run from x_0 would drift off the
     # construction by a factor |1 - h kappa| per step on a concave piece
     long_steps = tuple(np.random.default_rng(0).uniform(0.05, 1.0, 200).tolist())
@@ -165,23 +177,27 @@ def test_verify_tightness_evaluates_once_per_iterate(monkeypatch):
 
 
 def test_tightness_keeps_its_teeth_at_large_delta(monkeypatch):
-    # the correct construction passes at delta = 1e7; one value off by
-    # 1e-6 delta breaks interpolation and only interpolation
-    cls, sched, delta = validate_class(-2.0, 1.0), StepSchedule((0.5, 0.5)), 1e7
-    kind = NumeratorKind.gap_to_optimal
-    assert verify_tightness(cls, sched, delta, kind).passed
-    x1 = build_worst_case(cls, sched, delta, kind).xs[1]
+    # the correct construction passes at delta = 1e7, and at the SCALES; the
+    # check runs on the unit construction (L = delta = 1), where one value off
+    # by 1e-6 (1e-6 delta in user units) breaks interpolation and only
+    # interpolation
+    sched, kind = StepSchedule((0.5, 0.5)), NumeratorKind.gap_to_optimal
+    x1 = build_worst_case(validate_class(-2.0, 1.0), sched, 1.0, kind).xs[1]
     original = WorstCaseFunction.eval
 
     def perturbed(self, x):
         f, g = original(self, x)
-        return (f + 1e-6 * delta if x == x1 else f), g
+        return (f + 1e-6 if x == x1 else f), g
 
-    monkeypatch.setattr(WorstCaseFunction, "eval", perturbed)
-    rep = verify_tightness(cls, sched, delta, kind)
-    assert not rep.passed
-    assert rep.interpolation_violation > rep.tol
-    assert max(rep.iterate_residual, rep.bound_residual, rep.gap_residual) <= rep.tol
+    for L, delta in ((1.0, 1e7), *SCALES):
+        cls = validate_class(-2.0 * L, L)  # kappa is exactly -2
+        assert verify_tightness(cls, sched, delta, kind).passed
+        monkeypatch.setattr(WorstCaseFunction, "eval", perturbed)
+        rep = verify_tightness(cls, sched, delta, kind)
+        monkeypatch.undo()
+        assert not rep.passed
+        assert rep.interpolation_violation > rep.tol
+        assert max(rep.iterate_residual, rep.bound_residual, rep.gap_residual) <= rep.tol
 
 
 def test_json_and_csv_export(tmp_path):
