@@ -93,11 +93,12 @@ def _gm_rows(
     """Iterates, gradients and values of x_{i+1} = x_i - (h_i / L) g_i, one row per iterate.
 
     The oracle gets row i of the iterate array. A gradient whose shape is
-    not x's raises DimensionMismatch at once; the run stops at the first
-    non-finite value, so the oracle is never called after it. Finiteness of
-    every x, g and f is then checked in one pass over the rows, and the
-    first bad iterate raises NonFiniteValue. Only the computed rows are
-    returned.
+    not x's raises DimensionMismatch at once; the run stops after the first
+    non-finite f, so the oracle is not called again. A non-finite gradient
+    does not stop it: the later iterates are non-finite and the oracle is
+    still called at each of them. Finiteness of every x, g and f is then
+    checked in one pass over the rows, and the first bad iterate raises
+    NonFiniteValue. Only the computed rows are returned.
 
     With ``stop_at_repeat``, for a constant schedule, the run also stops
     before the oracle call at the first iterate whose bytes equal an

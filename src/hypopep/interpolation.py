@@ -3,18 +3,16 @@
 The pairwise interpolation inequality of Taylor, Hendrickx & Glineur
 (Math. Prog. 2017) is written once, in ``interpolation_slack``, as a
 function of the differences of a pair and of the bilinear product used to
-combine them. ``slack_matrix`` evaluates it with plain dot products for all
-n(n-1) ordered pairs of a triplet set's stacked rows (X, G, f) in one
-array pass over row blocks;
-``pep.build_sdp`` evaluates it at L = 1 with symmetrized outer products to
-get the Gram-form rows of the performance-estimation SDP. ``check_interpolable``
-reports the most negative slack of a triplet set. The conditions are only
-ever used as inequalities: no interpolating function is built.
+combine them. ``check_interpolable`` evaluates it with plain dot products
+for all n(n-1) ordered pairs of a triplet set's stacked rows (X, G, f), one
+row block at a time, and returns the largest violation, so its memory does
+not grow with n^2; ``pep.build_sdp`` evaluates it at L = 1 with symmetrized
+outer products to get the Gram-form rows of the performance-estimation SDP.
+The conditions are only ever used as inequalities: no interpolating
+function is built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +23,8 @@ class DegenerateClass(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    feasible: bool
-    worst_violation: float
-    violating_pair: tuple[int, int] | None
-
-
-# Largest temporary array, in elements, that slack_matrix allocates.
-# Several are alive at once; at this size together they stay below the
-# n x n result for the n ~ 200 sets of long constructions.
+# Largest temporary array, in elements, that check_interpolable allocates
+# per row block (one row when a row alone is larger).
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -58,73 +48,37 @@ def interpolation_slack(df, dx, dg, g_b, t, L, dot):
     return df - dot(g_b, dx) - 0.5 * (t * dot(dg, dg) / L - s * L * dot(dx, dx)) - s * dot(dg, dx)
 
 
-def slack_matrix(
-    X: np.ndarray, G: np.ndarray, f: np.ndarray, cls: CurvatureClass
-) -> np.ndarray:
-    """Slacks of ``interpolation_slack`` for every ordered pair of a triplet set.
-
-    ``X`` and ``G`` are n x d (points and gradients), ``f`` has length n;
-    entry (a, b) is the slack for the ordered pair (a, b).
-
-    Differences are taken pairwise before any product, because expanding
-    into Gram matrices cancels badly for close points far from the origin.
-    Rows are processed in blocks so that no temporary exceeds
-    ``_BLOCK_ELEMENTS`` elements.
-    """
-    n, d = X.shape
-    S = np.empty((n, n))
-    block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
-    for r in range(0, n, block):
-        a = slice(r, r + block)
-        dx = X[a, None, :] - X[None, :, :]
-        dg = G[a, None, :] - G[None, :, :]
-        S[a] = interpolation_slack(
-            f[a, None] - f[None, :], dx, dg, G[None, :, :], cls.t, cls.L, _dot
-        )
-    return S
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, broadcasting the others."""
     return np.einsum("...k,...k->...", u, v)
 
 
-def _loop_order(pair: tuple[int, int]) -> tuple[int, int, bool]:
-    """Sort key for the pair order that check_interpolable documents."""
-    a, b = pair
-    return min(a, b), max(a, b), a > b
+def check_interpolable(ts: TripletSet, cls: CurvatureClass) -> float:
+    """Largest violation of the interpolation inequality over all ordered pairs:
+    0.0 minus the most negative slack (0.0 if none is negative), or inf if a
+    slack is not a finite double, when the set is too large to check. A
+    number, not a verdict, because PEP solutions carry solver noise.
 
-
-def check_interpolable(
-    ts: TripletSet, cls: CurvatureClass, tol: float = 1e-9
-) -> InterpolationReport:
-    """Evaluate all pairwise interpolation slacks and report the most negative.
-
-    Reports the most negative slack instead of a bare boolean because PEP
-    solutions carry solver noise. A pair whose slack is not finite is
-    reported with slack -inf: the set is too large to check in doubles.
-    Among equal slacks the reported pair is the first in the order (0, 1),
-    (1, 0), (0, 2), (2, 0), ..., (1, 2), ...: pairs i < j row by row, each
-    before its reverse.
+    Differences are taken pairwise before any product, because expanding
+    into Gram matrices cancels badly for close points far from the origin.
+    Row blocks of at most ``_BLOCK_ELEMENTS`` elements are reduced to a
+    running minimum. A pair (a, a) has slack +-0.0, as the entries are finite.
     """
     if cls.mu == cls.L:
         raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
+    X, G, f = ts.X, ts.G, ts.f
+    n, d = X.shape
+    block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
+    worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        S = slack_matrix(ts.X, ts.G, ts.f, cls)
-    # off the diagonal a slack that is not finite (|dx|^2 or |dg|^2 beyond a
-    # double) says nothing, so it counts as a violation; the diagonal is 0
-    # or NaN and never one, and -0.0 is no violation
-    S[~np.isfinite(S)] = -np.inf
-    np.fill_diagonal(S, 0.0)
-    S[~(S < 0.0)] = 0.0
-    worst = float(S.min())
-    worst_pair = None
-    if worst < 0.0:
-        a, b = np.nonzero(S == worst)
-        worst_pair = min(zip(a.tolist(), b.tolist()), key=_loop_order)
-    return InterpolationReport(
-        feasible=worst >= -tol, worst_violation=worst, violating_pair=worst_pair
-    )
+        for r in range(0, n, block):
+            a = slice(r, r + block)
+            S = interpolation_slack(f[a, None] - f[None, :], X[a, None, :] - X[None, :, :],
+                                    G[a, None, :] - G[None, :, :], G[None, :, :], cls.t, cls.L, _dot)
+            if not np.isfinite(S).all():
+                return np.inf
+            worst = min(worst, float(S.min()))
+    return 0.0 - worst
 
 
 def quadratic_bounds_check(

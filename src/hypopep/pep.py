@@ -24,7 +24,9 @@ interpolation rows are not written out here: ``build_sdp`` evaluates
 ``check_interpolable`` applies to triplets, on the points' Gram
 coefficients, so the row of the ordered pair (i, j) satisfies
 row_ij . (svec(P^T P), f) = unit-scale slack of the triplets (P x_i, P g_i, f_i).
-``extract_triplets`` returns those triplets as the rows of a ``TripletSet``.
+``extract_triplets`` returns those triplets as the rows of a ``TripletSet``
+once ``check_interpolable`` finds no violation above ``VERIFY_TOL``, the
+tolerance ``verify_solution`` holds the SDP to.
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, with its
@@ -52,6 +54,7 @@ from .core import (
 from .interpolation import DegenerateClass, check_interpolable, interpolation_slack
 from .sdpsolver import (
     OBJECTIVE,
+    VERIFY_TOL,
     SdpProblem,
     SdpRows,
     SdpSolution,
@@ -214,16 +217,18 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     ``solve`` or ``solve_pep`` returns it.
 
     Factors the Gram matrix G = P^T P through an eigendecomposition (small
-    negative eigenvalues are clipped), maps the points' coefficients through
-    P, verifies these unit-scale triplets against the interpolation
-    conditions of ``p.cls`` at L = 1 and returns them in user units:
+    negative eigenvalues are clipped; one below -``VERIFY_TOL`` is
+    IndefiniteGram), maps the points' coefficients through P, checks these
+    unit-scale triplets against the interpolation conditions of ``p.cls`` at
+    L = 1 (InterpolationFailure if they are violated by more than
+    ``VERIFY_TOL``) and returns them in user units:
     iterates times sqrt(delta / L), gradients times sqrt(L delta), values
     times delta (ScaleOverflow if an entry is not finite).
     """
     Gc, Xc = _points(p)
     G = np.asarray(sdp_solution.gram, dtype=float)
     w, V = np.linalg.eigh(0.5 * (G + G.T))
-    if w.min() < -1e-6:
+    if w.min() < -VERIFY_TOL:
         raise IndefiniteGram(f"Gram matrix has eigenvalue {w.min()}")
     w = np.clip(w, 0.0, None)
     keep = w > RANK_TOL * max(w.max(), 1.0)
@@ -237,11 +242,9 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     # |x_i - x_j|^2 can overflow a double. P times each point's coefficient
     # vector as a stack of matrix-vector products: Xc @ P.T would change bits
     unit = TripletSet((P @ Xc[..., None])[..., 0], (P @ Gc[..., None])[..., 0], vals)
-    report = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0), tol=1e-6)
-    if not report.feasible:
-        raise InterpolationFailure(
-            f"extracted triplets violate interpolation by {report.worst_violation}"
-        )
+    violation = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0))
+    if violation > VERIFY_TOL:
+        raise InterpolationFailure(f"extracted triplets violate interpolation by {violation}")
     L, delta = p.cls.L, p.delta
     try:  # an overflow, or inf times 0 where sqrt(delta / L) = inf, is ScaleOverflow
         with np.errstate(over="ignore", invalid="ignore"):

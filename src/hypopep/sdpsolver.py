@@ -428,7 +428,9 @@ class VerificationReport:
 def verify_solution(problem: SdpProblem, solution: SdpSolution) -> VerificationReport:
     """Recheck of a solution from its returned Gram matrix, values and
     multipliers alone, independent of the solver's iterates, slack variables
-    and residuals: row slacks, PSD-ness, complementarity and duality gap."""
+    and residuals: row slacks, PSD-ness, complementarity and duality gap, the
+    last two against the SDP's own optimum ``linear_values["l"]``, not
+    ``objective``, which ``pep.solve_pep`` maps to user units."""
     failures = []
     G = 0.5 * (solution.gram + solution.gram.T)
     rows = problem.constraints
@@ -441,10 +443,11 @@ def verify_solution(problem: SdpProblem, solution: SdpSolution) -> VerificationR
     if min_eig < -VERIFY_TOL:
         failures.append(f"gram eigenvalue {min_eig} below -{VERIFY_TOL}")
     comp = float(np.abs(slacks * solution.duals).max()) if len(slacks) else 0.0
-    gap = abs(solution.objective - float(rows.const @ solution.duals))
-    if comp > 100 * VERIFY_TOL * (1.0 + abs(solution.objective)):
+    opt = solution.linear_values[OBJECTIVE]
+    gap = abs(opt - float(rows.const @ solution.duals))
+    if comp > 100 * VERIFY_TOL * (1.0 + abs(opt)):
         failures.append(f"complementarity residual {comp}")
-    if gap > 100 * VERIFY_TOL * (1.0 + abs(solution.objective)):
+    if gap > 100 * VERIFY_TOL * (1.0 + abs(opt)):
         failures.append(f"duality gap {gap}")
     return VerificationReport(
         all_pass=not failures,

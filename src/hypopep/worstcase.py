@@ -10,8 +10,9 @@ curvature L closing both tails.
 ``verify_tightness`` checks a construction at its own iterates, by the
 interpolation conditions of Taylor, Hendrickx & Glineur (Math. Prog. 2017):
 each gradient step from a constructed iterate lands on the next one, every
-gradient has magnitude U, the triplets interpolate and the value gap is
-used up. No gradient method is run. It checks the unit construction,
+gradient has magnitude U, the triplets interpolate (``check_interpolable``
+over all ordered pairs, in memory that does not grow with N) and the value
+gap is used up. No gradient method is run. It checks the unit construction,
 L = delta = 1: in user units |x_i - x_j|^2 can overflow a double.
 
 The concave pieces are t h_i U / L wide, t = 1 / (1 - kappa), which nears the
@@ -225,7 +226,8 @@ def verify_tightness(
     (a) each step x_i - h_i g_i lands on x_{i+1} (``iterate_residual`` is
     the largest one-step residual, scaled by max(1, |x_0|)), (b) the minimum
     squared gradient equals U^2, (c) the evaluated triplets, with (0, 0, 0)
-    added for gap-to-optimal, satisfy the interpolation conditions, (d) the
+    added for gap-to-optimal, satisfy the interpolation conditions
+    (``interpolation_violation`` is their largest violation), (d) the
     full value gap 1 is consumed. A gradient run from x_0 visits exactly
     these iterates iff every single step does, so (a) states tightness
     without following a float run that amplifies rounding by |1 - h kappa|
@@ -243,22 +245,16 @@ def verify_tightness(
     opt = kind == NumeratorKind.gap_to_optimal
     # one row per iterate, and the minimizer (0, 0, 0) for gap-to-optimal
     X, G, F = np.array([v + ((0.0,) if opt else ()) for v in (wcf.xs, gs, fs)])
-    report = check_interpolable(TripletSet(X[:, None], G[:, None], F), unit, tol=tol)
+    violation = check_interpolable(TripletSet(X[:, None], G[:, None], F), unit)
     gap_res = abs((fs[0] if opt else fs[0] - fs[-1]) - 1.0)
     U = math.sqrt(cls.L) * math.sqrt(delta) * wcf.U  # Python floats overflow to inf silently
     if not math.isfinite(U):
         raise BoundOverflow(f"U, sqrt(L delta) {wcf.U!r}, overflows: L={cls.L!r}, delta={delta!r}")
-    passed = (
-        it_res <= tol
-        and bound_res <= tol
-        and -report.worst_violation <= tol
-        and gap_res <= tol
-    )
     return TightnessReport(
-        passed=passed,
+        passed=all(r <= tol for r in (it_res, bound_res, violation, gap_res)),
         iterate_residual=it_res,
         bound_residual=bound_res,
-        interpolation_violation=-report.worst_violation,
+        interpolation_violation=violation,
         gap_residual=gap_res,
         U=U,
         tol=tol,

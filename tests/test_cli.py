@@ -126,7 +126,7 @@ def check_emitted_triplets(path, steps, L, delta, kappa=-1.0):
         assert np.abs(X[i + 1] - (X[i] - h / L * G[i])).max() <= 1e-14 * size, (i, X, G)
     sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
     unit = TripletSet(X / sx, G / sg, f / delta)
-    assert check_interpolable(unit, validate_class(kappa, 1.0), tol=1e-6).feasible
+    assert check_interpolable(unit, validate_class(kappa, 1.0)) <= 1e-6
     return size / sx
 
 
@@ -166,7 +166,7 @@ def test_pep_gap_to_last_has_no_x0_entry_to_overflow(capsys, tmp_path, monkeypat
     rows = data["triplets"]
     ts = TripletSet(np.divide([t["x"] for t in rows], sx), np.divide([t["g"] for t in rows], sg),
                     [t["f"] / delta for t in rows])
-    assert check_interpolable(ts, validate_class(-1.0, 1.0), tol=1e-6).feasible
+    assert check_interpolable(ts, validate_class(-1.0, 1.0)) <= 1e-6
 
 
 @pytest.mark.parametrize("kind", list(NumeratorKind))
@@ -202,7 +202,7 @@ def test_pep_far_from_unit_scale(capsys, tmp_path, argv):
     rows = data["triplets"]
     ts = TripletSet([t["x"] for t in rows], [t["g"] for t in rows], [t["f"] for t in rows])
     cls = validate_class(float(args["kappa"]) * L, L)
-    assert check_interpolable(ts, cls, tol=1e-6 * delta).feasible
+    assert check_interpolable(ts, cls) <= 1e-6 * delta
 
 
 @st.composite
@@ -292,16 +292,21 @@ def test_emit_triplets_failure_exit_code(capsys, tmp_path, monkeypatch, exc, cod
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tightness_pass(capsys):
     # the check runs on the unit construction, L = delta = 1, so it passes at
-    # delta = 1e7 and where |x_i - x_j|^2 ~ delta / L overflows in user units
+    # delta = 1e7 and where |x_i - x_j|^2 ~ delta / L overflows in user units;
+    # the violation is never negative, so never -0 where no pair violates
+    # (the last two argvs with --kind last)
     for args in (("--kappa=-2", "--L", "2", "--delta", "2", "--steps", "1,0.5,0.75"),
                  ("--kappa=-1e3", "--steps", "1,0.5,0.75"),
                  ("--kappa=-2", "--delta=1e7", "--steps", "0.5,0.5"),
                  ("--kappa=-1", "--steps", "0.5,0.9", "--L=1e-200", "--delta=1e200"),
-                 ("--kappa=-1", "--steps", "0.5,0.9", "--L=1e-300", "--delta=1e300")):
+                 ("--kappa=-1", "--steps", "0.5,0.9", "--L=1e-300", "--delta=1e300"),
+                 ("--kappa=0", "--steps", "0.5"),
+                 ("--kappa=-1", "--steps", "1")):
         for kind in ("opt", "last"):
             rc, out, err = run(capsys, "tightness", *args, "--kind", kind)
             assert rc == 0 and err == "", (args, out, err)
             assert "PASS" in out
+            assert "interpolation_violation -" not in out, (args, kind, out)
 
 
 def test_worstcase_exports(capsys, tmp_path):

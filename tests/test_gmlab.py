@@ -91,7 +91,7 @@ def test_one_step_certificate_quadratic():
     assert gmin < bound
     # the pair's interpolation inequalities imply the descent lemma
     # f_0 - f_1 >= h (2 - h) |g_0|^2 / (2L), the (0, 1) slack at t = 0
-    assert check_interpolable(traj.iterates, cls).feasible
+    assert check_interpolable(traj.iterates, cls) <= 1e-9
 
 
 def test_one_step_certificate_tight_on_worst_case():
@@ -111,7 +111,7 @@ def test_one_step_certificate_tight_on_worst_case():
         assert abs(gmin - bound) <= 1e-9 * bound  # tight along the worst case
         # at h = 1 the pair's (0, 1) slack is the combined two-coefficient inequality
         pair = TripletSet([t0.x, t1.x], [t0.g, t1.g], [t0.f, t1.f])
-        assert check_interpolable(pair, cls).feasible
+        assert check_interpolable(pair, cls) <= 1e-9
 
 
 def test_monotonicity_on_convex_quadratic():

@@ -1,16 +1,18 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, TripletSet, validate_class
 from hypopep.interpolation import (
     DegenerateClass,
+    _dot,
     check_interpolable,
+    interpolation_slack,
     quadratic_bounds_check,
-    slack_matrix,
 )
 
 
@@ -26,18 +28,14 @@ def test_quadratic_is_interpolable():
     xs = [rng.standard_normal(3) for _ in range(5)]
     ts = sample_quadratic_triplets(0.5, xs)
     cls = validate_class(-1.0, 1.0)
-    report = check_interpolable(ts, cls)
-    assert report.feasible
-    assert report.worst_violation >= -1e-12
+    assert check_interpolable(ts, cls) <= 1e-12
 
 
 def test_too_steep_quadratic_is_not_interpolable():
     xs = [np.array([0.0]), np.array([1.0])]
     ts = sample_quadratic_triplets(3.0, xs)
     cls = validate_class(-1.0, 1.0)
-    report = check_interpolable(ts, cls)
-    assert not report.feasible
-    assert report.violating_pair is not None
+    assert check_interpolable(ts, cls) > 1e-9
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -49,13 +47,12 @@ def test_overflowing_slack_is_a_violation(x1, g1):
     # a slack that is not a finite double says nothing about interpolability
     ts = TripletSet([[0.0], [x1]], [[0.0], [g1]], [0.0, 0.0])
     cls = validate_class(-1.0, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = slack_matrix(np.array([[0.0], [x1]]), np.array([[0.0], [g1]]), np.zeros(2), cls)
-    assert not np.isfinite(S[0, 1]) and not np.isfinite(S[1, 0])
-    report = check_interpolable(ts, cls)
-    assert not report.feasible
-    assert report.worst_violation == -np.inf
-    assert report.violating_pair == (0, 1)
+    for a, b in ((0, 1), (1, 0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = interpolation_slack(ts.f[a] - ts.f[b], ts.X[a] - ts.X[b], ts.G[a] - ts.G[b],
+                                    ts.G[b], cls.t, cls.L, _dot)
+        assert not np.isfinite(s)
+    assert check_interpolable(ts, cls) == np.inf
 
 
 def test_degenerate_class_rejected():
@@ -80,8 +77,8 @@ def test_shift_equivalence(mu):
     shifted = shift_triplets(ts, mu)
     r0 = check_interpolable(ts, cls)
     r1 = check_interpolable(shifted, CurvatureClass(mu=0.0, L=1.0 - mu))
-    assert r0.feasible == r1.feasible
-    assert abs(r0.worst_violation - r1.worst_violation) < 1e-9
+    assert (r0 <= 1e-9) == (r1 <= 1e-9)
+    assert abs(r0 - r1) < 1e-9
 
 
 def test_quadratic_bounds_check_negative_control():
@@ -127,32 +124,28 @@ def test_t_form_is_the_kappa_form(kappa, L, seed):
     c = 2.0 * (1.0 - kappa)
     kappa_form = df - g * dx - (dg * dg / L + mu * dx * dx - 2.0 * kappa * dg * dx) / c
     sizes = abs(df) + abs(g * dx) + t * dg * dg / (2.0 * L) + L * dx * dx / 2.0 + abs(dg * dx)
-    S = slack_matrix(x[:, None], g[:, None], f, cls)
+    S = interpolation_slack(df, dx[..., None], dg[..., None], g[:, None], t, L, _dot)
     assert (abs(S - kappa_form) <= 1e-15 * sizes).all()
 
 
-def reference_check(ts, cls, tol=1e-9):
+def reference_check(ts, cls):
+    # 0.0 minus the most negative slack, pair by pair
     worst = 0.0
-    worst_pair = None
     trip = list(ts)
     for i, j in combinations(range(len(trip)), 2):
         for a, b in ((i, j), (j, i)):
-            s = reference_slack(trip[a], trip[b], cls)
-            if s < worst:
-                worst = s
-                worst_pair = (a, b)
-    return worst >= -tol, worst, worst_pair
+            worst = min(worst, reference_slack(trip[a], trip[b], cls))
+    return 0.0 - worst
 
 
 def assert_matches_reference(ts, cls, exact):
-    rep = check_interpolable(ts, cls)
-    feasible, worst, pair = reference_check(ts, cls)
-    assert (rep.feasible, rep.violating_pair) == (feasible, pair)
+    violation = check_interpolable(ts, cls)
+    expected = reference_check(ts, cls)
     if exact:
-        assert rep.worst_violation == worst
+        assert violation == expected
     else:
-        assert abs(rep.worst_violation - worst) <= 1e-12 * max(1.0, abs(worst))
-    return rep
+        assert abs(violation - expected) <= 1e-12 * max(1.0, expected)
+    return violation
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 22])
@@ -164,6 +157,8 @@ def assert_matches_reference(ts, cls, exact):
     log_noise=st.integers(-5, 1),
     seed=st.integers(0, 2**32 - 1),
 )
+# n = 200 is five row blocks at d = 1, and the worst pair is in the third
+@example(n=200, kappa=-1.0, L=2.0, u=0.5, log_noise=-1, seed=2)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_check_matches_pair_loop(d, n, kappa, L, u, log_noise, seed):
     # samples of a quadratic with curvature inside (mu, L), values perturbed
@@ -179,31 +174,33 @@ def test_check_matches_pair_loop(d, n, kappa, L, u, log_noise, seed):
 
 def test_single_triplet_has_no_pair():
     ts = sample_quadratic_triplets(0.5, [np.array([1.0, 2.0])])
-    rep = assert_matches_reference(ts, validate_class(-1.0, 1.0), exact=True)
-    assert rep.feasible and rep.worst_violation == 0.0 and rep.violating_pair is None
+    assert assert_matches_reference(ts, validate_class(-1.0, 1.0), exact=True) == 0.0
 
 
-def test_tied_violations_break_in_loop_order():
+@pytest.mark.parametrize("ts, violation", [
     # with g = 0, kappa = -1: slack(a, b) = f_a - f_b + (x_a - x_b)^2 / 4, so
-    # slack(1, 0) = slack(0, 2) = -0.75 exactly; the loop meets (1, 0) first,
-    # a row-major scan of the slack matrix would meet (0, 2) first
-    ts = TripletSet([[0.0], [1.0], [-3.0]], [[0.0], [0.0], [0.0]], [0.0, -1.0, 3.0])
-    trips = list(ts)
-    cls = validate_class(-1.0, 1.0)
-    assert reference_slack(trips[1], trips[0], cls) == reference_slack(trips[0], trips[2], cls) == -0.75
-    rep = assert_matches_reference(ts, cls, exact=True)
-    assert rep.violating_pair == (1, 0)
-    assert rep.worst_violation == -0.75
-
-
-def test_tie_within_a_pair_reports_i_before_j():
+    # slack(1, 0) = slack(0, 2) = -0.75 exactly
+    (TripletSet([[0.0], [1.0], [-3.0]], [[0.0], [0.0], [0.0]], [0.0, -1.0, 3.0]), 0.75),
     # mirror-image triplets: slack(0, 1) and slack(1, 0) are the same sums
-    ts = TripletSet([[-1.0], [1.0]], [[-2.0], [2.0]], [0.0, 0.0])
-    trips = list(ts)
-    cls = validate_class(-1.0, 1.0)
-    assert reference_slack(trips[0], trips[1], cls) == reference_slack(trips[1], trips[0], cls) < 0.0
-    rep = assert_matches_reference(ts, cls, exact=True)
-    assert rep.violating_pair == (0, 1)
+    (TripletSet([[-1.0], [1.0]], [[-2.0], [2.0]], [0.0, 0.0]), 3.0),
+], ids=["two-pairs", "mirror-pair"])
+def test_tied_violations_match_pair_loop(ts, violation):
+    assert assert_matches_reference(ts, validate_class(-1.0, 1.0), exact=True) == violation
+
+
+def test_memory_does_not_grow_with_pairs():
+    # n = 3000 in d = 1: the n x n slack matrix alone would be 72 MB
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(3000)
+    ts = TripletSet(x[:, None], 0.5 * x[:, None], 0.25 * x * x)
+    tracemalloc.start()
+    try:
+        violation = check_interpolable(ts, validate_class(-1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violation <= 1e-12
+    assert peak < 8e6
 
 
 def test_points_far_from_origin():
@@ -220,6 +217,5 @@ def test_points_far_from_origin():
 
     near = check_interpolable(triplets(0.0), cls)
     far = assert_matches_reference(triplets(1e9), cls, exact=False)
-    assert not far.feasible
-    assert far.worst_violation == near.worst_violation
-    assert far.violating_pair == near.violating_pair
+    assert far > 1e-9
+    assert far == near

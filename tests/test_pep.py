@@ -12,7 +12,7 @@ from hypopep.core import (
     ValidationError,
     validate_class,
 )
-from hypopep.interpolation import DegenerateClass, check_interpolable, slack_matrix
+from hypopep.interpolation import DegenerateClass, _dot, check_interpolable, interpolation_slack
 from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
 from hypopep.rates import nstep_bound, one_step_p
 from hypopep.sdpsolver import (
@@ -151,7 +151,7 @@ def test_solve_pep_maps_to_user_units(L, delta, kind):
     # L delta, and the interpolation conditions of p.cls, whose slacks are
     # delta times the unit ones
     ts = extract_triplets(p, sol)
-    assert check_interpolable(ts, p.cls, tol=1e-6 * delta).feasible
+    assert check_interpolable(ts, p.cls) <= 1e-6 * delta
     xs = [t.x for t in ts]
     for i, h in enumerate(p.sched.steps):
         step = xs[i] - h / L * ts[i].g
@@ -176,8 +176,7 @@ def test_extract_triplets_feasible_and_consistent():
     ts = extract_triplets(p, sol)
     # N+1 iterates plus the optimal point
     assert len(ts) == 4
-    report = check_interpolable(ts, p.cls, tol=1e-6)
-    assert report.feasible
+    assert check_interpolable(ts, p.cls) <= 1e-6
     # step recursion holds among the extracted iterates
     for i, h in enumerate(p.sched.steps):
         lhs = ts[i + 1].x
@@ -318,7 +317,8 @@ def test_interp_rows_evaluate_to_triplet_slacks(kappa, kind, steps, L):
         X = np.array([P @ x for _, x in pts.values()])
         G = np.array([P @ g for g, _ in pts.values()])
         f = np.array([values.get(f"f_{name}", 0.0) for name in pts])
-        S = slack_matrix(X, G, f, unit)
+        S = interpolation_slack(f[:, None] - f, X[:, None] - X, G[:, None] - G, G,
+                                unit.t, unit.L, _dot)
         index = {name: i for i, name in enumerate(pts)}
         gram = P.T @ P
         c = sdp.constraints

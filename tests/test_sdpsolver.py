@@ -404,14 +404,29 @@ def test_verify_solution_fails_on_duality_gap_alone():
     prob = trivial_problem()
     sol = solve(prob)
     assert verify_solution(prob, sol).all_pass
-    # the objective no longer matches the dual objective; slacks, the Gram
-    # matrix and the multipliers are untouched
-    tampered = dataclasses.replace(sol, objective=sol.objective + 1e-3)
+    # the dual objective no longer matches the objective variable l: the
+    # multiplier of the cap row, whose slack is 0, moves; slacks, the Gram
+    # matrix and l are untouched
+    duals = sol.duals.copy()
+    duals[1] += 1e-3
+    tampered = dataclasses.replace(sol, duals=duals)
     report = verify_solution(prob, tampered)
     assert not report.all_pass
     assert len(report.failures) == 1
     assert report.failures[0].startswith("duality gap ")
-    assert report.duality_gap > 100 * 1e-6 * (1.0 + abs(tampered.objective))
+    assert report.duality_gap > 100 * 1e-6 * (1.0 + abs(sol.linear_values["l"]))
+    # the gap is taken at l, so a rescaled objective alone is no failure
+    assert verify_solution(prob, dataclasses.replace(sol, objective=sol.objective + 1e-3)).all_pass
+
+
+@pytest.mark.parametrize("L, delta", [(2.0, 2.0), (1e-8, 1e6)])
+def test_verify_solution_accepts_a_user_unit_optimum(L, delta):
+    # solve_pep returns objective = L delta l; the check reads l itself
+    p = PepProblem(validate_class(-L, L), StepSchedule((1.0, 0.5)), delta, NumeratorKind.gap_to_optimal)
+    sol = solve_pep(p)
+    assert sol.objective == L * delta * sol.linear_values["l"]
+    report = verify_solution(build_sdp(p), sol)
+    assert report.all_pass, report.failures
 
 
 @pytest.mark.parametrize("kind", list(NumeratorKind))
