@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from . import gmlab, pep, worstcase
+from . import gmlab, pep, sdpsolver, worstcase
 from .core import (
     CheckFailure,
     NumeratorKind,
@@ -156,16 +156,20 @@ def _reference_bound(p: pep.PepProblem):
     return None
 
 
+def _reference(p: pep.PepProblem, optimum: float) -> dict[str, str]:
+    """The ``reference`` and ``rel_error`` of a PEP optimum, where ``_reference_bound`` has one."""
+    ref = _reference_bound(p)
+    return {} if ref is None else {"reference": _fmt(ref),
+                                   "rel_error": _fmt(abs(optimum - ref) / ref)}
+
+
 def cmd_pep(args) -> int:
     p = pep.PepProblem(_cls(args), _schedule_from_args(args), args.delta, _kind(args))
     sol = pep.solve_pep(p)
     ts = pep.extract_triplets(p, sol) if args.emit_triplets else None  # fails before any output
-    print(f"optimum {_fmt(sol.objective)}")
-    print(f"iterations {sol.iterations}")
-    ref = _reference_bound(p)
-    if ref is not None:
-        print(f"reference {_fmt(ref)}")
-        print(f"rel_error {_fmt(abs(sol.objective - ref) / ref)}")
+    lines = {"optimum": _fmt(sol.objective), "iterations": sol.iterations}
+    lines.update(_reference(p, sol.objective))
+    print("\n".join(f"{key} {value}" for key, value in lines.items()))
     if ts is not None:
         with open(args.emit_triplets, "w") as fh:
             fh.write(ts.to_json())
@@ -266,10 +270,7 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
         else:
             p = pep.PepProblem(cls, sched, delta, kind)
             sol = pep.solve_pep(p)
-            ref = _reference_bound(p)
-            row["optimum"] = _fmt(sol.objective)
-            if ref is not None:
-                row.update(reference=_fmt(ref), rel_error=_fmt(abs(sol.objective - ref) / ref))
+            row.update(optimum=_fmt(sol.objective), **_reference(p, sol.objective))
     # per-point failures go to the error column; anything else is a bug
     except (ValidationError, NumericalFailure) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -309,9 +310,12 @@ def cmd_fit_r(args) -> int:
     lo, hi = _numbers(args.N, ":", int, count=2)
     cls = validate_class(args.kappa * args.L, args.L)
     kind = _kind(args)
+    problem = lambda n: pep.PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind)
+    _count("--N", hi, least=-math.inf)
+    sdpsolver.check_gram_dim(problem(hi).gram_dim)  # the largest PEP, before the first solve
     values = []
     for n in range(lo, hi + 1):
-        sol = pep.solve_pep(pep.PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind))
+        sol = pep.solve_pep(problem(n))
         values.append((n, sol.objective))
         print(f"N={n} optimum {_fmt(sol.objective)}")
     res = fit_r(cls, args.h, values, delta=args.delta)

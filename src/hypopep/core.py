@@ -57,6 +57,10 @@ class NonFiniteTriplet(ValidationError):
     pass
 
 
+class ScaleOverflow(ValidationError):
+    """An answer is not a finite double in user units, or is 0 there but not at unit scale."""
+
+
 @dataclass(frozen=True)
 class CurvatureClass:
     """A curvature interval [mu, L] with finite L > 0 and finite mu <= L.
@@ -107,6 +111,14 @@ def validate_delta(delta: float) -> None:
     """Reject an initial gap delta that is not positive and finite."""
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"delta must be positive and finite, got {delta}")
+
+
+def user_units(value: float, unit: float, what: str, L: float, delta: float) -> float:
+    """``value``, the answer ``what`` at (L, delta), ``unit`` at L = delta = 1: every route's one
+    exit from unit scale. ScaleOverflow unless it is a finite double, nonzero where ``unit`` is."""
+    if not math.isfinite(value) or value == 0.0 != unit:
+        raise ScaleOverflow(f"{what} at L={L!r}, delta={delta!r} is {value!r} (unit scale {unit!r})")
+    return value
 
 
 @dataclass(frozen=True)

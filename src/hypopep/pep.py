@@ -30,7 +30,7 @@ tolerance ``verify_solution`` holds the SDP to.
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, with its
-objective in user units, or raises ScaleOverflow if that is not finite.
+objective in user units, or raises ScaleOverflow (``core.user_units``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from .core import (
     NumeratorKind,
     NonFiniteTriplet,
     NumericalFailure,
+    ScaleOverflow,
     StepSchedule,
     TripletSet,
-    ValidationError,
+    user_units,
     validate_delta,
 )
 from .interpolation import DegenerateClass, check_interpolable, interpolation_slack
@@ -82,11 +83,6 @@ class InterpolationFailure(CheckFailure):
 
 class SolverFailure(NumericalFailure):
     """The solver did not return a verified optimum."""
-
-
-class ScaleOverflow(ValidationError):
-    """The optimum, or an emitted triplet entry, is not a finite double in
-    user units, though it is at unit scale."""
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,7 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     ``verify_solution`` (whose absolute floors suit the unit scale) is
     returned, else SolverFailure. The solution is the unit one, which
     ``extract_triplets`` reads, except ``objective``: L delta times the unit
-    optimum ``linear_values["l"]`` (ScaleOverflow if it is not finite)."""
+    optimum ``linear_values["l"]``, through ``core.user_units``."""
     sdp = build_sdp(p)
     sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
@@ -205,10 +201,8 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     report = verify_solution(sdp, sol)
     if not report.all_pass:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    objective = sol.objective * (p.cls.L * p.delta)  # Python floats overflow to inf silently
-    if not math.isfinite(objective):
-        raise ScaleOverflow(f"the optimum at L={p.cls.L!r}, delta={p.delta!r} is L delta "
-                            f"times {sol.objective!r}, beyond a double")
+    objective = user_units(sol.objective * (p.cls.L * p.delta), sol.objective, "the optimum",
+                           p.cls.L, p.delta)
     return replace(sol, objective=objective)
 
 
@@ -251,5 +245,4 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
             return TripletSet(math.sqrt(delta) / math.sqrt(L) * unit.X,
                               math.sqrt(L) * math.sqrt(delta) * unit.G, delta * vals)
     except NonFiniteTriplet:
-        raise ScaleOverflow(f"the triplets at L={L!r}, delta={delta!r} overflow a double "
-                            "in user units") from None
+        raise ScaleOverflow(f"a triplet entry at L={L!r}, delta={delta!r} is not finite") from None

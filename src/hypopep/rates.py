@@ -23,6 +23,7 @@ from .core import (
     RateResult,
     StepSchedule,
     ValidationError,
+    user_units,
     validate_delta,
 )
 
@@ -43,10 +44,6 @@ class StepAboveThreshold(ValidationError):
 
 class StepOutOfRange(ValidationError):
     pass
-
-
-class BoundOverflow(ValidationError):
-    """The bound 2 L delta / D exceeds the largest double."""
 
 
 class RootNotBracketed(RuntimeError):
@@ -115,12 +112,12 @@ def nstep_bound(
     delta: float,
     kind: NumeratorKind,
 ) -> RateResult:
-    """N-step upper bound 2*L*delta / D on the minimum squared gradient norm.
+    """N-step upper bound 2 L delta / D on the minimum squared gradient norm.
 
     D is the sum of per-step constants p(h_i) at the class's t, plus 1 for
-    the gap-to-optimal initial condition. A bound that overflows a double, as
-    with a subnormal step sum and the gap to the last iterate, raises
-    BoundOverflow.
+    the gap-to-optimal initial condition. A bound that is not a finite
+    nonzero double, as with a subnormal step sum and the gap to the last
+    iterate, raises ScaleOverflow.
     """
     validate_delta(delta)
     if cls.mu > 0.0 and not cls.unbounded_below:
@@ -135,14 +132,10 @@ def nstep_bound(
     denom = sum(ps)
     if kind == NumeratorKind.gap_to_optimal:
         denom += 1.0
-    bound = 2.0 * cls.L * delta / denom
-    if math.isinf(bound):
-        raise BoundOverflow(f"2*L*delta/D overflows with D={denom!r}, L={cls.L!r}, delta={delta!r}")
-    regime = RateRegime.short if max(sched.steps) <= 1.0 else RateRegime.mid
     return RateResult(
-        bound=bound,
+        bound=user_units(2.0 * (cls.L * delta / denom), 2.0 / denom, "the bound", cls.L, delta),
         denominator=denom,
-        regime=regime,
+        regime=RateRegime.short if max(sched.steps) <= 1.0 else RateRegime.mid,
         per_step_p=tuple(ps),
     )
 
@@ -266,7 +259,7 @@ def conjectured_bound_third_regime(
     else:
         denom = min(geom - 1.0, lin - 1.0)
     return RateResult(
-        bound=2.0 * cls.L * delta / denom,
+        bound=user_units(2.0 * (cls.L * delta / denom), 2.0 / denom, "the bound", cls.L, delta),
         denominator=denom,
         regime=RateRegime.large,
         conjectured=True,
@@ -290,13 +283,14 @@ def fit_r(
 ) -> FitRResult:
     """Estimate the third-regime intercept r from solved PEP optima.
 
-    Each (N, value) pair yields an implied denominator D(N) = 2*L*delta/value,
-    modeled as D(N) = r + N*slope with the slope fixed analytically. Points on
-    the geometric branch (where (1-h)^(-2N) is the smaller denominator at the
-    fitted r) are excluded in a second pass.
+    Each (N, value) pair yields an implied denominator D(N) = 2 (L delta / value),
+    modeled as D(N) = r + N*slope with the slope fixed analytically (ScaleOverflow
+    if L delta is not a finite nonzero double). Points on the geometric branch (where
+    (1-h)^(-2N) is the smaller denominator at the fitted r) are excluded in a second pass.
     """
     slope = _slope(cls.t, h)
-    points = [(int(n), 2.0 * cls.L * delta / v) for n, v in pep_values]
+    scale = user_units(cls.L * delta, 1.0, "L delta", cls.L, delta)
+    points = [(int(n), 2.0 * (scale / v)) for n, v in pep_values]
     if len(points) < 2:
         raise InsufficientData("need at least 2 PEP optima")
 

@@ -37,10 +37,11 @@ from .core import (
     StepSchedule,
     TripletSet,
     ValidationError,
+    user_units,
     validate_delta,
 )
 from .interpolation import check_interpolable
-from .rates import BoundOverflow, nstep_bound
+from .rates import nstep_bound
 
 
 KAPPA_MIN = -1e8
@@ -134,9 +135,9 @@ def build_worst_case(
 ) -> WorstCaseFunction:
     """Assemble the tight piecewise-quadratic instance for h_i <= 1.
 
-    The gradient magnitude U is the square root of the rate bound; iterates
-    step right-to-left toward the flat tail (gap_to_last) or toward the
-    global minimizer pinned at the origin (gap_to_optimal).
+    The gradient magnitude U is the square root of the rate bound; iterates step right-to-left
+    toward the flat tail (gap_to_last) or the global minimizer at the origin (gap_to_optimal).
+    ScaleOverflow if the bound or x_0, the largest iterate, is not finite and nonzero.
     """
     if cls.unbounded_below:
         raise ValidationError("construction requires a finite lower curvature")
@@ -162,6 +163,7 @@ def build_worst_case(
     xs = [base] * (N + 1)
     for i in range(N - 1, -1, -1):
         xs[i] = xs[i + 1] + (U / L) * sched.steps[i]
+    user_units(xs[0], math.sqrt(2.0 / res.denominator) * (sum(sched.steps) + opt), "x_0", L, delta)
     fs = [delta - (U * U / (2.0 * L)) * s for s in accumulate(ps, initial=0.0)]
     x_bars = [xs[i] - (1.0 - cls.t) * (sched.steps[i] / L) * U for i in range(N)]
 
@@ -232,7 +234,7 @@ def verify_tightness(
     these iterates iff every single step does, so (a) states tightness
     without following a float run that amplifies rounding by |1 - h kappa|
     per step on a concave piece. U is reported in user units, sqrt(L delta)
-    times the unit one (BoundOverflow if that is not a finite double).
+    times the unit one, through ``core.user_units``.
     """
     validate_delta(delta)
     unit = replace(cls, mu=cls.mu / cls.L, L=1.0)
@@ -247,9 +249,7 @@ def verify_tightness(
     X, G, F = np.array([v + ((0.0,) if opt else ()) for v in (wcf.xs, gs, fs)])
     violation = check_interpolable(TripletSet(X[:, None], G[:, None], F), unit)
     gap_res = abs((fs[0] if opt else fs[0] - fs[-1]) - 1.0)
-    U = math.sqrt(cls.L) * math.sqrt(delta) * wcf.U  # Python floats overflow to inf silently
-    if not math.isfinite(U):
-        raise BoundOverflow(f"U, sqrt(L delta) {wcf.U!r}, overflows: L={cls.L!r}, delta={delta!r}")
+    U = user_units(math.sqrt(cls.L) * math.sqrt(delta) * wcf.U, wcf.U, "U", cls.L, delta)
     return TightnessReport(
         passed=all(r <= tol for r in (it_res, bound_res, violation, gap_res)),
         iterate_residual=it_res,

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hypopep import cli, pep
+from hypopep import cli, pep, sdpsolver
 from hypopep.cli import main, parse_steps
 from hypopep.core import NumeratorKind, StepSchedule, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
@@ -67,7 +67,7 @@ def test_rate_overflow_exit_code(capsys):
     # a subnormal step sum makes 2 L delta / D overflow a double
     rc, out, err = run(capsys, "rate", "--kappa", "-1", "--steps", "1e-310", "--kind", "last")
     assert rc == 2
-    assert "BoundOverflow" in err and "bound" not in out
+    assert "ScaleOverflow" in err and "bound" not in out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -112,6 +112,54 @@ def test_pep_answer_beyond_double_exit_code(capsys, tmp_path, monkeypatch, argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: ScaleOverflow: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+def printed_numbers(out):
+    """Every token of a command's output that parses as a float."""
+    numbers = []
+    for token in re.split(r"[\s=,]+", out):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(token))
+    return numbers
+
+
+_FAR = ("--L=1e200", "--delta=1e108")  # L delta = 1e308: 2 L delta overflows, L delta does not
+_TINY = ("--L=1e-300", "--delta=1e-300")  # L delta = 1e-600 underflows to 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("code, argv", [
+    (0, ("rate", "--kappa=-1", "--steps", "1", "--N", "10", *_FAR)),
+    (0, ("pep", "--kappa=-1", "--steps", "1", "--N", "3", *_FAR)),
+    (0, ("pep", "--kappa=0", "--steps", "1.8", "--N", "3", *_FAR)),  # the conjectured reference
+    (0, ("fit-r", "--kappa=-1", "--h", "1.8", "--N", "3:6", *_FAR)),
+    (2, ("pep", "--kappa=-1", "--steps", "1", *_TINY)),
+    (0, ("sweep", "--target", "pep", "--kappa=-1", "--h", "1", "--N", "1", *_TINY)),
+    (2, ("rate", "--kappa=-1", "--steps", "1", *_TINY)),
+    (2, ("worstcase", "--kappa=-1", "--steps", "1", *_TINY)),
+    # x_0 = 3.5 sqrt(delta / L) times the unit one overflows, though U does not
+    (2, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "6", "--L=1e-308", "--delta=1e308",
+         "--json-out", "w.json")),
+])
+def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
+    # every answer leaves unit scale through one check: a finite answer is
+    # printed whole, and one beyond a double (or 0 where the unit one is not)
+    # exits 2 before any output; a sweep puts it in the point's error column
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    if code == 2:
+        assert rc == 2 and out == "", (rc, out)
+        assert err.startswith("error: ScaleOverflow: "), err
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert rc == 0 and err == "", err
+    assert all(math.isfinite(v) for v in printed_numbers(out)), out
+    if argv[0] == "pep":
+        assert float(grab(out, "rel_error")) <= 1e-8, out
+    if argv[0] == "fit-r":  # the fit reads only ratios of optima: r is the unit one
+        assert grab(out, "r") == grab(run(capsys, *argv[:-2])[1], "r")
+    if argv[0] == "sweep":
+        assert list(csv.DictReader(io.StringIO(out)))[0]["error"].startswith("ScaleOverflow: ")
 
 
 def check_emitted_triplets(path, steps, L, delta, kappa=-1.0):
@@ -237,6 +285,44 @@ def test_pep_at_any_scale_is_the_unit_pep(draw):
         unit = solve(build_sdp(p)).objective
         assert float(grab(out.getvalue(), "optimum")) == unit * (L * delta), argv
         check_emitted_triplets(path, steps, L, delta, kappa)
+
+
+@st.composite
+def _command_at_any_scale(draw):
+    """rate, pep, worstcase, tightness or sweep --target pep; kappa in [-3, 0),
+    N <= 3 steps in [0.01, 1] times h_bar (times 1 for the construction), and
+    L and delta each log-uniform over [1e-300, 1e300], with L delta unbounded."""
+    cmd = draw(st.sampled_from(["rate", "pep", "worstcase", "tightness", "sweep"]))
+    kappa = draw(st.floats(-3.0, 0.0, exclude_max=True))
+    top = 1.0 if cmd in ("worstcase", "tightness") else step_threshold(kappa)
+    steps = [u * top for u in draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))]
+    L, delta = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
+    argv = [f"--kappa={kappa!r}", f"--L={L!r}", f"--delta={delta!r}",
+            "--kind", draw(st.sampled_from(["last", "opt"]))]
+    if cmd == "sweep":
+        return ["sweep", "--target", "pep", f"--h={steps[0]!r}", f"--N={len(steps)}", *argv]
+    return [cmd, f"--steps={','.join(map(repr, steps))}", *argv]
+
+
+@seed(20221029)
+@given(argv=_command_at_any_scale())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_commands_at_any_scale_exit_0_or_2(argv):
+    # whatever L delta is: exit 0 with finite numbers (a sweep's failed point
+    # in its error column), or exit 2 with nothing printed; never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    if rc == 2:
+        assert out.getvalue() == "", argv
+    elif argv[0] == "sweep":
+        row = next(csv.DictReader(io.StringIO(out.getvalue())))
+        assert row["error"] == "" or row["error"].startswith("ScaleOverflow: "), (argv, row)
+        assert all(math.isfinite(float(row[k])) for k in ("optimum", "reference", "rel_error")
+                   if row[k]), (argv, row)
+    else:
+        assert all(math.isfinite(v) for v in printed_numbers(out.getvalue())), (argv, out)
 
 
 def test_optstep_command(capsys):
@@ -365,6 +451,14 @@ def test_pep_size_cap_exit_code(capsys):
     rc, _, err = run(capsys, "pep", "--kappa", "-1", "--steps", "1", "--N", "63")
     assert rc == 2
     assert "ProblemTooLarge" in err
+
+
+def test_fit_r_checks_the_size_cap_before_the_first_solve(capsys, monkeypatch):
+    # N = 5 and 6 need gram_dim 7 and 8, so nothing is solved or printed
+    monkeypatch.setattr(sdpsolver, "MAX_GRAM_DIM", 6)
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "1.8", "--N", "3:6")
+    assert rc == 2 and out == ""
+    assert err == "error: ProblemTooLarge: dense solver limited to gram_dim <= 6, got 8\n"
 
 
 def test_sweep_per_point_errors(capsys, tmp_path):

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hypopep.core import CurvatureClass, NumeratorKind, StepSchedule
+from hypopep.core import CurvatureClass, NumeratorKind, ScaleOverflow, StepSchedule
 from hypopep.pep import PepProblem, build_sdp
-from hypopep.rates import BoundOverflow, nstep_bound, step_threshold
+from hypopep.rates import nstep_bound, step_threshold
 from hypopep.sdpsolver import SolveStatus, solve, verify_solution
 from hypopep.worstcase import verify_tightness
 
@@ -83,11 +83,11 @@ def test_rate_pep_and_construction_agree(draw):
     kappa, steps, kind = draw
     try:
         cls, sched, bound, (status, verified, rel) = _routes(kappa, steps, kind)
-    except BoundOverflow:
+    except ScaleOverflow:
         # 2 L delta / D overflows a double when the steps' sum is subnormal
         # (gap to the last iterate); the construction refuses it the same way
         assert kind == NumeratorKind.gap_to_last and sum(steps) < 1e-300, draw
-        with pytest.raises(BoundOverflow):
+        with pytest.raises(ScaleOverflow):
             verify_tightness(CurvatureClass(mu=kappa, L=1.0), StepSchedule(tuple(steps)), 1.0, kind)
         return
     _assert_pep_agrees(steps, status, verified, rel)
@@ -123,7 +123,7 @@ def test_rate_and_pep_agree_unbounded_below(draw):
     cls = CurvatureClass(mu=0.0, L=1.0, unbounded_below=True)
     try:
         pep = _routes(None, steps, kind, cls)[3]
-    except BoundOverflow:  # a subnormal step sum, as in the bounded draws
+    except ScaleOverflow:  # a subnormal step sum, as in the bounded draws
         assert kind == NumeratorKind.gap_to_last and sum(steps) < 1e-300, draw
         return
     _assert_pep_agrees(steps, *pep)
