@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input validation (``core.ValidationError`` or an
 unreadable or unwritable file), 3 numerical failure
-(``core.NumericalFailure``), 4 check failure (``core.CheckFailure``).
+(``core.NumericalFailure``), 4 check failure (``core.CheckFailure``); a
+command's stdout is held until it returns and written only on exit 0 and 4.
 Floats are printed with 17 significant digits so output files round-trip
 exactly. The numpy modules load on first use (see ``hypopep/__init__``),
 so ``rate``, ``optstep`` and ``sweep --target rate`` run without numpy, and
@@ -12,8 +13,10 @@ so ``rate``, ``optstep`` and ``sweep --target rate`` run without numpy, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -23,12 +26,13 @@ from .core import (
     CheckFailure,
     NumeratorKind,
     NumericalFailure,
+    RateRegime,
     StepSchedule,
     ValidationError,
     validate_class,
 )
 from .rates import (
-    _threshold,
+    StepAboveThreshold,
     conjectured_bound_convex,
     fit_r,
     nstep_bound,
@@ -141,19 +145,19 @@ def cmd_optstep(args) -> int:
 
 
 def _reference_bound(p: pep.PepProblem):
-    """Analytic or conjectured reference for a PEP optimum, if one exists.
-
-    The analytic rate is returned only where it is exact: every step at most
-    h_bar, and either every step at most 1 or every step at least 1. For a
-    schedule that straddles h = 1 it is only an upper bound. The closed
-    forms are read in t: every finite kappa <= 0, and t = 0 (unbounded below).
-    """
-    t, steps = p.cls.t, p.sched.steps
-    if max(steps) <= _threshold(t) and (max(steps) <= 1.0 or min(steps) >= 1.0):
+    """Analytic or conjectured reference for a PEP optimum, if one exists: the rate where it
+    is exact, in the regimes ``short`` and ``mid`` (a ``mixed`` schedule's rate is only an upper
+    bound, and is not formed, as it could overflow where the optimum does not), or above h_bar
+    the convex conjecture for a constant step at kappa = 0."""
+    if RateRegime.of(p.sched.steps) == RateRegime.mixed:
+        return None
+    try:
         return nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
-    if t == 1.0 and len(set(steps)) == 1 and 1.5 < steps[0] < 2.0:
-        return conjectured_bound_convex(steps[0], p.sched.n, p.cls.L, p.delta, p.init_kind).bound
-    return None
+    except StepAboveThreshold:
+        h = p.sched.steps[0]
+        if p.cls.t != 1.0 or set(p.sched.steps) != {h}:
+            return None
+        return conjectured_bound_convex(h, p.sched.n, p.cls.L, p.delta, p.init_kind).bound
 
 
 def _reference(p: pep.PepProblem, optimum: float) -> dict[str, str]:
@@ -435,17 +439,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = build_parser().parse_args(argv)
+    held, error = io.StringIO(), ""
     try:
-        return args.func(args)
-    except (ValidationError, OSError) as exc:  # bad input: a value, or a file to read or write
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except CheckFailure as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        with contextlib.redirect_stdout(held):
+            code = args.func(args)
+    except (ValidationError, OSError, NumericalFailure, CheckFailure) as exc:
+        # 2 bad input (a value, or a file to read or write), 3 a numerical failure, 4 a failed check
+        code = 4 if isinstance(exc, CheckFailure) else 3 if isinstance(exc, NumericalFailure) else 2
+        error = f"error: {type(exc).__name__}: {exc}\n"
+    if code in (0, 4):  # a complete answer, or the report that is the failed check's diagnostic
+        sys.stdout.write(held.getvalue())
+    sys.stderr.write(error)
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -41,8 +42,8 @@ class MuAboveL(ValidationError):
     pass
 
 
-class PositiveMu(ValidationError):
-    pass
+class PositiveKappa(ValidationError):
+    """kappa = mu / L > 0, outside the rate analysis (``validate_class``)."""
 
 
 class BadStepSchedule(ValidationError):
@@ -63,7 +64,7 @@ class ScaleOverflow(ValidationError):
 
 @dataclass(frozen=True)
 class CurvatureClass:
-    """A curvature interval [mu, L] with finite L > 0 and finite mu <= L.
+    """A curvature interval [mu, L] with finite L > 0 and finite mu < L.
 
     ``unbounded_below=True`` means mu = -infinity; ``mu`` and ``kappa`` must
     not be read in that case. The rates and the PEP rows read ``t``, which
@@ -81,8 +82,8 @@ class CurvatureClass:
             return
         if not math.isfinite(self.mu):
             raise ValidationError(f"mu must be finite, got {self.mu}")
-        if self.mu > self.L:
-            raise MuAboveL(f"mu={self.mu} exceeds L={self.L}")
+        if self.mu >= self.L:  # at mu = L, t = 1 / (1 - kappa) has no value
+            raise MuAboveL(f"mu={self.mu} is not below L={self.L}")
 
     @property
     def kappa(self) -> float:
@@ -97,13 +98,15 @@ class CurvatureClass:
 
 
 def validate_class(mu: float, L: float, *, unbounded_below: bool = False) -> CurvatureClass:
-    """Validate (mu, L) for the rate analysis, which requires mu <= 0.
+    """The class [mu, L] of the rate analysis, which requires kappa <= 0: NonPositiveL,
+    MuAboveL or PositiveKappa on invalid input."""
+    return rate_class(CurvatureClass(mu=mu, L=L, unbounded_below=unbounded_below))
 
-    Raises NonPositiveL, MuAboveL or PositiveMu on invalid input.
-    """
-    cls = CurvatureClass(mu=mu, L=L, unbounded_below=unbounded_below)
-    if not unbounded_below and mu > 0:
-        raise PositiveMu(f"rate analysis requires mu <= 0, got mu={mu}")
+
+def rate_class(cls: CurvatureClass) -> CurvatureClass:
+    """``cls`` if the rate analysis holds on it (kappa <= 0, or unbounded below), else PositiveKappa."""
+    if not cls.unbounded_below and cls.mu > 0.0:
+        raise PositiveKappa(f"the rate analysis requires kappa <= 0, got mu={cls.mu}, L={cls.L}")
     return cls
 
 
@@ -115,8 +118,9 @@ def validate_delta(delta: float) -> None:
 
 def user_units(value: float, unit: float, what: str, L: float, delta: float) -> float:
     """``value``, the answer ``what`` at (L, delta), ``unit`` at L = delta = 1: every route's one
-    exit from unit scale. ScaleOverflow unless it is a finite double, nonzero where ``unit`` is."""
-    if not math.isfinite(value) or value == 0.0 != unit:
+    exit from unit scale. ScaleOverflow unless it is a finite double, nonzero where ``unit`` is,
+    and normal (at least ``sys.float_info.min``, so with all its digits) where ``unit`` is."""
+    if not math.isfinite(value) or value == 0.0 != unit or abs(value) < sys.float_info.min <= abs(unit):
         raise ScaleOverflow(f"{what} at L={L!r}, delta={delta!r} is {value!r} (unit scale {unit!r})")
     return value
 
@@ -203,9 +207,15 @@ class NumeratorKind(str, Enum):
 
 
 class RateRegime(str, Enum):
-    short = "short"          # h <= 1
-    mid = "mid"              # 1 < h <= h_bar(kappa)
+    short = "short"          # every h <= 1: the rate is exact
+    mid = "mid"              # every h in [1, h_bar(kappa)], one above 1: the rate is exact
+    mixed = "mixed"          # steps on both sides of 1: the rate is an upper bound
     large = "large"          # h > h_bar(kappa), conjectured
+
+    @classmethod
+    def of(cls, steps: tuple[float, ...]) -> RateRegime:
+        """The regime of a schedule whose steps are at most h_bar: short, mid or mixed."""
+        return cls.short if max(steps) <= 1.0 else cls.mid if min(steps) >= 1.0 else cls.mixed
 
 
 @dataclass(frozen=True)

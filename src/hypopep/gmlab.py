@@ -34,11 +34,12 @@ from .core import (
     DimensionMismatch,
     NumeratorKind,
     NumericalFailure,
+    PositiveKappa,
     StepSchedule,
     TripletSet,
     ValidationError,
 )
-from .rates import PositiveKappa, StepAboveThreshold, nstep_bound
+from .rates import StepAboveThreshold, nstep_bound
 
 
 class NonFiniteValue(NumericalFailure):
@@ -232,10 +233,7 @@ def make_huber_problem(
     if not delta_h > 0:
         raise ValidationError(f"delta_h must be positive, got {delta_h}")
     s = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    L_smooth = s / delta_h
-    if L_smooth + mu_reg <= 0:
-        raise ValidationError("mu_reg cancels the smooth curvature entirely")
-    cls = CurvatureClass(mu=mu_reg, L=L_smooth + mu_reg)
+    cls = CurvatureClass(mu=mu_reg, L=s / delta_h + mu_reg)  # NonPositiveL if mu_reg cancels s
 
     def oracle(x):
         r = A @ x - b

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CurvatureClass, TripletSet, ValidationError
-
-
-class DegenerateClass(ValidationError):
-    pass
+from .core import CurvatureClass, TripletSet
 
 
 # Largest temporary array, in elements, that check_interpolable allocates
@@ -64,8 +60,6 @@ def check_interpolable(ts: TripletSet, cls: CurvatureClass) -> float:
     Row blocks of at most ``_BLOCK_ELEMENTS`` elements are reduced to a
     running minimum. A pair (a, a) has slack +-0.0, as the entries are finite.
     """
-    if cls.mu == cls.L:
-        raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
     X, G, f = ts.X, ts.G, ts.f
     n, d = X.shape
     block = max(1, _BLOCK_ELEMENTS // max(1, n * d))

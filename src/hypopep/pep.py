@@ -52,7 +52,7 @@ from .core import (
     user_units,
     validate_delta,
 )
-from .interpolation import DegenerateClass, check_interpolable, interpolation_slack
+from .interpolation import check_interpolable, interpolation_slack
 from .sdpsolver import (
     OBJECTIVE,
     VERIFY_TOL,
@@ -94,8 +94,6 @@ class PepProblem:
 
     def __post_init__(self):
         validate_delta(self.delta)
-        if self.cls.mu == self.cls.L and not self.cls.unbounded_below:
-            raise DegenerateClass("mu = L makes the interpolation inequality degenerate")
 
     @property
     def gram_dim(self) -> int:

@@ -7,6 +7,8 @@ step h/L). Every closed form is written once, in t = 1/(1 - kappa) in
 threshold h_bar(kappa) and the optimal constant step. No form cancels
 anywhere on [0, 1], so every finite kappa <= 0 is accepted, and t = 0 is
 the unbounded-below class (kappa -> -inf), where p = 2h - h^2 and h_bar = 2.
+Each input rule is checked once, in ``core``: kappa <= 0 by ``rate_class``
+(PositiveKappa), a step in (0, 2) by ``StepSchedule``, delta by ``validate_delta``.
 """
 
 from __future__ import annotations
@@ -19,21 +21,17 @@ from .core import (
     CheckFailure,
     CurvatureClass,
     NumeratorKind,
+    NumericalFailure,
+    PositiveKappa,
     RateRegime,
     RateResult,
     StepSchedule,
     ValidationError,
+    rate_class,
     user_units,
+    validate_class,
     validate_delta,
 )
-
-
-class PositiveKappa(ValidationError):
-    pass
-
-
-class StepNonPositive(ValidationError):
-    pass
 
 
 class StepAboveThreshold(ValidationError):
@@ -46,7 +44,7 @@ class StepOutOfRange(ValidationError):
     pass
 
 
-class RootNotBracketed(RuntimeError):
+class RootNotBracketed(NumericalFailure):
     pass
 
 
@@ -59,13 +57,6 @@ class BranchMismatch(CheckFailure):
 
 
 SLOPE_REL_TOL = 0.01  # largest relative gap between fit_r's observed and analytic slopes
-
-
-def _t(kappa: float) -> float:
-    """t = 1 / (1 - kappa) for a finite kappa <= 0."""
-    if not -math.inf < kappa <= 0.0:
-        raise PositiveKappa(f"kappa must be finite and <= 0, got {kappa}")
-    return 1.0 / (1.0 - kappa)
 
 
 def _threshold(t: float) -> float:
@@ -84,8 +75,6 @@ def _slope(t: float, h: float) -> float:
 
 def _p(h: float, t: float) -> float:
     """p in t: 2h - (1 - t) h^2 for h <= 1, ``_slope`` above; both give 1 + t at h = 1."""
-    if h <= 0:
-        raise StepNonPositive(f"step must be positive, got {h}")
     h_bar = _threshold(t)
     if h > h_bar + 1e-15:
         raise StepAboveThreshold(f"h={h} exceeds h_bar={h_bar} (t={t})")
@@ -97,13 +86,15 @@ def _p(h: float, t: float) -> float:
 def step_threshold(kappa: float) -> float:
     """Largest admissible normalized step h_bar(kappa) in [3/2, 2); it rounds
     to 2 for kappa below about -4.5e15."""
-    return _threshold(_t(kappa))
+    return _threshold(validate_class(kappa, 1.0).t)
 
 
 def one_step_p(h: float, kappa: float) -> float:
     """Two-branch per-step constant p(h, kappa), the denominator contribution
     (scaled by 2L) of one gradient step; both branches agree at h = 1."""
-    return _p(h, _t(kappa))
+    t = validate_class(kappa, 1.0).t
+    StepSchedule((h,))  # BadStepSchedule unless 0 < h < 2
+    return _p(h, t)
 
 
 def nstep_bound(
@@ -120,9 +111,7 @@ def nstep_bound(
     iterate, raises ScaleOverflow.
     """
     validate_delta(delta)
-    if cls.mu > 0.0 and not cls.unbounded_below:
-        raise PositiveKappa(f"kappa must be <= 0, got {cls.kappa}")
-    t = cls.t
+    t = rate_class(cls).t
     ps = []
     for i, h in enumerate(sched.steps):
         try:
@@ -135,7 +124,7 @@ def nstep_bound(
     return RateResult(
         bound=user_units(2.0 * (cls.L * delta / denom), 2.0 / denom, "the bound", cls.L, delta),
         denominator=denom,
-        regime=RateRegime.short if max(sched.steps) <= 1.0 else RateRegime.mid,
+        regime=RateRegime.of(sched.steps),
         per_step_p=tuple(ps),
     )
 
@@ -217,7 +206,7 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     which rounds to 2 for kappa above about -3e-33.
     """
     mode = OptimalStepMode(mode)
-    t = _t(kappa)
+    t = validate_class(kappa, 1.0).t
     if mode == OptimalStepMode.asymptotic:
         if kappa >= 0:
             raise PositiveKappa("asymptotic mode requires kappa < 0")
@@ -249,11 +238,16 @@ def conjectured_bound_third_regime(
     The intercept r of the linear-in-N branch is not known analytically and
     must be supplied (see ``fit_r``).
     """
-    h_bar = _threshold(cls.t)
+    validate_delta(delta)
+    t = rate_class(cls).t
+    h_bar = _threshold(t)
     if not (h_bar < h < 2.0):
         raise StepOutOfRange(f"h={h} outside (h_bar={h_bar}, 2)")
-    geom = (1.0 - h) ** (-2 * n)
-    lin = r_value + n * _slope(cls.t, h)
+    try:
+        geom = (1.0 - h) ** (-2 * n)
+    except OverflowError:  # past the largest double: the linear branch is the min
+        geom = math.inf
+    lin = r_value + n * _slope(t, h)
     if kind == NumeratorKind.gap_to_optimal:
         denom = min(geom, lin)
     else:
@@ -285,10 +279,11 @@ def fit_r(
 
     Each (N, value) pair yields an implied denominator D(N) = 2 (L delta / value),
     modeled as D(N) = r + N*slope with the slope fixed analytically (ScaleOverflow
-    if L delta is not a finite nonzero double). Points on the geometric branch (where
+    if L delta is not a finite normal double). Points on the geometric branch (where
     (1-h)^(-2N) is the smaller denominator at the fitted r) are excluded in a second pass.
     """
-    slope = _slope(cls.t, h)
+    validate_delta(delta)
+    slope = _slope(rate_class(cls).t, h)
     scale = user_units(cls.L * delta, 1.0, "L delta", cls.L, delta)
     points = [(int(n), 2.0 * (scale / v)) for n, v in pep_values]
     if len(points) < 2:

@@ -37,6 +37,7 @@ from .core import (
     StepSchedule,
     TripletSet,
     ValidationError,
+    rate_class,
     user_units,
     validate_delta,
 )
@@ -112,7 +113,8 @@ class WorstCaseFunction:
                 "iterates": list(self.xs),
                 "inflections": list(self.x_bars),
                 "values": list(self.fs),
-                "pieces": [asdict(p) for p in self.pieces],
+                "pieces": [{k: v if math.isfinite(v) else None for k, v in asdict(p).items()}
+                           for p in self.pieces],  # strict JSON: the tails' infinite ends are null
             }
         )
 
@@ -141,9 +143,7 @@ def build_worst_case(
     """
     if cls.unbounded_below:
         raise ValidationError("construction requires a finite lower curvature")
-    kappa = cls.kappa
-    if kappa > 0:
-        raise ValidationError(f"construction requires kappa <= 0, got {kappa}")
+    kappa = rate_class(cls).kappa
     validate_delta(delta)
     for i, h in enumerate(sched.steps):
         if h > 1.0:

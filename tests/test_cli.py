@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hypopep import cli, pep, sdpsolver
+from hypopep import cli, pep, sdpsolver, worstcase
 from hypopep.cli import main, parse_steps
 from hypopep.core import NumeratorKind, StepSchedule, TripletSet, validate_class
 from hypopep.interpolation import check_interpolable
@@ -140,11 +141,15 @@ _TINY = ("--L=1e-300", "--delta=1e-300")  # L delta = 1e-600 underflows to 0
     # x_0 = 3.5 sqrt(delta / L) times the unit one overflows, though U does not
     (2, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "6", "--L=1e-308", "--delta=1e308",
          "--json-out", "w.json")),
+    # L delta = 1e-320: the answers would be subnormal, with 3 of their 17 digits
+    (2, ("pep", "--kappa=-1", "--steps", "1", "--L=1e-160", "--delta=1e-160")),
+    (2, ("rate", "--kappa=-1", "--steps", "1", "--L=1e-160", "--delta=1e-160")),
 ])
 def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
     # every answer leaves unit scale through one check: a finite answer is
-    # printed whole, and one beyond a double (or 0 where the unit one is not)
-    # exits 2 before any output; a sweep puts it in the point's error column
+    # printed whole, and one beyond a double (or 0 or subnormal where the unit
+    # one is not) exits 2 before any output; a sweep puts it in the point's
+    # error column
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, *argv)
     if code == 2:
@@ -403,7 +408,14 @@ def test_worstcase_exports(capsys, tmp_path):
                      "--json-out", str(json_out), "--samples", "20")
     assert rc == 0
     assert len(csv_out.read_text().strip().splitlines()) == 21
-    assert json.loads(json_out.read_text())["kind"] == "gap_to_optimal"
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    # strict JSON: the tail caps' infinite ends are null, not -Infinity and Infinity
+    obj = json.loads(json_out.read_text(), parse_constant=refuse)
+    assert obj["kind"] == "gap_to_optimal"
+    assert obj["pieces"][0]["lo"] is None and obj["pieces"][-1]["hi"] is None
 
 
 def test_worstcase_negative_samples_writes_nothing(capsys, tmp_path):
@@ -519,6 +531,59 @@ def test_fit_r_command(capsys):
     assert float(grab(out, "r")) > 0.0
 
 
+def test_fit_r_prints_nothing_before_a_later_solver_failure(capsys, monkeypatch):
+    solve_pep = pep.solve_pep
+
+    def fail_at_n5(p):
+        if p.sched.n == 5:
+            raise pep.SolverFailure("solver status MaxIter")
+        return solve_pep(p)
+
+    monkeypatch.setattr(pep, "solve_pep", fail_at_n5)
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "1.8", "--N", "3:6")
+    assert rc == 3 and out == "", out
+    assert err == "error: SolverFailure: solver status MaxIter\n"
+
+
+def test_tightness_fail_prints_its_report(capsys, monkeypatch):
+    # exit 4: the report is the diagnostic of the failed check, so it is printed
+    verify = worstcase.verify_tightness
+    monkeypatch.setattr(worstcase, "verify_tightness",
+                        lambda *a, **k: dataclasses.replace(verify(*a, **k), passed=False))
+    rc, out, err = run(capsys, "tightness", "--kappa=-1", "--steps", "0.5")
+    assert rc == 4
+    assert out.splitlines()[0].startswith("U ") and out.splitlines()[-1] == "FAIL", out
+    assert err == "error: CheckFailure: tightness verification failed\n"
+
+
+def test_pep_forms_no_bound_for_a_mixed_schedule(capsys):
+    # the optimum fits a double where the rate, 0.09% above it and not printed, would not
+    rc, out, err = run(capsys, "pep", "--kappa=-1", "--steps", "1.7,0.05", "--kind", "last",
+                       "--L=1e200", "--delta=9.372439433067869e+107")
+    assert rc == 0 and err == "" and "reference" not in out, (out, err)
+    assert math.isfinite(float(grab(out, "optimum")))
+
+
+def test_rate_labels_a_straddling_schedule_mixed(capsys):
+    # the rate is exact for steps all <= 1 or all in [1, h_bar], an upper bound between
+    for steps, regime in [("0.5,1.5", "mixed"), ("1,1.5", "mid"), ("0.5,1", "short")]:
+        rc, out, _ = run(capsys, "rate", "--kappa=-1", "--steps", steps)
+        assert rc == 0 and grab(out, "regime") == f"{regime} conjectured False", out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("rate", "--kappa=0.5", "--steps", "0.5"), "PositiveKappa"),
+    (("optstep", "--kappa=0.5"), "PositiveKappa"),
+    (("fit-r", "--kappa=0.5", "--h", "1.8", "--N", "3:4"), "PositiveKappa"),
+    (("pep", "--kappa=1", "--steps", "0.5"), "MuAboveL"),
+    (("optstep", "--kappa=1"), "MuAboveL"),
+])
+def test_kappa_rules_have_one_error_each(capsys, argv, name):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "", out
+    assert err.startswith(f"error: {name}: "), err
+
+
 def test_fit_r_branch_mismatch_exit_code(capsys):
     # h = 0.5 is below h_bar, so the optima do not grow at the third-regime slope
     rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "0.5", "--N", "2:5")
@@ -574,14 +639,15 @@ def test_bad_tolerance_or_iteration_count_exit_code(capsys, flag, argv):
     ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--cols", "-1"),
     ("experiment", "--problem", "huber", "--steps", "1", "--N", "2", "--seed", "-1"),
     ("experiment", "--problem", "logistic", "--reg-weight=-0.1", "--steps", "1", "--N", "5"),
+    ("worstcase", "--kappa=-1", "--steps", "0.5", "--json-out", "missing/w.json"),
 ])
 def test_malformed_argument_or_path_exit_code(capsys, tmp_path, monkeypatch, argv):
     # a value that is not a number, list or range, a range that is not finite
     # or too long, a count, size, seed or weight out of range, or a file that
     # cannot be opened, ends in exit 2 and one error line, not a traceback
     monkeypatch.chdir(tmp_path)
-    rc, _, err = run(capsys, *argv)
-    assert rc == 2, err
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "", (err, out)  # no answer is printed, not even a whole one
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 

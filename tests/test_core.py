@@ -12,9 +12,11 @@ from hypopep.core import (
     NonPositiveL,
     NumeratorKind,
     OracleTriplet,
-    PositiveMu,
+    PositiveKappa,
     StepSchedule,
+    ScaleOverflow,
     TripletSet,
+    user_units,
     validate_class,
 )
 
@@ -32,13 +34,25 @@ def test_class_rejects_bad_L():
 
 
 def test_class_rejects_positive_mu():
-    with pytest.raises(PositiveMu):
+    with pytest.raises(PositiveKappa):
         validate_class(0.5, 1.0)
 
 
 def test_class_rejects_mu_above_L():
     with pytest.raises(MuAboveL):
         CurvatureClass(mu=2.0, L=1.0)
+    with pytest.raises(MuAboveL):  # t = 1 / (1 - kappa) has no value at mu = L
+        CurvatureClass(mu=1.0, L=1.0)
+
+
+def test_user_units_refuses_a_subnormal_answer():
+    # a subnormal keeps only some digits of an answer whose unit-scale value is normal
+    with pytest.raises(ScaleOverflow):
+        user_units(8e-321, 0.8, "the optimum", 1e-160, 1e-160)
+    with pytest.raises(ScaleOverflow):
+        user_units(0.0, 0.8, "the optimum", 1e-300, 1e-300)
+    assert user_units(2.2250738585072014e-308, 0.8, "the optimum", 1e-154, 1e-154) > 0.0
+    assert user_units(5e-324, 5e-324, "an entry", 1.0, 1.0) == 5e-324
 
 
 def test_unbounded_below_has_no_kappa():

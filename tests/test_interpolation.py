@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypopep.core import CurvatureClass, TripletSet, validate_class
+from hypopep.core import CurvatureClass, MuAboveL, TripletSet, validate_class
 from hypopep.interpolation import (
-    DegenerateClass,
     _dot,
     check_interpolable,
     interpolation_slack,
@@ -57,7 +56,7 @@ def test_overflowing_slack_is_a_violation(x1, g1):
 
 def test_degenerate_class_rejected():
     ts = sample_quadratic_triplets(0.0, [np.array([0.0])])
-    with pytest.raises(DegenerateClass):
+    with pytest.raises(MuAboveL):
         check_interpolable(ts, CurvatureClass(mu=1.0, L=1.0))
 
 

@@ -7,12 +7,13 @@ import pytest
 from hypopep import pep, sdpsolver
 from hypopep.core import (
     CurvatureClass,
+    MuAboveL,
     NumeratorKind,
     StepSchedule,
     ValidationError,
     validate_class,
 )
-from hypopep.interpolation import DegenerateClass, _dot, check_interpolable, interpolation_slack
+from hypopep.interpolation import _dot, check_interpolable, interpolation_slack
 from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
 from hypopep.rates import nstep_bound, one_step_p
 from hypopep.sdpsolver import (
@@ -56,7 +57,7 @@ def test_constraint_counts_one_step_optimal():
 
 def test_rejects_degenerate_class():
     # t = 1 / (1 - kappa) has no value at mu = L: a typed error at construction
-    with pytest.raises(DegenerateClass) as info:
+    with pytest.raises(MuAboveL) as info:
         PepProblem(CurvatureClass(mu=2.0, L=2.0), StepSchedule((1.0,)), 1.0,
                    NumeratorKind.gap_to_last)
     assert isinstance(info.value, ValidationError)

@@ -6,18 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypopep.core import NumeratorKind, StepSchedule, validate_class
+from hypopep.core import (
+    BadStepSchedule,
+    CurvatureClass,
+    NumeratorKind,
+    NumericalFailure,
+    RateRegime,
+    StepSchedule,
+    ValidationError,
+    validate_class,
+)
 from hypopep.rates import (
     BranchMismatch,
     InsufficientData,
     OptimalStepBranch,
     OptimalStepMode,
     PositiveKappa,
+    RootNotBracketed,
     StepAboveThreshold,
-    StepNonPositive,
     StepOutOfRange,
     _slope,
-    _t,
     conjectured_bound_convex,
     conjectured_bound_third_regime,
     fit_r,
@@ -138,8 +146,9 @@ def test_branches_agree_at_one(kappa):
 
 
 def test_one_step_p_input_checks():
-    with pytest.raises(StepNonPositive):
-        one_step_p(0.0, -1.0)
+    for h in (-0.5, 0.0, 2.0, 2.5, math.nan):  # the schedule's own check of a step in (0, 2)
+        with pytest.raises(BadStepSchedule):
+            one_step_p(h, -1.0)
     with pytest.raises(StepAboveThreshold):
         one_step_p(1.9, -1.0)
     with pytest.raises(PositiveKappa):
@@ -171,7 +180,7 @@ def test_unbounded_p_range_check():
     cls = validate_class(0.0, 1.0, unbounded_below=True)
     res = nstep_bound(cls, StepSchedule((1.9,)), 1.0, NumeratorKind.gap_to_last)
     assert abs(res.per_step_p[0] - (2 * 1.9 - 1.9**2)) < 1e-15
-    with pytest.raises(StepNonPositive):
+    with pytest.raises(BadStepSchedule):
         one_step_p(-0.5, -1.7e308)
 
 
@@ -257,8 +266,9 @@ def test_solve_bracketed_root():
     # a tol below the double spacing stops at adjacent doubles
     root = solve_bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-30)
     assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
-    with pytest.raises(Exception):
+    with pytest.raises(RootNotBracketed) as info:
         solve_bracketed_root(lambda x: x * x + 1.0, 0.0, 2.0)
+    assert isinstance(info.value, NumericalFailure)  # exit 3 in the CLI
 
 
 def test_conjectured_convex_bound_switches_branch():
@@ -271,19 +281,51 @@ def test_conjectured_convex_bound_switches_branch():
         conjectured_bound_convex(1.4, 1, 1.0, 1.0, NumeratorKind.gap_to_optimal)
 
 
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+def test_conjectured_bound_past_the_largest_double(kind):
+    # (1 - h)^(-2N) overflows a double at N = 2000: the linear branch 1 + 2hN is the min
+    res = conjectured_bound_convex(1.6, 2000, 1.0, 1.0, kind)
+    lin = 1.0 + 2000 * _slope(1.0, 1.6) - (kind == NumeratorKind.gap_to_last)
+    assert res.denominator == lin and res.bound == 2.0 / lin
+
+
+def test_third_regime_bound_and_fit_r_check_kappa_and_delta():
+    opt = NumeratorKind.gap_to_optimal
+    cls = validate_class(-1.0, 1.0)
+    data = [(n, 2.0 / (0.9 + n * _slope(0.5, 1.8))) for n in range(3, 8)]
+    with pytest.raises(PositiveKappa):  # the bound was -0.42
+        conjectured_bound_third_regime(1.6, 3, CurvatureClass(0.5, 1.0), 1.0, 1.0, opt)
+    with pytest.raises(PositiveKappa):
+        fit_r(CurvatureClass(0.5, 1.0), 1.8, data)
+    for delta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            conjectured_bound_third_regime(1.8, 3, cls, delta, 1.0, opt)
+        with pytest.raises(ValidationError, match="delta must be positive"):
+            fit_r(cls, 1.8, data, delta=delta)
+
+
+def test_nstep_bound_labels_the_regime():
+    cls = validate_class(-1.0, 1.0)
+    for steps, regime in [((0.5, 1.0), RateRegime.short), ((1.0,), RateRegime.short),
+                          ((1.0, 1.5), RateRegime.mid), ((0.5, 1.5), RateRegime.mixed),
+                          ((1.5, 0.5, 1.0), RateRegime.mixed)]:
+        res = nstep_bound(cls, StepSchedule(steps), 1.0, NumeratorKind.gap_to_last)
+        assert res.regime == regime, steps
+
+
 def test_third_regime_bound_requires_large_h():
     cls = validate_class(-1.0, 1.0)
     with pytest.raises(StepOutOfRange):
         conjectured_bound_third_regime(1.5, 3, cls, 1.0, 1.0, NumeratorKind.gap_to_optimal)
     res = conjectured_bound_third_regime(1.8, 3, cls, 1.0, 0.9, NumeratorKind.gap_to_optimal)
-    lin = 0.9 + 3 * _slope(_t(-1.0), 1.8)
+    lin = 0.9 + 3 * _slope(0.5, 1.8)
     assert abs(res.denominator - min((1.0 - 1.8) ** -6, lin)) < 1e-12
 
 
 def test_fit_r_recovers_planted_intercept():
     cls = validate_class(-1.0, 1.0)
     h = 1.8
-    slope = _slope(_t(-1.0), h)
+    slope = _slope(0.5, h)
     r_true = 0.9
     data = [(n, 2.0 / (r_true + n * slope)) for n in range(3, 8)]
     res = fit_r(cls, h, data)

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from hypopep.core import NumeratorKind, StepSchedule, ValidationError, validate_class
+from hypopep.core import (
+    CurvatureClass,
+    NumeratorKind,
+    PositiveKappa,
+    StepSchedule,
+    ValidationError,
+    validate_class,
+)
 from hypopep.interpolation import quadratic_bounds_check
 from hypopep.rates import nstep_bound
 from hypopep.worstcase import StepAboveOne, WorstCaseFunction, build_worst_case, verify_tightness
@@ -200,13 +207,26 @@ def test_tightness_keeps_its_teeth_at_large_delta(monkeypatch):
         assert max(rep.iterate_residual, rep.bound_residual, rep.gap_residual) <= rep.tol
 
 
+def test_construction_requires_kappa_at_most_zero():
+    with pytest.raises(PositiveKappa):
+        build_worst_case(CurvatureClass(0.5, 1.0), StepSchedule((0.5,)), 1.0,
+                         NumeratorKind.gap_to_last)
+
+
+def _refuse(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_json_and_csv_export(tmp_path):
     w = build_worst_case(
         validate_class(-1.0, 1.0), StepSchedule((1.0, 0.5)), 1.0, NumeratorKind.gap_to_optimal
     )
-    obj = json.loads(w.to_json())
+    obj = json.loads(w.to_json(), parse_constant=_refuse)  # strict JSON
     assert obj["kind"] == "gap_to_optimal"
     assert len(obj["pieces"]) == len(w.pieces)
+    # the tail caps' infinite ends are null
+    assert obj["pieces"][0]["lo"] is None and obj["pieces"][-1]["hi"] is None
+    assert obj["pieces"][0]["hi"] == w.pieces[0].hi and obj["pieces"][-1]["lo"] == w.pieces[-1].lo
     path = tmp_path / "samples.csv"
     w.sample_csv(str(path), num=50)
     rows = path.read_text().strip().splitlines()
