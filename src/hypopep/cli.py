@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 from . import gmlab, pep, sdpsolver, worstcase
@@ -120,8 +121,7 @@ def _kind(args) -> NumeratorKind:
 
 
 def _cls(args):
-    return validate_class(args.kappa * args.L, args.L,
-                          unbounded_below=getattr(args, "unbounded_below", False))
+    return validate_class(args.kappa * args.L, args.L)
 
 
 def cmd_rate(args) -> int:
@@ -312,7 +312,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit_r(args) -> int:
     lo, hi = _numbers(args.N, ":", int, count=2)
-    cls = validate_class(args.kappa * args.L, args.L)
+    cls = _cls(args)
     kind = _kind(args)
     problem = lambda n: pep.PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind)
     _count("--N", hi, least=-math.inf)
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="closed-form worst-case bound for a schedule")
     _add_common(p, kind_default="last")
-    p.add_argument("--unbounded-below", action="store_true")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("optstep", help="optimal constant step size")
@@ -413,26 +412,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _negative_value(token: str) -> bool:
+    """Whether ``token`` is a negative value rather than a flag: it starts with '-' and its
+    first ','- or ':'-separated field is a float, as in '-1', '-inf', '-.5' or '-1,-0.5'."""
+    try:
+        float(re.split("[,:]", token, maxsplit=1)[0])
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join '--flag -1,-0.5' into '--flag=-1,-0.5' so argparse accepts it."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _negative_value(tok):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

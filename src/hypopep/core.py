@@ -64,48 +64,39 @@ class ScaleOverflow(ValidationError):
 
 @dataclass(frozen=True)
 class CurvatureClass:
-    """A curvature interval [mu, L] with finite L > 0 and finite mu < L.
-
-    ``unbounded_below=True`` means mu = -infinity; ``mu`` and ``kappa`` must
-    not be read in that case. The rates and the PEP rows read ``t``, which
-    covers both cases.
-    """
+    """A curvature interval [mu, L] with finite L > 0 and mu < L; mu = -inf is the
+    class with only the upper bound L, where kappa = -inf and t = 0."""
 
     mu: float
     L: float
-    unbounded_below: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.L < math.inf:
             raise NonPositiveL(f"L must be positive and finite, got {self.L}")
-        if self.unbounded_below:
-            return
-        if not math.isfinite(self.mu):
-            raise ValidationError(f"mu must be finite, got {self.mu}")
+        if math.isnan(self.mu):  # NaN passes the test below
+            raise ValidationError(f"mu must be a number, got {self.mu}")
         if self.mu >= self.L:  # at mu = L, t = 1 / (1 - kappa) has no value
             raise MuAboveL(f"mu={self.mu} is not below L={self.L}")
 
     @property
     def kappa(self) -> float:
-        if self.unbounded_below:
-            raise ValueError("kappa is -inf for an unbounded-below class")
         return self.mu / self.L
 
     @property
     def t(self) -> float:
-        """t = 1 / (1 - kappa), in [0, 1] for kappa <= 0; 0 when unbounded below."""
-        return 0.0 if self.unbounded_below else 1.0 / (1.0 - self.kappa)
+        """t = 1 / (1 - kappa), in [0, 1] for kappa <= 0: 0 at kappa = -inf."""
+        return 1.0 / (1.0 - self.kappa)
 
 
-def validate_class(mu: float, L: float, *, unbounded_below: bool = False) -> CurvatureClass:
+def validate_class(mu: float, L: float) -> CurvatureClass:
     """The class [mu, L] of the rate analysis, which requires kappa <= 0: NonPositiveL,
     MuAboveL or PositiveKappa on invalid input."""
-    return rate_class(CurvatureClass(mu=mu, L=L, unbounded_below=unbounded_below))
+    return rate_class(CurvatureClass(mu=mu, L=L))
 
 
 def rate_class(cls: CurvatureClass) -> CurvatureClass:
-    """``cls`` if the rate analysis holds on it (kappa <= 0, or unbounded below), else PositiveKappa."""
-    if not cls.unbounded_below and cls.mu > 0.0:
+    """``cls`` if the rate analysis holds on it (kappa <= 0), else PositiveKappa."""
+    if cls.mu > 0.0:
         raise PositiveKappa(f"the rate analysis requires kappa <= 0, got mu={cls.mu}, L={cls.L}")
     return cls
 
@@ -225,5 +216,8 @@ class RateResult:
     bound: float
     denominator: float
     regime: RateRegime
-    conjectured: bool = False
     per_step_p: tuple[float, ...] = field(default=())
+
+    @property
+    def conjectured(self) -> bool:
+        return self.regime is RateRegime.large

@@ -185,7 +185,7 @@ def convex_grad_monotonicity(
     |g_i|^2 - |g_{i+1}|^2 >= ((2 - h)/h) |g_i - g_{i+1}|^2. For mu < 0 the
     inequality does not apply and the report says so instead of failing.
     """
-    if cls.unbounded_below or cls.mu < 0.0:
+    if cls.mu < 0.0:
         return MonotonicityReport(applicable=False, passed=True, worst_slack=0.0, worst_index=None)
     worst = math.inf
     worst_i = None

@@ -38,7 +38,7 @@ def interpolation_slack(df, dx, dg, g_b, t, L, dot):
     triplet set to be interpolable by a function with curvature in [mu, L].
     It is the paper's (|dg|^2 / L + mu |dx|^2 - 2 kappa <dg, dx>) / (2 (1 - kappa))
     form with kappa t = t - 1: bounded coefficients for every kappa <= 0, and
-    at t = 0 (unbounded below) the descent lemma alone.
+    at t = 0 (kappa = -inf) the descent lemma alone.
     """
     s = 1.0 - t
     return df - dot(g_b, dx) - 0.5 * (t * dot(dg, dg) / L - s * L * dot(dx, dx)) - s * dot(dg, dx)

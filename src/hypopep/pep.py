@@ -5,7 +5,7 @@ Every PEP is built, solved and checked at unit scale, L = delta = 1, where
 its solution stays: only the optimum and the extracted triplets are mapped to
 (L, delta, kappa, h), by x -> x sqrt(delta / L), g -> g sqrt(L delta),
 f -> f delta, and l -> l L delta. In t = 1 / (1 - kappa) the unit rows'
-coefficients are bounded for every kappa <= 0, and t = 0 is unbounded below.
+coefficients are bounded for every kappa in [-inf, 0]; t = 0 is kappa = -inf.
 
 The Gram basis holds only the coordinates the rows use. The rows see
 iterates only through differences, so by translation invariance one point

@@ -5,8 +5,8 @@ step h/L). Every closed form is written once, in t = 1/(1 - kappa) in
 [0, 1], the parameter of the PEP layer's interpolation rows
 (``CurvatureClass.t``): the per-step constant p(h, kappa), the step
 threshold h_bar(kappa) and the optimal constant step. No form cancels
-anywhere on [0, 1], so every finite kappa <= 0 is accepted, and t = 0 is
-the unbounded-below class (kappa -> -inf), where p = 2h - h^2 and h_bar = 2.
+anywhere on [0, 1], so every kappa in [-inf, 0] is accepted; at kappa = -inf,
+the class with only the upper bound L, t = 0, p = 2h - h^2 and h_bar = 2.
 Each input rule is checked once, in ``core``: kappa <= 0 by ``rate_class``
 (PositiveKappa), a step in (0, 2) by ``StepSchedule``, delta by ``validate_delta``.
 """
@@ -22,9 +22,9 @@ from .core import (
     CurvatureClass,
     NumeratorKind,
     NumericalFailure,
-    PositiveKappa,
     RateRegime,
     RateResult,
+    ScaleOverflow,
     StepSchedule,
     ValidationError,
     rate_class,
@@ -57,6 +57,9 @@ class BranchMismatch(CheckFailure):
 
 
 SLOPE_REL_TOL = 0.01  # largest relative gap between fit_r's observed and analytic slopes
+# The one boundary between the rate's regimes and the conjectured third one: a step up to
+# this far (about 4 ulp) above h_bar still counts as h_bar; only a step past it is in the third.
+H_BAR_SLACK = 1e-15
 
 
 def _threshold(t: float) -> float:
@@ -76,7 +79,7 @@ def _slope(t: float, h: float) -> float:
 def _p(h: float, t: float) -> float:
     """p in t: 2h - (1 - t) h^2 for h <= 1, ``_slope`` above; both give 1 + t at h = 1."""
     h_bar = _threshold(t)
-    if h > h_bar + 1e-15:
+    if h > h_bar + H_BAR_SLACK:
         raise StepAboveThreshold(f"h={h} exceeds h_bar={h_bar} (t={t})")
     if h <= 1.0:
         return 2.0 * h - (1.0 - t) * h * h
@@ -84,8 +87,8 @@ def _p(h: float, t: float) -> float:
 
 
 def step_threshold(kappa: float) -> float:
-    """Largest admissible normalized step h_bar(kappa) in [3/2, 2); it rounds
-    to 2 for kappa below about -4.5e15."""
+    """Largest admissible normalized step h_bar(kappa) in [3/2, 2]; it is 2 at
+    kappa = -inf and rounds to 2 below about -4.5e15."""
     return _threshold(validate_class(kappa, 1.0).t)
 
 
@@ -207,14 +210,16 @@ def optimal_step(kappa: float, mode: OptimalStepMode = OptimalStepMode.theorem) 
     """
     mode = OptimalStepMode(mode)
     t = validate_class(kappa, 1.0).t
+    w = -kappa * t if t else 1.0  # at kappa = -inf, -kappa * t is inf * 0
     if mode == OptimalStepMode.asymptotic:
-        if kappa >= 0:
-            raise PositiveKappa("asymptotic mode requires kappa < 0")
-        return OptimalStep(h_star=_optimal_step_root(t, -kappa * t),
+        if kappa == 0.0:
+            raise ValidationError("asymptotic mode requires kappa < 0: at kappa = 0 the "
+                                  "cubic's root is h = 2, outside the steps (0, 2)")
+        return OptimalStep(h_star=_optimal_step_root(t, w),
                            branch=OptimalStepBranch.asymptotic_conjectured)
     if kappa > kappa_bar():
         return OptimalStep(h_star=_threshold(t), branch=OptimalStepBranch.threshold)
-    return OptimalStep(h_star=_optimal_step_root(t, -kappa * t), branch=OptimalStepBranch.cubic_root)
+    return OptimalStep(h_star=_optimal_step_root(t, w), branch=OptimalStepBranch.cubic_root)
 
 
 def conjectured_bound_convex(
@@ -236,12 +241,12 @@ def conjectured_bound_third_regime(
     """Conjectured bound for constant steps beyond h_bar(kappa).
 
     The intercept r of the linear-in-N branch is not known analytically and
-    must be supplied (see ``fit_r``).
+    must be supplied (see ``fit_r``). ScaleOverflow if the denominator is not a finite double.
     """
     validate_delta(delta)
     t = rate_class(cls).t
     h_bar = _threshold(t)
-    if not (h_bar < h < 2.0):
+    if not (h_bar + H_BAR_SLACK < h < 2.0):
         raise StepOutOfRange(f"h={h} outside (h_bar={h_bar}, 2)")
     try:
         geom = (1.0 - h) ** (-2 * n)
@@ -252,11 +257,12 @@ def conjectured_bound_third_regime(
         denom = min(geom, lin)
     else:
         denom = min(geom - 1.0, lin - 1.0)
+    if not math.isfinite(denom):
+        raise ScaleOverflow(f"the third-regime denominator at h={h}, N={n} is {denom!r}")
     return RateResult(
         bound=user_units(2.0 * (cls.L * delta / denom), 2.0 / denom, "the bound", cls.L, delta),
         denominator=denom,
         regime=RateRegime.large,
-        conjectured=True,
     )
 
 

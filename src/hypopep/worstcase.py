@@ -141,8 +141,6 @@ def build_worst_case(
     toward the flat tail (gap_to_last) or the global minimizer at the origin (gap_to_optimal).
     ScaleOverflow if the bound or x_0, the largest iterate, is not finite and nonzero.
     """
-    if cls.unbounded_below:
-        raise ValidationError("construction requires a finite lower curvature")
     kappa = rate_class(cls).kappa
     validate_delta(delta)
     for i, h in enumerate(sched.steps):

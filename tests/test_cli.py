@@ -225,8 +225,8 @@ def test_pep_gap_to_last_has_no_x0_entry_to_overflow(capsys, tmp_path, monkeypat
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 @pytest.mark.parametrize("steps", [(0.3, 1.0, 0.7), (1.0,), (1.2, 1.9)])
 def test_reference_bound_unbounded_below(kind, steps):
-    # the reference reads t, which is 0 for the unbounded-below class
-    cls = validate_class(0.0, 2.0, unbounded_below=True)
+    # the reference reads t, which is 0 at mu = -inf
+    cls = validate_class(-math.inf, 2.0)
     p = PepProblem(cls, StepSchedule(steps), 1.5, kind)
     assert cli._reference_bound(p) == nstep_bound(cls, p.sched, 1.5, kind).bound
 
@@ -334,6 +334,43 @@ def test_optstep_command(capsys):
     rc, out, _ = run(capsys, "optstep", "--kappa", "-1")
     assert rc == 0
     assert abs(float(grab(out, "h_star")) - 2.0 / math.sqrt(3.0)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["theorem", "asymptotic"])
+def test_optstep_at_minus_inf_prints_the_limit(capsys, mode):
+    # t = 0 takes w = 1 - t = 1 directly; -1e300 has t = 1e-300 and prints the same bytes
+    rc, out, err = run(capsys, "optstep", "--kappa=-inf", "--mode", mode)
+    assert rc == 0 and err == "", err
+    assert out == run(capsys, "optstep", "--kappa=-1e300", "--mode", mode)[1]
+    assert grab(out, "h_star") == "1" and grab(out, "h_bar") == "2", out
+
+
+def test_optstep_asymptotic_at_kappa_zero_names_the_rule(capsys):
+    rc, out, err = run(capsys, "optstep", "--kappa=0", "--mode", "asymptotic")
+    assert rc == 2 and out == ""
+    assert err == ("error: ValidationError: asymptotic mode requires kappa < 0: at kappa = 0 "
+                   "the cubic's root is h = 2, outside the steps (0, 2)\n"), err
+
+
+@pytest.mark.parametrize("kind", ["opt", "last"])
+def test_pep_at_minus_inf_meets_the_rate(capsys, kind):
+    rc, out, err = run(capsys, "pep", "--kappa=-inf", "--steps", "0.3,1.0,0.7", "--kind", kind)
+    assert rc == 0 and err == "", err
+    assert float(grab(out, "rel_error")) <= 1e-8, out
+
+
+_RATE = ("rate", "--steps", "0.5")
+_SWEEP = ("sweep", "--target", "rate", "--h", "0.5", "--N", "2")
+
+
+@pytest.mark.parametrize("argv, value", [(_RATE, "-inf"), (_RATE, "-1e6"), (_RATE, "-.5"),
+                                         (_SWEEP, "-inf"), (_SWEEP, "-1e6"), (_SWEEP, "-.5"),
+                                         (_SWEEP, "-1,-0.5")])
+def test_negative_kappa_as_its_own_argument(capsys, argv, value):
+    # '--kappa -inf' is '--kappa=-inf': the token's first ',' or ':' field parses as a float
+    joined = run(capsys, *argv, f"--kappa={value}")
+    assert joined[0] == 0 and joined[2] == "", joined
+    assert run(capsys, *argv, "--kappa", value) == joined
 
 
 def test_pep_command_matches_analytic(capsys, tmp_path):
@@ -577,6 +614,10 @@ def test_rate_labels_a_straddling_schedule_mixed(capsys):
     (("fit-r", "--kappa=0.5", "--h", "1.8", "--N", "3:4"), "PositiveKappa"),
     (("pep", "--kappa=1", "--steps", "0.5"), "MuAboveL"),
     (("optstep", "--kappa=1"), "MuAboveL"),
+    (("pep", "--kappa=inf", "--steps", "0.5"), "MuAboveL"),
+    (("pep", "--kappa=nan", "--steps", "0.5"), "ValidationError"),
+    (("tightness", "--kappa=-inf", "--steps", "0.5"), "KappaBelowFloor"),
+    (("worstcase", "--kappa=-inf", "--steps", "0.5"), "KappaBelowFloor"),
 ])
 def test_kappa_rules_have_one_error_each(capsys, argv, name):
     rc, out, err = run(capsys, *argv)
@@ -598,8 +639,10 @@ def test_fit_r_branch_mismatch_exit_code(capsys):
     ("rate", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
     ("worstcase", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
     ("optstep", "--kappa", "nan"),
-    ("optstep", "--kappa=-inf"),
     ("tightness", "--kappa", "-1", "--delta", "nan", "--steps", "0.5"),
+    ("optstep", "--kappa=inf"),
+    ("rate", "--kappa=inf", "--steps", "0.5"),
+    ("pep", "--kappa=nan", "--steps", "0.5"),
 ])
 def test_non_finite_input_exit_code(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -795,7 +838,7 @@ def _pep_rel_tol(argv):
 
 @st.composite
 def _cli_argv(draw):
-    cmd = draw(st.sampled_from(["rate", "rate --unbounded-below", "optstep theorem",
+    cmd = draw(st.sampled_from(["rate", "optstep theorem",
                                 "optstep asymptotic", "tightness", "worstcase", "pep"]))
     name, _, extra = cmd.partition(" ")
     is_pep = name == "pep"
@@ -879,8 +922,9 @@ def test_pep_large_negative_kappa_meets_the_rate(capsys, kind):
     assert rc == 0 and float(grab(out, "rel_error")) <= 1e-8, out
 
 
-# log-spaced from -1e6 to -1e308, plus the values that used to end in a traceback
-_extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2e16, -1.7e308]
+# log-spaced from -1e6 to -1e308, the values that used to end in a traceback, and -inf
+_extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2e16, -1.7e308,
+                                                                -math.inf]
 
 
 @pytest.mark.parametrize("cmd", [
@@ -892,7 +936,7 @@ _extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2
     ("tightness", "--steps=0.5,1.0"),
 ])
 def test_extreme_kappa_exit_code(cmd):
-    # the closed forms accept every finite kappa <= 0; the construction is
+    # the closed forms accept every kappa in [-inf, 0]; the construction is
     # refused below KAPPA_MIN with a typed error and exit 2
     for kappa in _extreme_kappas:
         argv = [cmd[0], f"--kappa={kappa!r}", *cmd[1:]]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypopep.core import (
     StepSchedule,
     ScaleOverflow,
     TripletSet,
+    ValidationError,
     user_units,
     validate_class,
 )
@@ -55,11 +57,14 @@ def test_user_units_refuses_a_subnormal_answer():
     assert user_units(5e-324, 5e-324, "an entry", 1.0, 1.0) == 5e-324
 
 
-def test_unbounded_below_has_no_kappa():
-    cls = validate_class(0.0, 1.0, unbounded_below=True)
-    assert cls.unbounded_below
-    with pytest.raises(ValueError):
-        cls.kappa
+def test_mu_minus_inf_has_kappa_minus_inf_and_t_zero():
+    # the class with only the upper bound L is one value of the class: t = 1 / (1 - kappa) = 0
+    cls = validate_class(-math.inf, 1.0)
+    assert cls.kappa == -math.inf and cls.t == 0.0
+    with pytest.raises(ValidationError, match="mu must be a number"):  # NaN passes mu < L
+        CurvatureClass(mu=math.nan, L=1.0)
+    with pytest.raises(MuAboveL):
+        CurvatureClass(mu=math.inf, L=1.0)
 
 
 def test_schedule_bounds():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_rejects_degenerate_class():
                                    (0.3, 0.7, 1.0, 0.2)])
 def test_unbounded_below_matches_rate(steps, kind):
     # t = 0: the rows are the descent lemma alone, the kappa -> -inf limit
-    cls = validate_class(0.0, 1.0, unbounded_below=True)
+    cls = validate_class(-math.inf, 1.0)
     p = PepProblem(cls, StepSchedule(steps), 1.0, kind)
     ref = nstep_bound(cls, p.sched, 1.0, kind).bound
     assert abs(solve_pep(p).objective - ref) <= 1e-8 * ref

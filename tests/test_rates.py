@@ -11,7 +11,9 @@ from hypopep.core import (
     CurvatureClass,
     NumeratorKind,
     NumericalFailure,
+    PositiveKappa,
     RateRegime,
+    ScaleOverflow,
     StepSchedule,
     ValidationError,
     validate_class,
@@ -21,7 +23,6 @@ from hypopep.rates import (
     InsufficientData,
     OptimalStepBranch,
     OptimalStepMode,
-    PositiveKappa,
     RootNotBracketed,
     StepAboveThreshold,
     StepOutOfRange,
@@ -163,9 +164,9 @@ def test_kappa_minus_one_specialization(h):
 
 
 def test_nesterov_limit():
-    # the unbounded-below class is t = 0: each per-step p is 2h - h^2 to 1 ulp,
+    # kappa = -inf is t = 0: each per-step p is 2h - h^2 to 1 ulp,
     # and p(h, kappa) reaches it at the most negative double kappa
-    cls = validate_class(0.0, 1.0, unbounded_below=True)
+    cls = validate_class(-math.inf, 1.0)
     rng = random.Random(5)
     steps = tuple(rng.uniform(0.0, 2.0) for _ in range(400)) + (1e-300, 1.0, 1.5, 1.9999999999999998)
     res = nstep_bound(cls, StepSchedule(steps), 1.0, NumeratorKind.gap_to_last)
@@ -177,7 +178,7 @@ def test_nesterov_limit():
 
 def test_unbounded_p_range_check():
     # h_bar is 2 at t = 0, so every step of a schedule in (0, 2) is admissible
-    cls = validate_class(0.0, 1.0, unbounded_below=True)
+    cls = validate_class(-math.inf, 1.0)
     res = nstep_bound(cls, StepSchedule((1.9,)), 1.0, NumeratorKind.gap_to_last)
     assert abs(res.per_step_p[0] - (2 * 1.9 - 1.9**2)) < 1e-15
     with pytest.raises(BadStepSchedule):
@@ -245,8 +246,10 @@ def test_optimal_step_asymptotic_mode():
     res = optimal_step(-0.5, OptimalStepMode.asymptotic)
     assert res.branch == OptimalStepBranch.asymptotic_conjectured
     assert 1.0 < res.h_star < 2.0
-    with pytest.raises(PositiveKappa):
+    # kappa = 0 is not positive: the rule is kappa < 0, as the root is 2 there
+    with pytest.raises(ValidationError, match="asymptotic mode requires kappa < 0") as info:
         optimal_step(0.0, OptimalStepMode.asymptotic)
+    assert not isinstance(info.value, PositiveKappa)
 
 
 @given(st.floats(min_value=-20.0, max_value=-0.15))
@@ -302,6 +305,36 @@ def test_third_regime_bound_and_fit_r_check_kappa_and_delta():
             conjectured_bound_third_regime(1.8, 3, cls, delta, 1.0, opt)
         with pytest.raises(ValidationError, match="delta must be positive"):
             fit_r(cls, 1.8, data, delta=delta)
+
+
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+def test_conjectured_bound_with_an_overflowing_denominator(kind):
+    # at N = 1e308 the linear branch 1 + 2hN overflows too: no finite denominator, no bound
+    with pytest.raises(ScaleOverflow, match="denominator"):
+        conjectured_bound_convex(1.6, 10**308, 1.0, 1.0, kind)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+@pytest.mark.parametrize("kind", list(NumeratorKind))
+def test_steps_just_above_h_bar_fall_in_one_regime(kappa, kind):
+    # h_bar + k ulp has a proven rate or a conjectured bound, never both and never neither
+    cls = validate_class(kappa, 1.0)
+    h = step_threshold(kappa)
+    regimes = []
+    for _ in range(8):
+        h = math.nextafter(h, 2.0)
+        found = []
+        try:
+            found.append(nstep_bound(cls, StepSchedule.constant(h, 3), 1.0, kind).regime)
+        except StepAboveThreshold:
+            pass
+        try:
+            found.append(conjectured_bound_third_regime(h, 3, cls, 1.0, 1.0, kind).regime)
+        except StepOutOfRange:
+            pass
+        assert len(found) == 1, (h, found)
+        regimes += found
+    assert regimes == sorted(regimes, key=[RateRegime.mid, RateRegime.large].index), regimes
 
 
 def test_nstep_bound_labels_the_regime():

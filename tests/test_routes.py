@@ -4,7 +4,7 @@ For κ in [-3, 0), schedules with every h in (0, 1] and N <= 6, the
 closed-form rate is tight. So ``nstep_bound``, the PEP optimum and the
 constructed worst-case function (``verify_tightness``) must agree. The rate
 is also tight for schedules with every h in [1, h̄(κ)] and for the
-unbounded-below class (t = 0) with every h in (0, 1]; there the rate and
+class with mu = -inf (t = 0) with every h in (0, 1]; there the rate and
 the PEP must agree (the construction covers neither). For schedules that
 straddle h = 1 the rate is only an upper bound, so the PEP optimum must not
 exceed it. The draws come from a fixed seed and are derandomized, and the
@@ -120,7 +120,7 @@ def test_rate_and_pep_agree_with_every_step_in_one_to_hbar(draw):
 ))
 def test_rate_and_pep_agree_unbounded_below(draw):
     steps, kind = draw
-    cls = CurvatureClass(mu=0.0, L=1.0, unbounded_below=True)
+    cls = CurvatureClass(mu=-math.inf, L=1.0)
     try:
         pep = _routes(None, steps, kind, cls)[3]
     except ScaleOverflow:  # a subnormal step sum, as in the bounded draws
