@@ -42,7 +42,7 @@ def main():
         for kappa, h in ((-1.0, 1.8), (-0.5, 1.7), (-2.0, 1.9)):
             cls = validate_class(kappa, 1.0)
             data = [(n, pep_opt(cls, h, n)) for n in range(3, 8)]
-            res = fit_r(cls, h, data)
+            res = fit_r(cls, h, data, KIND)
             for n in range(3, 9):
                 opt = pep_opt(cls, h, n) if n == 8 else dict(data)[n]
                 ref = conjectured_bound_third_regime(h, n, cls, 1.0, res.r, KIND).bound

@@ -39,6 +39,7 @@ from .rates import (
     nstep_bound,
     optimal_step,
     step_threshold,
+    third_regime_slope,
 )
 
 
@@ -317,12 +318,13 @@ def cmd_fit_r(args) -> int:
     problem = lambda n: pep.PepProblem(cls, StepSchedule.constant(args.h, n), args.delta, kind)
     _count("--N", hi, least=-math.inf)
     sdpsolver.check_gram_dim(problem(hi).gram_dim)  # the largest PEP, before the first solve
+    third_regime_slope(cls, args.h)  # StepOutOfRange unless h_bar < h < 2, also before it
     values = []
     for n in range(lo, hi + 1):
         sol = pep.solve_pep(problem(n))
         values.append((n, sol.objective))
         print(f"N={n} optimum {_fmt(sol.objective)}")
-    res = fit_r(cls, args.h, values, delta=args.delta)
+    res = fit_r(cls, args.h, values, kind, delta=args.delta)
     print(f"r {_fmt(res.r)}")
     print(f"slope_analytic {_fmt(res.slope_analytic)}")
     print(f"slope_observed {_fmt(res.slope_observed)}")

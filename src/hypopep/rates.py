@@ -9,6 +9,7 @@ anywhere on [0, 1], so every kappa in [-inf, 0] is accepted; at kappa = -inf,
 the class with only the upper bound L, t = 0, p = 2h - h^2 and h_bar = 2.
 Each input rule is checked once, in ``core``: kappa <= 0 by ``rate_class``
 (PositiveKappa), a step in (0, 2) by ``StepSchedule``, delta by ``validate_delta``.
+The third regime's step rule, h_bar < h < 2, is checked once too, by ``third_regime_slope``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ SLOPE_REL_TOL = 0.01  # largest relative gap between fit_r's observed and analyt
 # The one boundary between the rate's regimes and the conjectured third one: a step up to
 # this far (about 4 ulp) above h_bar still counts as h_bar; only a step past it is in the third.
 H_BAR_SLACK = 1e-15
+GEOM_REL_TOL = 1e-6  # fit_r's largest relative gap between D(N) and (1 - h)^(-2N) on that branch
 
 
 def _threshold(t: float) -> float:
@@ -230,6 +232,16 @@ def conjectured_bound_convex(
     return conjectured_bound_third_regime(h, n, CurvatureClass(0.0, L), delta, 1.0, kind)
 
 
+def third_regime_slope(cls: CurvatureClass, h: float) -> float:
+    """Slope in N of the third regime's linear branch at the class's t; StepOutOfRange
+    unless h_bar < h < 2, where the regime is conjectured (up to h_bar, p(h) is proven)."""
+    t = rate_class(cls).t
+    h_bar = _threshold(t)
+    if not (h_bar + H_BAR_SLACK < h < 2.0):
+        raise StepOutOfRange(f"h={h} outside (h_bar={h_bar}, 2)")
+    return _slope(t, h)
+
+
 def conjectured_bound_third_regime(
     h: float,
     n: int,
@@ -238,25 +250,23 @@ def conjectured_bound_third_regime(
     r_value: float,
     kind: NumeratorKind,
 ) -> RateResult:
-    """Conjectured bound for constant steps beyond h_bar(kappa).
+    """Conjectured bound 2 L delta / D for N constant steps h in (h_bar(kappa), 2), with
+    D = min((1 - h)^(-2N), r + N slope), minus 1 for the gap to the last iterate.
 
-    The intercept r of the linear-in-N branch is not known analytically and
-    must be supplied (see ``fit_r``). ScaleOverflow if the denominator is not a finite double.
+    The intercept r, the same for both kinds, is not known analytically and must be
+    supplied (see ``fit_r``). The min rule is loose at small N: with r fitted to
+    gap-to-optimal optima at (kappa, h) = (-1, 1.933), (-0.5, 1.9114) and (-2, 1.9557),
+    the bound is at least the PEP optimum on N = 1..10 and equals it to 5e-9 from N = 4
+    or 5 on, but is up to 89% above it before that (at (-0.5, 1.9114), N = 1, the PEP is
+    2 / geom although lin < geom). ScaleOverflow if the denominator is not a finite double.
     """
     validate_delta(delta)
-    t = rate_class(cls).t
-    h_bar = _threshold(t)
-    if not (h_bar + H_BAR_SLACK < h < 2.0):
-        raise StepOutOfRange(f"h={h} outside (h_bar={h_bar}, 2)")
+    slope = third_regime_slope(cls, h)
     try:
         geom = (1.0 - h) ** (-2 * n)
     except OverflowError:  # past the largest double: the linear branch is the min
         geom = math.inf
-    lin = r_value + n * _slope(t, h)
-    if kind == NumeratorKind.gap_to_optimal:
-        denom = min(geom, lin)
-    else:
-        denom = min(geom - 1.0, lin - 1.0)
+    denom = min(geom, r_value + n * slope) - (kind == NumeratorKind.gap_to_last)
     if not math.isfinite(denom):
         raise ScaleOverflow(f"the third-regime denominator at h={h}, N={n} is {denom!r}")
     return RateResult(
@@ -279,35 +289,28 @@ def fit_r(
     cls: CurvatureClass,
     h: float,
     pep_values: list[tuple[int, float]],
+    kind: NumeratorKind,
     delta: float = 1.0,
 ) -> FitRResult:
-    """Estimate the third-regime intercept r from solved PEP optima.
+    """Estimate the third-regime intercept r from solved PEP optima of ``kind``.
 
-    Each (N, value) pair yields an implied denominator D(N) = 2 (L delta / value),
-    modeled as D(N) = r + N*slope with the slope fixed analytically (ScaleOverflow
-    if L delta is not a finite normal double). Points on the geometric branch (where
-    (1-h)^(-2N) is the smaller denominator at the fitted r) are excluded in a second pass.
+    Each (N, value) pair yields an implied denominator D(N) = 2 (L delta / value), plus 1
+    for the gap to the last iterate, so that r is the same for both kinds (ScaleOverflow
+    if L delta is not a finite normal double). A point is on the geometric branch when
+    D(N) (1 - h)^(2N), which underflows to 0 at large N where its inverse would overflow,
+    is 1 to GEOM_REL_TOL. r is the mean of D(N) - N slope over the other points, the
+    linear ones that ``used_n`` lists, with the slope of ``third_regime_slope``
+    (StepOutOfRange unless h_bar < h < 2); BranchMismatch if they grow at another slope.
     """
     validate_delta(delta)
-    slope = _slope(rate_class(cls).t, h)
+    slope = third_regime_slope(cls, h)
     scale = user_units(cls.L * delta, 1.0, "L delta", cls.L, delta)
-    points = [(int(n), 2.0 * (scale / v)) for n, v in pep_values]
-    if len(points) < 2:
-        raise InsufficientData("need at least 2 PEP optima")
-
-    def fit(pts):
-        return sum(d - n * slope for n, d in pts) / len(pts)
-
-    used = list(points)
-    for _ in range(10):
-        r = fit(used)
-        kept = [(n, d) for n, d in used if (r + n * slope) * (1.0 - h) ** (2 * n) <= 1.0]
-        if len(kept) < 2:
-            raise InsufficientData("fewer than 2 points on the linear-in-N branch")
-        if kept == used:
-            break
-        used = kept
-    r = fit(used)
+    offset = kind == NumeratorKind.gap_to_last
+    points = [(int(n), 2.0 * (scale / v) + offset) for n, v in pep_values]
+    used = [(n, d) for n, d in points if abs(d * (1.0 - h) ** (2 * n) - 1.0) > GEOM_REL_TOL]
+    if len(used) < 2:
+        raise InsufficientData("fewer than 2 PEP optima on the linear-in-N branch")
+    r = sum(d - n * slope for n, d in used) / len(used)
 
     ns = [n for n, _ in used]
     ds = [d for _, d in used]
@@ -323,10 +326,5 @@ def fit_r(
             f"{SLOPE_REL_TOL:.0%}"
         )
     residuals = tuple(d - (r + n * slope) for n, d in used)
-    return FitRResult(
-        r=r,
-        slope_analytic=slope,
-        slope_observed=slope_obs,
-        residuals=residuals,
-        used_n=tuple(ns),
-    )
+    return FitRResult(r=r, slope_analytic=slope, slope_observed=slope_obs,
+                      residuals=residuals, used_n=tuple(ns))

@@ -146,7 +146,7 @@ def test_criterion_8_conjecture_probes():
     for kappa, h in ((-1.0, 1.8), (-0.5, 1.7)):
         cls = validate_class(kappa, 1.0)
         data = [(n, _pep_optimum(kappa, h, n)) for n in range(3, 8)]
-        res = fit_r(cls, h, data)
+        res = fit_r(cls, h, data, NumeratorKind.gap_to_optimal)
         pred = conjectured_bound_third_regime(
             h, 8, cls, 1.0, res.r, NumeratorKind.gap_to_optimal
         ).bound

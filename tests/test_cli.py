@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +79,14 @@ def test_pep_extreme_kappa_and_L_solve(capsys, tmp_path):
     # mu |x_i - x_j|^2 at -8e307 with h = 1.5 and (h / L)^2 at L = 1e-300
     for argv in (("pep", "--kappa=-1.7e308", "--steps", "1"),
                  ("pep", "--kappa=-8e307", "--steps", "1.5"),
-                 ("pep", "--kappa=-1", "--L=1e-300", "--steps", "1.9"),
-                 ("fit-r", "--kappa=-1.7e308", "--h", "1", "--N", "1:2")):
+                 ("pep", "--kappa=-1", "--L=1e-300", "--steps", "1.9")):
         rc, out, err = run(capsys, *argv)
         assert rc == 0 and err == "", (argv, err)
         optima = [float(line.split()[-1]) for line in out.splitlines() if "optimum" in line]
         assert optima and all(math.isfinite(v) and v > 0.0 for v in optima), (argv, out)
+    # h_bar rounds to 2 there, so no step is in the third regime that fit-r fits
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1.7e308", "--h", "1", "--N", "1:2")
+    assert rc == 2 and out == "" and err.startswith("error: StepOutOfRange: "), (out, err)
     out = tmp_path / "k.csv"
     rc, _, _ = run(capsys, "sweep", "--target", "pep", "--kappa=-1.7e308,-1", "--h", "1",
                    "--N", "1", "--out", str(out))
@@ -510,6 +513,17 @@ def test_fit_r_checks_the_size_cap_before_the_first_solve(capsys, monkeypatch):
     assert err == "error: ProblemTooLarge: dense solver limited to gram_dim <= 6, got 8\n"
 
 
+def test_fit_r_checks_h_bar_before_the_first_solve(capsys, monkeypatch):
+    # h_bar(-1) = sqrt(3): h = 1.5 is not in the third regime, so nothing is solved
+    def no_solve(p):
+        raise AssertionError("fit-r solved a PEP")
+
+    monkeypatch.setattr(pep, "solve_pep", no_solve)
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "1.5", "--N", "3:30")
+    assert rc == 2 and out == ""
+    assert err == "error: StepOutOfRange: h=1.5 outside (h_bar=1.7320508075688772, 2)\n"
+
+
 def test_sweep_per_point_errors(capsys, tmp_path):
     out = tmp_path / "e.csv"
     rc, _, _ = run(capsys, "sweep", "--target", "rate", "--kappa", "-1",
@@ -563,9 +577,18 @@ def test_experiment_huber(capsys, tmp_path):
 
 
 def test_fit_r_command(capsys):
-    rc, out, _ = run(capsys, "fit-r", "--kappa", "-1", "--h", "1.8", "--N", "3:6")
-    assert rc == 0
-    assert float(grab(out, "r")) > 0.0
+    # both kinds find the same linear points and, with 1 added to the gap-to-last
+    # denominators, the same intercept; at h = 1.933, N = 3 and 4 are geometric
+    for kappa, h, n_range, used_n in (("-1", "1.8", "3:6", "3,4,5,6"),
+                                      ("-1", "1.933", "3:8", "5,6,7,8"),
+                                      ("-2", "1.9557", "3:7", "5,6,7")):
+        r = {}
+        for kind in ("opt", "last"):
+            rc, out, _ = run(capsys, "fit-r", f"--kappa={kappa}", "--h", h, "--N", n_range,
+                             "--kind", kind)
+            assert rc == 0 and grab(out, "used_N") == used_n, (h, kind, out)
+            r[kind] = float(grab(out, "r"))
+        assert r["opt"] > 0.0 and abs(r["opt"] - r["last"]) <= 1e-7, (h, r)
 
 
 def test_fit_r_prints_nothing_before_a_later_solver_failure(capsys, monkeypatch):
@@ -625,9 +648,15 @@ def test_kappa_rules_have_one_error_each(capsys, argv, name):
     assert err.startswith(f"error: {name}: "), err
 
 
-def test_fit_r_branch_mismatch_exit_code(capsys):
-    # h = 0.5 is below h_bar, so the optima do not grow at the third-regime slope
+def test_fit_r_branch_mismatch_exit_code(capsys, monkeypatch):
+    # h = 0.5 is below h_bar, so it is refused before any solve
     rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "0.5", "--N", "2:5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: StepOutOfRange: h=0.5 outside")
+    # optima whose denominators 1 + N/10 grow at a slope other than the third regime's
+    monkeypatch.setattr(pep, "solve_pep",
+                        lambda p: types.SimpleNamespace(objective=2.0 / (1.0 + 0.1 * p.sched.n)))
+    rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "1.8", "--N", "2:5")
     assert rc == 4
     assert "r " not in out
     assert err.startswith("error: BranchMismatch: observed slope")

@@ -16,7 +16,7 @@ from hypopep.core import (
 )
 from hypopep.interpolation import _dot, check_interpolable, interpolation_slack
 from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
-from hypopep.rates import nstep_bound, one_step_p
+from hypopep.rates import conjectured_bound_third_regime, fit_r, nstep_bound, one_step_p
 from hypopep.sdpsolver import (
     ProblemTooLarge,
     SolveStatus,
@@ -170,6 +170,28 @@ def test_monotone_in_N():
         sol = solve(build_sdp(make(-1.0, [1.0] * n)))
         vals.append(sol.objective)
     assert vals[0] > vals[1] > vals[2]
+
+
+@pytest.mark.parametrize("kappa, h, kind, fit_ns", [
+    # r fitted to all ten optima: the min rule is up to 89% high below the linear points
+    (-1.0, 1.933, NumeratorKind.gap_to_optimal, range(1, 11)),
+    (-0.5, 1.9114, NumeratorKind.gap_to_optimal, range(1, 11)),
+    (-2.0, 1.9557, NumeratorKind.gap_to_optimal, range(1, 11)),
+    # r fitted to gap-to-last optima on N = 3..7 predicts N = 8 to 10
+    (-1.0, 1.8, NumeratorKind.gap_to_last, range(3, 8)),
+])
+def test_third_regime_bound_with_the_fitted_r(kappa, h, kind, fit_ns):
+    # the conjectured bound is never below the PEP optimum on N = 1..10, and
+    # equals it from the first linear point on
+    cls = validate_class(kappa, 1.0)
+    optima = {n: solve_pep(PepProblem(cls, StepSchedule.constant(h, n), 1.0, kind)).objective
+              for n in range(1, 11)}
+    res = fit_r(cls, h, [(n, optima[n]) for n in fit_ns], kind)
+    for n, opt in optima.items():
+        bound = conjectured_bound_third_regime(h, n, cls, 1.0, res.r, kind).bound
+        assert bound >= opt * (1.0 - 1e-8), (n, bound, opt)
+        if n >= res.used_n[0]:
+            assert abs(bound - opt) <= 1e-8 * opt, (n, bound, opt)
 
 
 def test_extract_triplets_feasible_and_consistent():

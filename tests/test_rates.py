@@ -299,12 +299,12 @@ def test_third_regime_bound_and_fit_r_check_kappa_and_delta():
     with pytest.raises(PositiveKappa):  # the bound was -0.42
         conjectured_bound_third_regime(1.6, 3, CurvatureClass(0.5, 1.0), 1.0, 1.0, opt)
     with pytest.raises(PositiveKappa):
-        fit_r(CurvatureClass(0.5, 1.0), 1.8, data)
+        fit_r(CurvatureClass(0.5, 1.0), 1.8, data, opt)
     for delta in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="delta must be positive"):
             conjectured_bound_third_regime(1.8, 3, cls, delta, 1.0, opt)
         with pytest.raises(ValidationError, match="delta must be positive"):
-            fit_r(cls, 1.8, data, delta=delta)
+            fit_r(cls, 1.8, data, opt, delta=delta)
 
 
 @pytest.mark.parametrize("kind", list(NumeratorKind))
@@ -350,30 +350,39 @@ def test_third_regime_bound_requires_large_h():
     cls = validate_class(-1.0, 1.0)
     with pytest.raises(StepOutOfRange):
         conjectured_bound_third_regime(1.5, 3, cls, 1.0, 1.0, NumeratorKind.gap_to_optimal)
+    with pytest.raises(StepOutOfRange):  # on (1, h_bar] the optima lie on the proven rate
+        fit_r(cls, 1.5, [(n, 2.0 / (1.0 + n * _slope(0.5, 1.5))) for n in range(3, 6)],
+              NumeratorKind.gap_to_optimal)
     res = conjectured_bound_third_regime(1.8, 3, cls, 1.0, 0.9, NumeratorKind.gap_to_optimal)
     lin = 0.9 + 3 * _slope(0.5, 1.8)
     assert abs(res.denominator - min((1.0 - 1.8) ** -6, lin)) < 1e-12
 
 
 def test_fit_r_recovers_planted_intercept():
+    # D(N) = min(geom, lin): geom at N = 1, which is dropped, and lin from N = 2 on; at
+    # N = 2000 the point is linear, as (1 - h)^(2N) underflows to 0 without an error
     cls = validate_class(-1.0, 1.0)
     h = 1.8
     slope = _slope(0.5, h)
     r_true = 0.9
-    data = [(n, 2.0 / (r_true + n * slope)) for n in range(3, 8)]
-    res = fit_r(cls, h, data)
-    assert abs(res.r - r_true) < 1e-10
-    assert max(abs(v) for v in res.residuals) < 1e-9
+    ns = [1, 2, 3, 4, 5, 6, 7, 2000]
+    denoms = [(1.0 - h) ** -2] + [r_true + n * slope for n in ns[1:]]
+    for kind in NumeratorKind:
+        data = [(n, 2.0 / (d - (kind == NumeratorKind.gap_to_last))) for n, d in zip(ns, denoms)]
+        res = fit_r(cls, h, data, kind)
+        assert res.used_n == tuple(ns[1:])
+        assert abs(res.r - r_true) < 1e-10
+        assert max(abs(v) for v in res.residuals) < 1e-9
 
 
 def test_fit_r_rejects_wrong_slope():
     cls = validate_class(-1.0, 1.0)
     data = [(n, 2.0 / (0.9 + n * 0.1)) for n in range(3, 8)]
     with pytest.raises(BranchMismatch):
-        fit_r(cls, 1.8, data)
+        fit_r(cls, 1.8, data, NumeratorKind.gap_to_optimal)
 
 
 def test_fit_r_needs_two_points():
     cls = validate_class(-1.0, 1.0)
     with pytest.raises(InsufficientData):
-        fit_r(cls, 1.8, [(3, 0.5)])
+        fit_r(cls, 1.8, [(3, 0.5)], NumeratorKind.gap_to_optimal)
