@@ -24,7 +24,9 @@ interpolation rows are not written out here: ``build_sdp`` evaluates
 ``check_interpolable`` applies to triplets, on the points' Gram
 coefficients, so the row of the ordered pair (i, j) satisfies
 row_ij . (svec(P^T P), f) = unit-scale slack of the triplets (P x_i, P g_i, f_i).
-``extract_triplets`` returns those triplets as the rows of a ``TripletSet``
+``extract_triplets`` takes the whole factor P of the solution's G, with
+``gram_dim`` rows, so its triplets' slacks are the row values
+``verify_solution`` checked, and returns them as the rows of a ``TripletSet``
 once ``check_interpolable`` finds no violation above ``VERIFY_TOL``, the
 tolerance ``verify_solution`` holds the SDP to.
 
@@ -65,8 +67,6 @@ from .sdpsolver import (
     solve,
     verify_solution,
 )
-
-RANK_TOL = 1e-7  # eigenvalues of the Gram matrix kept, relative to the largest
 
 # Largest temporary array, in elements, that build_sdp allocates while it
 # evaluates a block of interpolation rows.
@@ -208,12 +208,14 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     """Recover an interpolable triplet set from a unit-scale solution, as
     ``solve`` or ``solve_pep`` returns it.
 
-    Factors the Gram matrix G = P^T P through an eigendecomposition (small
-    negative eigenvalues are clipped; one below -``VERIFY_TOL`` is
-    IndefiniteGram), maps the points' coefficients through P, checks these
+    Factors the whole Gram matrix G = P^T P through an eigendecomposition
+    (small negative eigenvalues are clipped; one below -``VERIFY_TOL`` is
+    IndefiniteGram), so P has ``p.gram_dim`` rows and the triplets live in
+    that dimension. Maps the points' coefficients through P, checks these
     unit-scale triplets against the interpolation conditions of ``p.cls`` at
-    L = 1 (InterpolationFailure if they are violated by more than
-    ``VERIFY_TOL``) and returns them in user units:
+    L = 1, which re-evaluates the interpolation rows of the solution up to
+    rounding (InterpolationFailure if they are violated by more than
+    ``VERIFY_TOL``), and returns them in user units:
     iterates times sqrt(delta / L), gradients times sqrt(L delta), values
     times delta (ScaleOverflow if an entry is not finite).
     """
@@ -222,18 +224,12 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     if w.min() < -VERIFY_TOL:
         raise IndefiniteGram(f"Gram matrix has eigenvalue {w.min()}")
-    w = np.clip(w, 0.0, None)
-    keep = w > RANK_TOL * max(w.max(), 1.0)
-    rank = int(keep.sum())
-    P = np.zeros((max(rank, 1), G.shape[0]))
-    if rank > 0:
-        P[:rank] = (np.sqrt(w[keep])[:, None] * V[:, keep].T)
+    P = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
 
     vals = np.array([sdp_solution.linear_values[f"f_{i}"] for i in range(len(Gc) - 1)] + [0.0])
     # checked at unit scale, where the slacks are finite: in user units
-    # |x_i - x_j|^2 can overflow a double. P times each point's coefficient
-    # vector as a stack of matrix-vector products: Xc @ P.T would change bits
-    unit = TripletSet((P @ Xc[..., None])[..., 0], (P @ Gc[..., None])[..., 0], vals)
+    # |x_i - x_j|^2 can overflow a double
+    unit = TripletSet(Xc @ P.T, Gc @ P.T, vals)
     violation = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0))
     if violation > VERIFY_TOL:
         raise InterpolationFailure(f"extracted triplets violate interpolation by {violation}")

@@ -258,7 +258,8 @@ def conjectured_bound_third_regime(
     gap-to-optimal optima at (kappa, h) = (-1, 1.933), (-0.5, 1.9114) and (-2, 1.9557),
     the bound is at least the PEP optimum on N = 1..10 and equals it to 5e-9 from N = 4
     or 5 on, but is up to 89% above it before that (at (-0.5, 1.9114), N = 1, the PEP is
-    2 / geom although lin < geom). ScaleOverflow if the denominator is not a finite double.
+    2 / geom although lin < geom). ValidationError if r is not finite or the denominator
+    is not positive (no bound then), ScaleOverflow if it overflows a double.
     """
     validate_delta(delta)
     slope = third_regime_slope(cls, h)
@@ -267,6 +268,8 @@ def conjectured_bound_third_regime(
     except OverflowError:  # past the largest double: the linear branch is the min
         geom = math.inf
     denom = min(geom, r_value + n * slope) - (kind == NumeratorKind.gap_to_last)
+    if not (math.isfinite(r_value) and denom > 0.0):  # min(geom, nan) would be geom
+        raise ValidationError(f"no third-regime bound at r={r_value!r}: denominator {denom!r}")
     if not math.isfinite(denom):
         raise ScaleOverflow(f"the third-regime denominator at h={h}, N={n} is {denom!r}")
     return RateResult(

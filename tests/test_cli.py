@@ -387,6 +387,28 @@ def test_pep_command_matches_analytic(capsys, tmp_path):
     assert len(data["triplets"]) == 3
 
 
+_MID_STEPS = ("1.1062714796819184,1.180541455161994,1.1336032828468796,1.2876944386710392,"
+              "1.039514052471554,1.384822453118566,1.2012593717132247,1.4600315600580442")
+
+
+@pytest.mark.parametrize("argv, dim, exact", [
+    (("--kappa=-0.01", "--steps", "1.6", "--N", "20"), 22, False),
+    (("--kappa=-0.0020934778125878267", "--steps", _MID_STEPS), 10, True),
+])
+def test_emitted_triplets_of_a_verified_optimum_interpolate(capsys, tmp_path, argv, dim, exact):
+    # the triplets are the whole factor of the verified Gram matrix, so they
+    # pass the rows verify_solution passed; a factor truncated to the
+    # eigenvalues above 1e-7 of the largest failed these by 2.3e-4 and 9.8e-6
+    trip = tmp_path / "t.json"
+    rc, out, err = run(capsys, "pep", *argv, "--kind", "opt", "--emit-triplets", str(trip))
+    assert rc == 0 and err == "", err
+    data = json.loads(trip.read_text())
+    assert data["dim"] == dim and len(data["triplets"]) == dim
+    assert ("rel_error" in out) == exact
+    if exact:
+        assert float(grab(out, "rel_error")) <= 1e-8, out
+
+
 @pytest.mark.parametrize("steps, kind, exact", [
     # straddles h = 1 below h_bar(-2) = 1.8228...: the rate is only an upper bound
     ("1.8228756555322951,0.3", "last", False),

@@ -404,13 +404,11 @@ def test_problem_arrays_match_per_row_reference(kappa, kind, steps, L):
 
 
 def recursion_triplets(p, sol):
-    """Triplets from the factor of the unit Gram matrix, with x_0 and the
+    """Triplets from the whole factor of the unit Gram matrix, with x_0 and the
     gradients in user units, and the step recursion x_{i+1} = x_i - (h_i / L) g_i."""
     G = sol.gram
     w, V = np.linalg.eigh(0.5 * (G + G.T))
-    w = np.clip(w, 0.0, None)
-    keep = w > 1e-7 * max(w.max(), 1.0)
-    P = np.sqrt(w[keep])[:, None] * V[:, keep].T
+    P = np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
     N, L, delta = p.sched.n, p.cls.L, p.delta
     opt = p.init_kind == NumeratorKind.gap_to_optimal
     xs = [np.sqrt(delta / L) * P[:, N + 1] if opt else np.zeros(len(P))]

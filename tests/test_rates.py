@@ -314,6 +314,18 @@ def test_conjectured_bound_with_an_overflowing_denominator(kind):
         conjectured_bound_convex(1.6, 10**308, 1.0, 1.0, kind)
 
 
+@pytest.mark.parametrize("r, n, kind", [
+    (0.727185, 1, NumeratorKind.gap_to_last),  # denominator -0.018: the bound was -110.3
+    *[(r, 3, kind) for r in (-5.0, math.nan, math.inf, -math.inf) for kind in NumeratorKind],
+])
+def test_conjectured_bound_refuses_a_meaningless_r(r, n, kind):
+    # a non-finite r, or a denominator that is not positive, gives no bound:
+    # r = -5 gave a negative one, and nan or inf the geometric one (min(geom, nan) is geom)
+    with pytest.raises(ValidationError, match="no third-regime bound") as err:
+        conjectured_bound_third_regime(1.933, n, validate_class(-1.0, 1.0), 1.0, r, kind)
+    assert type(err.value) is ValidationError, err.value
+
+
 @pytest.mark.parametrize("kappa", [0.0, -1.0])
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 def test_steps_just_above_h_bar_fall_in_one_regime(kappa, kind):

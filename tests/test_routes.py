@@ -7,7 +7,9 @@ is also tight for schedules with every h in [1, h̄(κ)] and for the
 class with mu = -inf (t = 0) with every h in (0, 1]; there the rate and
 the PEP must agree (the construction covers neither). For schedules that
 straddle h = 1 the rate is only an upper bound, so the PEP optimum must not
-exceed it. The draws come from a fixed seed and are derandomized, and the
+exceed it. With steps up to 1.95, beyond h̄(κ), no rate is checked, but the
+worst case ``extract_triplets`` builds from each verified PEP optimum must
+interpolate. The draws come from a fixed seed and are derandomized, and the
 example database is off, so every run checks the same cases.
 """
 
@@ -18,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hypopep.core import CurvatureClass, NumeratorKind, ScaleOverflow, StepSchedule
-from hypopep.pep import PepProblem, build_sdp
+from hypopep.pep import PepProblem, SolverFailure, build_sdp, extract_triplets, solve_pep
 from hypopep.rates import nstep_bound, step_threshold
 from hypopep.sdpsolver import SolveStatus, solve, verify_solution
 from hypopep.worstcase import verify_tightness
@@ -149,6 +151,26 @@ def straddling_draws(draw):
 def test_pep_stays_below_the_rate_on_schedules_that_straddle_one(draw):
     kappa, steps, kind = draw
     _assert_pep_agrees(steps, *_routes(kappa, steps, kind)[3], below_only=True)
+
+
+@seed(20220305)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.tuples(
+    st.floats(min_value=-3.0, max_value=0.5),
+    st.lists(st.floats(min_value=0.05, max_value=1.95, exclude_min=True, exclude_max=True),
+             min_size=8, max_size=12),
+    st.sampled_from(list(NumeratorKind)),
+))
+def test_every_verified_optimum_gives_interpolable_triplets(draw):
+    # kappa = -10^u; the triplets are the whole factor of the verified Gram
+    # matrix, so they pass the interpolation rows verify_solution passed
+    u, steps, kind = draw
+    p = PepProblem(CurvatureClass(mu=-(10.0**u), L=1.0), StepSchedule(tuple(steps)), 1.0, kind)
+    try:
+        sol = solve_pep(p)
+    except SolverFailure:
+        return
+    extract_triplets(p, sol)  # InterpolationFailure above VERIFY_TOL
 
 
 @pytest.mark.xfail(strict=True, reason=DEFECT_D)
