@@ -15,9 +15,12 @@ over all ordered pairs, in memory that does not grow with N) and the value
 gap is used up. No gradient method is run. It checks the unit construction,
 L = delta = 1: in user units |x_i - x_j|^2 can overflow a double.
 
-The concave pieces are t h_i U / L wide, t = 1 / (1 - kappa), which nears the
-float spacing of the iterates as kappa falls, so kappa < KAPPA_MIN raises
-KappaBelowFloor (with no floor, the tightness check fails from about -1e14).
+Every kappa in [-inf, 0] is built. The concave pieces are t h_i U / L wide,
+t = 1 / (1 - kappa), and vanish at t = 0, the class with only the upper bound L.
+Each inflection is an offset from the next iterate, and ``eval`` gives a
+breakpoint to the piece that ends there, so each iterate x_i, i < N, is
+evaluated on the curvature-L piece centred at it, however narrow the concave
+piece beside it.
 """
 
 from __future__ import annotations
@@ -45,15 +48,10 @@ from .interpolation import check_interpolable
 from .rates import nstep_bound
 
 
-KAPPA_MIN = -1e8
 SAMPLE_PAD = 0.5  # sample_csv's margin each side, as a share of the iterate span + 1
 
 
 class StepAboveOne(ValidationError):
-    pass
-
-
-class KappaBelowFloor(ValidationError):
     pass
 
 
@@ -96,8 +94,8 @@ class WorstCaseFunction:
         object.__setattr__(self, "breakpoints", tuple(p.hi for p in self.pieces))
 
     def eval(self, x: float) -> tuple[float, float]:
-        """Value and derivative at x by piece lookup."""
-        idx = bisect.bisect_right(self.breakpoints, x)
+        """Value and derivative at x; a breakpoint belongs to the piece that ends there."""
+        idx = bisect.bisect_left(self.breakpoints, x)
         idx = min(idx, len(self.pieces) - 1)
         return self.pieces[idx].eval(float(x))
 
@@ -106,7 +104,7 @@ class WorstCaseFunction:
             {
                 "kind": self.kind.value,
                 "U": self.U,
-                "mu": self.cls.mu,
+                "mu": self.cls.mu if math.isfinite(self.cls.mu) else None,
                 "L": self.cls.L,
                 "delta": self.delta,
                 "steps": list(self.sched.steps),
@@ -141,14 +139,11 @@ def build_worst_case(
     toward the flat tail (gap_to_last) or the global minimizer at the origin (gap_to_optimal).
     ScaleOverflow if the bound or x_0, the largest iterate, is not finite and nonzero.
     """
-    kappa = rate_class(cls).kappa
+    rate_class(cls)
     validate_delta(delta)
     for i, h in enumerate(sched.steps):
         if h > 1.0:
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")
-    if kappa < KAPPA_MIN:
-        raise KappaBelowFloor(f"kappa={kappa} is below {KAPPA_MIN:g}, where the concave "
-                              "pieces near the float spacing of the iterates")
     mu, L = cls.mu, cls.L
     N = sched.n
     res = nstep_bound(cls, sched, delta, kind)
@@ -163,7 +158,7 @@ def build_worst_case(
         xs[i] = xs[i + 1] + (U / L) * sched.steps[i]
     user_units(xs[0], math.sqrt(2.0 / res.denominator) * (sum(sched.steps) + opt), "x_0", L, delta)
     fs = [delta - (U * U / (2.0 * L)) * s for s in accumulate(ps, initial=0.0)]
-    x_bars = [xs[i] - (1.0 - cls.t) * (sched.steps[i] / L) * U for i in range(N)]
+    x_bars = [xs[i + 1] + cls.t * (sched.steps[i] / L) * U for i in range(N)]
 
     pieces = []
     if opt:

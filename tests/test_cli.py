@@ -25,7 +25,6 @@ from hypopep.interpolation import check_interpolable
 from hypopep.pep import IndefiniteGram, InterpolationFailure, PepProblem, build_sdp
 from hypopep.rates import nstep_bound, step_threshold
 from hypopep.sdpsolver import VerificationReport, solve
-from hypopep.worstcase import KAPPA_MIN
 
 
 def run(capsys, *argv):
@@ -480,6 +479,21 @@ def test_worstcase_exports(capsys, tmp_path):
     assert obj["pieces"][0]["lo"] is None and obj["pieces"][-1]["hi"] is None
 
 
+def test_worstcase_json_at_kappa_minus_inf(capsys, tmp_path):
+    # mu = -inf is written as null, and every piece has curvature L
+    json_out = tmp_path / "w.json"
+    rc, out, err = run(capsys, "worstcase", "--kappa=-inf", "--steps", "0.3,0.9,1",
+                       "--json-out", str(json_out))
+    assert rc == 0 and err == "", err
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    obj = json.loads(json_out.read_text(), parse_constant=refuse)
+    assert obj["mu"] is None
+    assert all(p["curvature"] == obj["L"] for p in obj["pieces"]), obj["pieces"]
+
+
 def test_worstcase_negative_samples_writes_nothing(capsys, tmp_path):
     csv_out, json_out = tmp_path / "w.csv", tmp_path / "w.json"
     rc, out, err = run(capsys, "worstcase", "--kappa=-1", "--steps", "0.5", "--csv-out", str(csv_out),
@@ -661,8 +675,6 @@ def test_rate_labels_a_straddling_schedule_mixed(capsys):
     (("optstep", "--kappa=1"), "MuAboveL"),
     (("pep", "--kappa=inf", "--steps", "0.5"), "MuAboveL"),
     (("pep", "--kappa=nan", "--steps", "0.5"), "ValidationError"),
-    (("tightness", "--kappa=-inf", "--steps", "0.5"), "KappaBelowFloor"),
-    (("worstcase", "--kappa=-inf", "--steps", "0.5"), "KappaBelowFloor"),
 ])
 def test_kappa_rules_have_one_error_each(capsys, argv, name):
     rc, out, err = run(capsys, *argv)
@@ -987,16 +999,12 @@ _extreme_kappas = [-(10.0 ** e) for e in range(6, 309, 2)] + [-7.7e7, -5e9, -1.2
     ("tightness", "--steps=0.5,1.0"),
 ])
 def test_extreme_kappa_exit_code(cmd):
-    # the closed forms accept every kappa in [-inf, 0]; the construction is
-    # refused below KAPPA_MIN with a typed error and exit 2
+    # the closed forms and the construction accept every kappa in [-inf, 0]
     for kappa in _extreme_kappas:
         argv = [cmd[0], f"--kappa={kappa!r}", *cmd[1:]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
-        if cmd[0] in ("worstcase", "tightness") and kappa < KAPPA_MIN:
-            assert rc == 2 and err.getvalue().startswith("error: KappaBelowFloor: "), argv
-            continue
         assert rc == 0, (argv, err.getvalue())
         for token in re.split(r"[\s=,]+", out.getvalue()):
             with contextlib.suppress(ValueError):

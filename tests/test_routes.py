@@ -5,7 +5,8 @@ closed-form rate is tight. So ``nstep_bound``, the PEP optimum and the
 constructed worst-case function (``verify_tightness``) must agree. The rate
 is also tight for schedules with every h in [1, h̄(κ)] and for the
 class with mu = -inf (t = 0) with every h in (0, 1]; there the rate and
-the PEP must agree (the construction covers neither). For schedules that
+the PEP must agree, and at mu = -inf the construction must attain the rate
+too (it does not cover [1, h̄]). For schedules that
 straddle h = 1 the rate is only an upper bound, so the PEP optimum must not
 exceed it. With steps up to 1.95, beyond h̄(κ), no rate is checked, but the
 worst case ``extract_triplets`` builds from each verified PEP optimum must
@@ -122,13 +123,16 @@ def test_rate_and_pep_agree_with_every_step_in_one_to_hbar(draw):
 ))
 def test_rate_and_pep_agree_unbounded_below(draw):
     steps, kind = draw
-    cls = CurvatureClass(mu=-math.inf, L=1.0)
     try:
-        pep = _routes(None, steps, kind, cls)[3]
+        cls, sched, bound, pep = _routes(None, steps, kind, CurvatureClass(mu=-math.inf, L=1.0))
     except ScaleOverflow:  # a subnormal step sum, as in the bounded draws
         assert kind == NumeratorKind.gap_to_last and sum(steps) < 1e-300, draw
         return
     _assert_pep_agrees(steps, *pep)
+
+    rep = verify_tightness(cls, sched, 1.0, kind)
+    assert math.isclose(rep.U**2, bound, rel_tol=1e-12)
+    assert rep.passed, rep
 
 
 @st.composite

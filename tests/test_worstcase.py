@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hypopep.core import (
     CurvatureClass,
     NumeratorKind,
     PositiveKappa,
+    ScaleOverflow,
     StepSchedule,
     ValidationError,
     validate_class,
@@ -249,5 +252,38 @@ def test_eval_matches_linear_scan_lookup():
         lo, hi = w.xs[-1] - 1.0, w.xs[0] + 1.0
         points = [*w.xs, *w.x_bars, *(p.hi for p in w.pieces[:-1]), *rng.uniform(lo, hi, 500)]
         for x in points:
-            idx = min(sum(p.hi <= x for p in w.pieces), len(w.pieces) - 1)
+            idx = min(sum(p.hi < x for p in w.pieces), len(w.pieces) - 1)
             assert w.eval(x) == w.pieces[idx].eval(float(x))
+
+
+_log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+@seed(20220306)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(
+    st.one_of(st.just(-math.inf), st.floats(min_value=8.0, max_value=308.0).map(lambda u: -(10.0**u))),
+    st.integers(min_value=1, max_value=200).flatmap(lambda n: st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=n, max_size=n)),
+    st.sampled_from(list(NumeratorKind)),
+    _log_uniform,
+    _log_uniform,
+))
+def test_tight_at_every_kappa_down_to_minus_inf(draw):
+    # the concave pieces are t h U / L wide and vanish as kappa falls; the
+    # construction stays tight to the last bits, and at t = 0 only the
+    # curvature-L pieces remain
+    kappa, steps, kind, L, delta = draw
+    cls, sched = CurvatureClass(mu=kappa * L, L=L), StepSchedule(tuple(steps))
+    try:
+        bound = nstep_bound(cls, sched, delta, kind).bound
+    except ScaleOverflow:  # 2 L delta / D overflows a double for a subnormal step sum
+        assert kind == NumeratorKind.gap_to_last and sum(steps) < 1e-300, draw
+        return
+    rep = verify_tightness(cls, sched, delta, kind)
+    residuals = (rep.iterate_residual, rep.bound_residual, rep.interpolation_violation,
+                 rep.gap_residual)
+    assert rep.passed and max(residuals) <= 1e-15, rep
+    assert math.isclose(rep.U**2, bound, rel_tol=1e-12), (rep.U**2, bound)
+    if cls.mu == -math.inf:
+        assert all(p.curvature == L for p in build_worst_case(cls, sched, delta, kind).pieces)
