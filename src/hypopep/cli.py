@@ -146,26 +146,30 @@ def cmd_optstep(args) -> int:
 
 
 def _reference_bound(p: pep.PepProblem):
-    """Analytic or conjectured reference for a PEP optimum, if one exists: the rate where it
+    """Analytic or conjectured ``RateResult`` for a PEP optimum, if one exists: the rate where it
     is exact, in the regimes ``short`` and ``mid`` (a ``mixed`` schedule's rate is only an upper
     bound, and is not formed, as it could overflow where the optimum does not), or above h_bar
     the convex conjecture for a constant step at kappa = 0."""
     if RateRegime.of(p.sched.steps) == RateRegime.mixed:
         return None
     try:
-        return nstep_bound(p.cls, p.sched, p.delta, p.init_kind).bound
+        return nstep_bound(p.cls, p.sched, p.delta, p.init_kind)
     except StepAboveThreshold:
         h = p.sched.steps[0]
         if p.cls.t != 1.0 or set(p.sched.steps) != {h}:
             return None
-        return conjectured_bound_convex(h, p.sched.n, p.cls.L, p.delta, p.init_kind).bound
+        return conjectured_bound_convex(h, p.sched.n, p.cls.L, p.delta, p.init_kind)
 
 
-def _reference(p: pep.PepProblem, optimum: float) -> dict[str, str]:
-    """The ``reference`` and ``rel_error`` of a PEP optimum, where ``_reference_bound`` has one."""
+def _reference(p: pep.PepProblem, sol) -> dict[str, str]:
+    """The user-unit ``reference`` of a ``solve_pep`` solution, where ``_reference_bound`` has
+    one, and its ``rel_error``, from the unit optimum and the unit bound 2 / D alone."""
     ref = _reference_bound(p)
-    return {} if ref is None else {"reference": _fmt(ref),
-                                   "rel_error": _fmt(abs(optimum - ref) / ref)}
+    if ref is None:
+        return {}
+    unit = 2.0 / ref.denominator
+    rel = abs(sol.linear_values[sdpsolver.OBJECTIVE] - unit) / unit
+    return {"reference": _fmt(ref.bound), "rel_error": _fmt(rel)}
 
 
 def cmd_pep(args) -> int:
@@ -173,7 +177,7 @@ def cmd_pep(args) -> int:
     sol = pep.solve_pep(p)
     ts = pep.extract_triplets(p, sol) if args.emit_triplets else None  # fails before any output
     lines = {"optimum": _fmt(sol.objective), "iterations": sol.iterations}
-    lines.update(_reference(p, sol.objective))
+    lines.update(_reference(p, sol))
     print("\n".join(f"{key} {value}" for key, value in lines.items()))
     if ts is not None:
         with open(args.emit_triplets, "w") as fh:
@@ -275,7 +279,7 @@ def _sweep_point(target, kappa, h, n, L, delta, kind):
         else:
             p = pep.PepProblem(cls, sched, delta, kind)
             sol = pep.solve_pep(p)
-            row.update(optimum=_fmt(sol.objective), **_reference(p, sol.objective))
+            row.update(optimum=_fmt(sol.objective), **_reference(p, sol))
     # per-point failures go to the error column; anything else is a bug
     except (ValidationError, NumericalFailure) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -322,9 +326,9 @@ def cmd_fit_r(args) -> int:
     values = []
     for n in range(lo, hi + 1):
         sol = pep.solve_pep(problem(n))
-        values.append((n, sol.objective))
+        values.append((n, sol.linear_values[sdpsolver.OBJECTIVE]))
         print(f"N={n} optimum {_fmt(sol.objective)}")
-    res = fit_r(cls, args.h, values, kind, delta=args.delta)
+    res = fit_r(cls, args.h, values, kind)
     print(f"r {_fmt(res.r)}")
     print(f"slope_analytic {_fmt(res.slope_analytic)}")
     print(f"slope_observed {_fmt(res.slope_observed)}")

@@ -36,9 +36,7 @@ from .core import (
 
 
 class StepAboveThreshold(ValidationError):
-    def __init__(self, msg, index=None):
-        super().__init__(msg)
-        self.index = index
+    pass
 
 
 class StepOutOfRange(ValidationError):
@@ -122,7 +120,7 @@ def nstep_bound(
         try:
             ps.append(_p(h, t))
         except StepAboveThreshold as exc:
-            raise StepAboveThreshold(f"step index {i}: {exc}", index=i) from exc
+            raise StepAboveThreshold(f"step index {i}: {exc}") from exc
     denom = sum(ps)
     if kind == NumeratorKind.gap_to_optimal:
         denom += 1.0
@@ -293,23 +291,21 @@ def fit_r(
     h: float,
     pep_values: list[tuple[int, float]],
     kind: NumeratorKind,
-    delta: float = 1.0,
 ) -> FitRResult:
-    """Estimate the third-regime intercept r from solved PEP optima of ``kind``.
+    """Estimate the third-regime intercept r from unit-scale PEP optima of ``kind``.
 
-    Each (N, value) pair yields an implied denominator D(N) = 2 (L delta / value), plus 1
-    for the gap to the last iterate, so that r is the same for both kinds (ScaleOverflow
-    if L delta is not a finite normal double). A point is on the geometric branch when
-    D(N) (1 - h)^(2N), which underflows to 0 at large N where its inverse would overflow,
-    is 1 to GEOM_REL_TOL. r is the mean of D(N) - N slope over the other points, the
-    linear ones that ``used_n`` lists, with the slope of ``third_regime_slope``
-    (StepOutOfRange unless h_bar < h < 2); BranchMismatch if they grow at another slope.
+    Each (N, v) pair, v the optimum at L = delta = 1 (a solve's ``linear_values["l"]``), yields
+    an implied denominator D(N) = 2 / v, plus 1 for the gap to the last iterate, so that r is
+    the same for both kinds, and for every L and delta, in which the worst case is homogeneous.
+    A point is on the geometric branch when D(N) (1 - h)^(2N), which underflows to 0 at large
+    N where its inverse would overflow, is 1 to GEOM_REL_TOL. r is the mean of D(N) - N slope
+    over the other points, the linear ones that ``used_n`` lists, with the slope of
+    ``third_regime_slope`` (StepOutOfRange unless h_bar < h < 2); BranchMismatch if they grow
+    at another slope.
     """
-    validate_delta(delta)
     slope = third_regime_slope(cls, h)
-    scale = user_units(cls.L * delta, 1.0, "L delta", cls.L, delta)
     offset = kind == NumeratorKind.gap_to_last
-    points = [(int(n), 2.0 * (scale / v) + offset) for n, v in pep_values]
+    points = [(int(n), 2.0 / v + offset) for n, v in pep_values]
     used = [(n, d) for n, d in points if abs(d * (1.0 - h) ** (2 * n) - 1.0) > GEOM_REL_TOL]
     if len(used) < 2:
         raise InsufficientData("fewer than 2 PEP optima on the linear-in-N branch")

@@ -128,6 +128,10 @@ def printed_numbers(out):
 
 _FAR = ("--L=1e200", "--delta=1e108")  # L delta = 1e308: 2 L delta overflows, L delta does not
 _TINY = ("--L=1e-300", "--delta=1e-300")  # L delta = 1e-600 underflows to 0
+_NEAR = ("--L=3", "--delta=0.7")
+_FIT_R = [("--kappa=-0.25", "--h", "1.7913", "--N", "4:8"),
+          ("--kappa=-1", "--h", "1.866", "--N", "2:6"),
+          ("--kappa=-0.5", "--h", "1.9114", "--N", "3:8")]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -146,6 +150,11 @@ _TINY = ("--L=1e-300", "--delta=1e-300")  # L delta = 1e-600 underflows to 0
     # L delta = 1e-320: the answers would be subnormal, with 3 of their 17 digits
     (2, ("pep", "--kappa=-1", "--steps", "1", "--L=1e-160", "--delta=1e-160")),
     (2, ("rate", "--kappa=-1", "--steps", "1", "--L=1e-160", "--delta=1e-160")),
+    # r and rel_error are formed from unit-scale numbers only, so they print the same at any scale
+    *[(0, ("fit-r", *fit, *scale)) for fit in _FIT_R for scale in (_NEAR, _FAR)],
+    *[(0, (*cmd, "--kappa=-1", "--N", "4", *scale))
+      for cmd in (("pep", "--steps", "0.9"), ("sweep", "--target", "pep", "--h", "0.9"))
+      for scale in (_NEAR, _FAR, ("--L=1e-100", "--delta=7"))],
 ])
 def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
     # every answer leaves unit scale through one check: a finite answer is
@@ -161,12 +170,19 @@ def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
         return
     assert rc == 0 and err == "", err
     assert all(math.isfinite(v) for v in printed_numbers(out)), out
+    unit_out = run(capsys, *argv[:-2])[1]  # the same command at L = delta = 1
     if argv[0] == "pep":
         assert float(grab(out, "rel_error")) <= 1e-8, out
-    if argv[0] == "fit-r":  # the fit reads only ratios of optima: r is the unit one
-        assert grab(out, "r") == grab(run(capsys, *argv[:-2])[1], "r")
+        assert grab(out, "rel_error") == grab(unit_out, "rel_error")
+    if argv[0] == "fit-r":  # the fit reads only unit optima: r is the unit one
+        for key in ("r", "slope_observed", "residuals"):
+            assert grab(out, key) == grab(unit_out, key), key
     if argv[0] == "sweep":
-        assert list(csv.DictReader(io.StringIO(out)))[0]["error"].startswith("ScaleOverflow: ")
+        row, unit_row = (list(csv.DictReader(io.StringIO(o)))[0] for o in (out, unit_out))
+        if argv[-2:] == _TINY:  # the optimum underflows to 0 in user units
+            assert row["error"].startswith("ScaleOverflow: "), row
+        else:
+            assert row["error"] == "" and row["rel_error"] == unit_row["rel_error"], row
 
 
 def check_emitted_triplets(path, steps, L, delta, kappa=-1.0):
@@ -230,7 +246,7 @@ def test_reference_bound_unbounded_below(kind, steps):
     # the reference reads t, which is 0 at mu = -inf
     cls = validate_class(-math.inf, 2.0)
     p = PepProblem(cls, StepSchedule(steps), 1.5, kind)
-    assert cli._reference_bound(p) == nstep_bound(cls, p.sched, 1.5, kind).bound
+    assert cli._reference_bound(p).bound == nstep_bound(cls, p.sched, 1.5, kind).bound
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -688,8 +704,11 @@ def test_fit_r_branch_mismatch_exit_code(capsys, monkeypatch):
     assert rc == 2 and out == ""
     assert err.startswith("error: StepOutOfRange: h=0.5 outside")
     # optima whose denominators 1 + N/10 grow at a slope other than the third regime's
-    monkeypatch.setattr(pep, "solve_pep",
-                        lambda p: types.SimpleNamespace(objective=2.0 / (1.0 + 0.1 * p.sched.n)))
+    def solve_pep(p):
+        v = 2.0 / (1.0 + 0.1 * p.sched.n)
+        return types.SimpleNamespace(objective=v, linear_values={"l": v})
+
+    monkeypatch.setattr(pep, "solve_pep", solve_pep)
     rc, out, err = run(capsys, "fit-r", "--kappa=-1", "--h", "1.8", "--N", "2:5")
     assert rc == 4
     assert "r " not in out

@@ -209,9 +209,8 @@ def test_nstep_bound_matches_manual_sum():
 
 def test_nstep_bound_reports_bad_step_index():
     cls = validate_class(-1.0, 1.0)
-    with pytest.raises(StepAboveThreshold) as err:
+    with pytest.raises(StepAboveThreshold, match="^step index 1: h=1.8 exceeds h_bar="):
         nstep_bound(cls, StepSchedule((0.5, 1.8)), 1.0, NumeratorKind.gap_to_last)
-    assert err.value.index == 1
 
 
 def test_convex_bound_values():
@@ -303,8 +302,6 @@ def test_third_regime_bound_and_fit_r_check_kappa_and_delta():
     for delta in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="delta must be positive"):
             conjectured_bound_third_regime(1.8, 3, cls, delta, 1.0, opt)
-        with pytest.raises(ValidationError, match="delta must be positive"):
-            fit_r(cls, 1.8, data, opt, delta=delta)
 
 
 @pytest.mark.parametrize("kind", list(NumeratorKind))

@@ -10,7 +10,9 @@ too (it does not cover [1, h̄]). For schedules that
 straddle h = 1 the rate is only an upper bound, so the PEP optimum must not
 exceed it. With steps up to 1.95, beyond h̄(κ), no rate is checked, but the
 worst case ``extract_triplets`` builds from each verified PEP optimum must
-interpolate. The draws come from a fixed seed and are derandomized, and the
+interpolate. Beyond h̄, on constant steps, the two kinds' denominators
+D = 2 / v differ by exactly 1; a step above h̄ followed by a short one
+breaks that. The draws come from a fixed seed and are derandomized, and the
 example database is off, so every run checks the same cases.
 """
 
@@ -57,10 +59,15 @@ def _routes(kappa, steps, kind, cls=None):
     cls = cls or CurvatureClass(mu=kappa, L=1.0)
     sched = StepSchedule(tuple(steps))
     bound = nstep_bound(cls, sched, 1.0, kind).bound
+    status, verified, optimum = _solved(cls, sched, kind)
+    return cls, sched, bound, (status, verified, (optimum - bound) / bound)
+
+
+def _solved(cls, sched, kind):
+    """(status, verified, unit optimum) of the PEP, solved without ``solve_pep``'s checks."""
     sdp = build_sdp(PepProblem(cls, sched, 1.0, kind))
     sol = solve(sdp)
-    pep = (sol.status, verify_solution(sdp, sol).all_pass, (sol.objective - bound) / bound)
-    return cls, sched, bound, pep
+    return sol.status, verify_solution(sdp, sol).all_pass, sol.objective
 
 
 def _assert_pep_agrees(steps, status, verified, rel, below_only=False):
@@ -175,6 +182,45 @@ def test_every_verified_optimum_gives_interpolable_triplets(draw):
     except SolverFailure:
         return
     extract_triplets(p, sol)  # InterpolationFailure above VERIFY_TOL
+
+
+def _denominators(cls, steps):
+    """D = 2 / v of both kinds' verified optima, by kind."""
+    d = {}
+    for kind in NumeratorKind:
+        status, verified, optimum = _solved(cls, StepSchedule(tuple(steps)), kind)
+        assert status == SolveStatus.Optimal and verified, (kind, status, verified)
+        d[kind] = 2.0 / optimum
+    return d
+
+
+@seed(20220306)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.tuples(
+    st.one_of(st.none(), st.floats(min_value=-2.0, max_value=1.0)),
+    st.floats(min_value=0.01, max_value=1.0, exclude_max=True),
+    st.integers(min_value=1, max_value=8),
+))
+def test_gap_to_optimal_is_gap_to_last_plus_one_on_constant_steps(draw):
+    # kappa = 0 or -10^u, N <= 8 constant steps h in (h_bar, 1.97): D_opt = D_last + 1,
+    # on which fit_r and conjectured_bound_third_regime give both kinds one r. At kappa = 0
+    # the gap-to-optimal solve is the less accurate one, hence the looser bound there.
+    u, w, n = draw
+    kappa = 0.0 if u is None else -(10.0**u)
+    h_bar = step_threshold(kappa)
+    d = _denominators(CurvatureClass(mu=kappa, L=1.0), [h_bar + w * (1.97 - h_bar)] * n)
+    rel = abs(d[NumeratorKind.gap_to_last] + 1.0 - d[NumeratorKind.gap_to_optimal])
+    rel /= d[NumeratorKind.gap_to_optimal]
+    assert rel <= (3e-7 if kappa == 0.0 else 2e-8), (draw, rel)
+
+
+def test_gap_to_optimal_is_not_gap_to_last_plus_one_after_a_step_above_h_bar():
+    # a step above h_bar, then a short one: the gap-to-optimal optimum, 0.74360656, is 1.6e-4
+    # below 2 / (D_last + 1) = 0.74372678, so it cannot be derived from the gap-to-last PEP
+    # (2 / (D_last + 1) is only its upper bound)
+    d = _denominators(CurvatureClass(mu=-0.5, L=1.0), (1.9, 0.5))
+    derived = 2.0 / (d[NumeratorKind.gap_to_last] + 1.0)
+    assert 2.0 / d[NumeratorKind.gap_to_optimal] <= derived * (1.0 - 1e-4), (d, derived)
 
 
 @pytest.mark.xfail(strict=True, reason=DEFECT_D)
