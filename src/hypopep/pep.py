@@ -230,7 +230,7 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     # checked at unit scale, where the slacks are finite: in user units
     # |x_i - x_j|^2 can overflow a double
     unit = TripletSet(Xc @ P.T, Gc @ P.T, vals)
-    violation = check_interpolable(unit, replace(p.cls, mu=p.cls.mu / p.cls.L, L=1.0))
+    violation = check_interpolable(unit, CurvatureClass(p.cls.kappa, 1.0))
     if violation > VERIFY_TOL:
         raise InterpolationFailure(f"extracted triplets violate interpolation by {violation}")
     L, delta = p.cls.L, p.delta

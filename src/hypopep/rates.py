@@ -22,7 +22,6 @@ from .core import (
     CheckFailure,
     CurvatureClass,
     NumeratorKind,
-    NumericalFailure,
     RateRegime,
     RateResult,
     ScaleOverflow,
@@ -40,10 +39,6 @@ class StepAboveThreshold(ValidationError):
 
 
 class StepOutOfRange(ValidationError):
-    pass
-
-
-class RootNotBracketed(NumericalFailure):
     pass
 
 
@@ -158,28 +153,21 @@ def _optimal_step_root(t: float, w: float) -> float:
         return -4.0 * w + 4.0 * w * (1.0 + w) * u + (1.0 - w - 5.0 * w * w) * u * u \
             - w * (1.0 - 2.0 * w) * u**3
 
-    return 1.0 + solve_bracketed_root(cubic, 0.0, 1.0, tol=2.0**-52)
-
-
-def solve_bracketed_root(func, lo: float, hi: float, tol: float = 1e-14) -> float:
-    """Root of func on [lo, hi] by bisection down to a bracket narrower than
-    tol * max(1, |lo|, |hi|); of its two ends, the one with the smaller |func|.
-    Each end keeps its starting sign, so no sign is read from a product that
-    may underflow."""
-    flo, fhi = func(lo), func(hi)
-    hi_negative = fhi < 0.0
-    if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == hi_negative:
-        raise RootNotBracketed(f"no sign change on [{lo}, {hi}]")
-    while flo != 0.0 and fhi != 0.0 and hi - lo >= tol * max(1.0, abs(lo), abs(hi)):
+    # bisection on [0, 1], which changes sign: cubic(0) = t^2 >= 0 and cubic(1) = -4w <= 0;
+    # each end keeps its sign, so none is read from a product that may underflow. Of the
+    # final bracket's two ends, the root is the one with the smaller |cubic|.
+    lo, hi = 0.0, 1.0
+    flo, fhi = cubic(lo), cubic(hi)
+    while flo != 0.0 and fhi != 0.0 and hi - lo >= 2.0**-52:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles: a tol below the spacing
+        if not lo < mid < hi:  # adjacent doubles
             break
-        fmid = func(mid)
-        if (fmid < 0.0) == hi_negative:
+        fmid = cubic(mid)
+        if fmid < 0.0:
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
+    return 1.0 + (lo if abs(flo) <= abs(fhi) else hi)
 
 
 class OptimalStepBranch(str, Enum):

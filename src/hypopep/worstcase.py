@@ -13,7 +13,8 @@ each gradient step from a constructed iterate lands on the next one, every
 gradient has magnitude U, the triplets interpolate (``check_interpolable``
 over all ordered pairs, in memory that does not grow with N) and the value
 gap is used up. No gradient method is run. It checks the unit construction,
-L = delta = 1: in user units |x_i - x_j|^2 can overflow a double.
+L = delta = 1, which ``build_worst_case`` builds at every (L, delta) and then
+maps: in user units |x_i - x_j|^2 can overflow a double.
 
 Every kappa in [-inf, 0] is built. The concave pieces are t h_i U / L wide,
 t = 1 / (1 - kappa), and vanish at t = 0, the class with only the upper bound L.
@@ -29,7 +30,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -135,9 +136,11 @@ def build_worst_case(
 ) -> WorstCaseFunction:
     """Assemble the tight piecewise-quadratic instance for h_i <= 1.
 
-    The gradient magnitude U is the square root of the rate bound; iterates step right-to-left
-    toward the flat tail (gap_to_last) or the global minimizer at the origin (gap_to_optimal).
-    ScaleOverflow if the bound or x_0, the largest iterate, is not finite and nonzero.
+    It is computed at unit scale, L = delta = 1, where U is the square root of the rate 2 / D;
+    iterates step right-to-left toward the flat tail (gap_to_last) or the global minimizer at
+    the origin (gap_to_optimal). The worst case is homogeneous, so the numbers map to (L, delta)
+    before the pieces are built: x by sqrt(delta / L), f' by sqrt(L delta), f by delta and
+    curvature by L. U and x_0, the largest iterate, leave unit scale by ``core.user_units``.
     """
     rate_class(cls)
     validate_delta(delta)
@@ -146,19 +149,23 @@ def build_worst_case(
             raise StepAboveOne(f"step h_{i}={h} exceeds 1; no construction is known there")
     mu, L = cls.mu, cls.L
     N = sched.n
-    res = nstep_bound(cls, sched, delta, kind)
-    ps = res.per_step_p
-    U = math.sqrt(res.bound)
+    unit = CurvatureClass(cls.kappa, 1.0)
+    res = nstep_bound(unit, sched, 1.0, kind)
+    u = math.sqrt(res.bound)
     opt = kind == NumeratorKind.gap_to_optimal
 
-    # iterates: x_N is 0 (last) or U/L (optimal, one more step to the minimum)
-    base = U / L if opt else 0.0
-    xs = [base] * (N + 1)
+    # unit iterates: x_N is 0 (last) or u (optimal, one more step to the minimum)
+    xs = [u if opt else 0.0] * (N + 1)
     for i in range(N - 1, -1, -1):
-        xs[i] = xs[i + 1] + (U / L) * sched.steps[i]
-    user_units(xs[0], math.sqrt(2.0 / res.denominator) * (sum(sched.steps) + opt), "x_0", L, delta)
-    fs = [delta - (U * U / (2.0 * L)) * s for s in accumulate(ps, initial=0.0)]
-    x_bars = [xs[i + 1] + cls.t * (sched.steps[i] / L) * U for i in range(N)]
+        xs[i] = xs[i + 1] + u * sched.steps[i]
+    x_bars = [xs[i + 1] + unit.t * sched.steps[i] * u for i in range(N)]
+    fs = [1.0 - (u * u / 2.0) * s for s in accumulate(res.per_step_p, initial=0.0)]
+
+    sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
+    U = user_units(sg * u, u, "U", L, delta)
+    user_units(sx * xs[0], xs[0], "x_0", L, delta)
+    xs, x_bars = ([sx * x for x in v] for v in (xs, x_bars))
+    fs = [delta * f for f in fs]
 
     pieces = []
     if opt:
@@ -166,10 +173,8 @@ def build_worst_case(
         pieces.append(Piece(lo=-math.inf, hi=xs[N], curvature=L, center=0.0, slope=0.0, value=0.0))
     else:
         # left cap with minimizer (-U/L, -U^2/(2L)); value 0 and slope U at x_N = 0
-        pieces.append(
-            Piece(lo=-math.inf, hi=xs[N], curvature=L, center=-U / L, slope=0.0,
-                  value=-U * U / (2.0 * L))
-        )
+        pieces.append(Piece(lo=-math.inf, hi=xs[N], curvature=L, center=-sx * u, slope=0.0,
+                            value=delta * (-u * u / 2.0)))
     for i in range(N - 1, -1, -1):
         if x_bars[i] > xs[i + 1]:
             pieces.append(
@@ -230,7 +235,7 @@ def verify_tightness(
     times the unit one, through ``core.user_units``.
     """
     validate_delta(delta)
-    unit = replace(cls, mu=cls.mu / cls.L, L=1.0)
+    unit = CurvatureClass(cls.kappa, 1.0)
     wcf = build_worst_case(unit, sched, 1.0, kind)
     fs, gs = zip(*(wcf.eval(x) for x in wcf.xs))
     it_res = max(

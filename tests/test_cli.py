@@ -143,7 +143,8 @@ _FIT_R = [("--kappa=-0.25", "--h", "1.7913", "--N", "4:8"),
     (2, ("pep", "--kappa=-1", "--steps", "1", *_TINY)),
     (0, ("sweep", "--target", "pep", "--kappa=-1", "--h", "1", "--N", "1", *_TINY)),
     (2, ("rate", "--kappa=-1", "--steps", "1", *_TINY)),
-    (2, ("worstcase", "--kappa=-1", "--steps", "1", *_TINY)),
+    # U = 8.9e-301, the iterates (about 1.79) and the values (at least 4e-301) are normal
+    (0, ("worstcase", "--kappa=-1", "--steps", "1", *_TINY)),
     # x_0 = 3.5 sqrt(delta / L) times the unit one overflows, though U does not
     (2, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "6", "--L=1e-308", "--delta=1e308",
          "--json-out", "w.json")),
@@ -155,6 +156,10 @@ _FIT_R = [("--kappa=-0.25", "--h", "1.7913", "--N", "4:8"),
     *[(0, (*cmd, "--kappa=-1", "--N", "4", *scale))
       for cmd in (("pep", "--steps", "0.9"), ("sweep", "--target", "pep", "--h", "0.9"))
       for scale in (_NEAR, _FAR, ("--L=1e-100", "--delta=7"))],
+    # U = 8.5e199 and the values, at most delta = 1e200, fit a double
+    (0, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "2", "--L=1e200", "--delta=1e200")),
+    # U = sqrt(0.8) 1e-310 is subnormal, with 5 of its 17 digits
+    (2, ("worstcase", "--kappa=-1", "--steps", "1", "--L=1e-310", "--delta=1e-310")),
 ])
 def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
     # every answer leaves unit scale through one check: a finite answer is
@@ -493,6 +498,19 @@ def test_worstcase_exports(capsys, tmp_path):
     obj = json.loads(json_out.read_text(), parse_constant=refuse)
     assert obj["kind"] == "gap_to_optimal"
     assert obj["pieces"][0]["lo"] is None and obj["pieces"][-1]["hi"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [("--L=1", "--delta=1"), ("--L=2", "--delta=2"),
+                                   ("--L=3", "--delta=0.7"), ("--L=1e200", "--delta=1e200"),
+                                   ("--L=1e-300", "--delta=1e-300")])
+def test_worstcase_and_tightness_print_the_same_U(capsys, scale):
+    # both map the one unit construction to (L, delta) at the same exit
+    argv = ("--kappa=-2", *scale, "--steps", "1,0.5,0.75", "--kind", "opt")
+    (rc_w, out_w, _), (rc_t, out_t, _) = (run(capsys, cmd, *argv)
+                                          for cmd in ("worstcase", "tightness"))
+    assert rc_w == rc_t == 0
+    assert grab(out_w, "U") == grab(out_t, "U"), (out_w, out_t)
 
 
 def test_worstcase_json_at_kappa_minus_inf(capsys, tmp_path):

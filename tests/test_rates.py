@@ -10,7 +10,6 @@ from hypopep.core import (
     BadStepSchedule,
     CurvatureClass,
     NumeratorKind,
-    NumericalFailure,
     PositiveKappa,
     RateRegime,
     ScaleOverflow,
@@ -23,7 +22,6 @@ from hypopep.rates import (
     InsufficientData,
     OptimalStepBranch,
     OptimalStepMode,
-    RootNotBracketed,
     StepAboveThreshold,
     StepOutOfRange,
     _slope,
@@ -34,7 +32,6 @@ from hypopep.rates import (
     nstep_bound,
     one_step_p,
     optimal_step,
-    solve_bracketed_root,
     step_threshold,
 )
 
@@ -260,17 +257,6 @@ def test_optimal_step_maximizes_p(kappa):
     eps = 1e-5
     for h in (h_star - eps, min(h_star + eps, h_bar)):
         assert one_step_p(h, kappa) <= p_star + 1e-9
-
-
-def test_solve_bracketed_root():
-    root = solve_bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert abs(root - math.sqrt(2.0)) < 1e-12
-    # a tol below the double spacing stops at adjacent doubles
-    root = solve_bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-30)
-    assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
-    with pytest.raises(RootNotBracketed) as info:
-        solve_bracketed_root(lambda x: x * x + 1.0, 0.0, 2.0)
-    assert isinstance(info.value, NumericalFailure)  # exit 3 in the CLI
 
 
 def test_conjectured_convex_bound_switches_branch():

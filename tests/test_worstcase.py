@@ -29,13 +29,16 @@ def test_reference_U_star():
 
 @pytest.mark.parametrize("kind", list(NumeratorKind))
 def test_U_and_values_come_from_the_rate(kind):
-    # U^2 is the rate bound and f_i spends U^2/(2L) p_j per step, to the bit
+    # the instance at (L, delta) is the unit one mapped, to the bit, and U^2 is the rate bound
     cls, sched, delta = validate_class(-1.3, 2.5), StepSchedule((0.3, 1.0, 0.77, 0.05)), 1.7
-    res = nstep_bound(cls, sched, delta, kind)
     w = build_worst_case(cls, sched, delta, kind)
-    assert w.U == math.sqrt(res.bound)
-    step = w.U * w.U / (2.0 * cls.L)
-    assert w.fs == tuple(delta - step * sum(res.per_step_p[:i]) for i in range(sched.n + 1))
+    unit = build_worst_case(CurvatureClass(cls.kappa, 1.0), sched, 1.0, kind)
+    sx, sg = math.sqrt(delta) / math.sqrt(cls.L), math.sqrt(cls.L) * math.sqrt(delta)
+    assert w.U == sg * unit.U
+    assert w.xs == tuple(sx * x for x in unit.xs)
+    assert w.fs == tuple(delta * f for f in unit.fs)
+    bound = nstep_bound(cls, sched, delta, kind).bound
+    assert abs(w.U * w.U - bound) <= 1e-14 * bound
 
 
 def test_optimal_variant_minimizer_at_origin():
