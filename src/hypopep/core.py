@@ -2,6 +2,9 @@
 
 Oracle triplets (x_i, g_i, f_i) are held as stacked rows in a ``TripletSet``,
 checked once for shape and finiteness; ``OracleTriplet`` is the view of one row.
+
+Every route computes at unit scale, L = delta = 1, and its answers leave it through
+``to_user_units``, the one map to (L, delta) by degree, and its check ``user_units``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class NonFiniteTriplet(ValidationError):
 
 
 class ScaleOverflow(ValidationError):
-    """An answer is not a finite double in user units, or is 0 there but not at unit scale."""
+    """An answer is not finite in user units, or is 0 or subnormal there but not at unit scale."""
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,49 @@ def validate_delta(delta: float) -> None:
         raise ValidationError(f"delta must be positive and finite, got {delta}")
 
 
-def user_units(value: float, unit: float, what: str, L: float, delta: float) -> float:
+def user_units(value, unit, what: str, L: float, delta: float):
     """``value``, the answer ``what`` at (L, delta), ``unit`` at L = delta = 1: every route's one
-    exit from unit scale. ScaleOverflow unless it is a finite double, nonzero where ``unit`` is,
-    and normal (at least ``sys.float_info.min``, so with all its digits) where ``unit`` is."""
-    if not math.isfinite(value) or value == 0.0 != unit or abs(value) < sys.float_info.min <= abs(unit):
-        raise ScaleOverflow(f"{what} at L={L!r}, delta={delta!r} is {value!r} (unit scale {unit!r})")
+    exit from unit scale. Each is a float or an array, and an array is one answer. ScaleOverflow
+    unless every entry is finite and the largest magnitude is nonzero where ``unit``'s is and
+    normal (at least ``sys.float_info.min``, so with all its digits) where ``unit``'s is. A smaller
+    entry may be subnormal, as delta times the rounding noise of an exact 0 can be."""
+    if isinstance(value, float):
+        finite, big, unit_big = math.isfinite(value), abs(value), abs(unit)
+        shown = f"is {value!r} (unit scale {unit!r})"
+    else:
+        import numpy as np
+
+        finite = bool(np.isfinite(value).all())
+        big, unit_big = (float(np.abs(a).max(initial=0.0)) for a in (value, unit))
+        shown = f"reach {big!r} in magnitude (unit scale {unit_big!r})"
+    if not finite or big == 0.0 != unit_big or big < sys.float_info.min <= unit_big:
+        raise ScaleOverflow(f"{what} at L={L!r}, delta={delta!r} {shown}")
     return value
+
+
+# The worst case is homogeneous in (L, delta): an answer of each degree is its unit-scale value
+# times the factor below (Drori & Teboulle 2014).
+_DEGREE_FACTORS = {
+    "x": lambda L, delta: math.sqrt(delta) / math.sqrt(L),   # iterates
+    "g": lambda L, delta: math.sqrt(L) * math.sqrt(delta),   # gradients
+    "f": lambda L, delta: delta,                             # values
+    "g2": lambda L, delta: L * delta,                        # squared gradients
+}
+
+
+def to_user_units(unit, degree: str, what: str, L: float, delta: float):
+    """The unit-scale answer ``unit``, a float or an array-like that is one answer, at (L, delta):
+    times the factor of its ``degree``, then through ``user_units``. A float gives a float, an
+    array-like an ndarray."""
+    factor = _DEGREE_FACTORS[degree](L, delta)
+    if isinstance(unit, float):  # a numpy float too, whose overflow would warn, not give inf
+        return user_units(factor * float(unit), unit, what, L, delta)
+    import numpy as np
+
+    unit = np.asarray(unit, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0 is refused below
+        value = factor * unit
+    return user_units(value, unit, what, L, delta)
 
 
 @dataclass(frozen=True)

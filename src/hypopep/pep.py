@@ -2,10 +2,10 @@
 their Gram-lifted semidefinite programs.
 
 Every PEP is built, solved and checked at unit scale, L = delta = 1, where
-its solution stays: only the optimum and the extracted triplets are mapped to
-(L, delta, kappa, h), by x -> x sqrt(delta / L), g -> g sqrt(L delta),
-f -> f delta, and l -> l L delta. In t = 1 / (1 - kappa) the unit rows'
-coefficients are bounded for every kappa in [-inf, 0]; t = 0 is kappa = -inf.
+its solution stays: only the optimum and the extracted triplets leave it,
+each by its degree through ``core.to_user_units``. In t = 1 / (1 - kappa) the
+unit rows' coefficients are bounded for every kappa in [-inf, 0]; t = 0 is
+kappa = -inf.
 
 The Gram basis holds only the coordinates the rows use. The rows see
 iterates only through differences, so by translation invariance one point
@@ -32,12 +32,11 @@ tolerance ``verify_solution`` holds the SDP to.
 
 ``solve_pep`` is the checked route from a ``PepProblem`` to an optimum: it
 returns only an Optimal solution that passes ``verify_solution``, with its
-objective in user units, or raises ScaleOverflow (``core.user_units``).
+objective in user units, or raises ScaleOverflow (``core.to_user_units``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,12 +45,10 @@ from .core import (
     CheckFailure,
     CurvatureClass,
     NumeratorKind,
-    NonFiniteTriplet,
     NumericalFailure,
-    ScaleOverflow,
     StepSchedule,
     TripletSet,
-    user_units,
+    to_user_units,
     validate_delta,
 )
 from .interpolation import check_interpolable, interpolation_slack
@@ -190,8 +187,8 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     """Build and solve the unit-scale PEP; only an Optimal solution that passes
     ``verify_solution`` (whose absolute floors suit the unit scale) is
     returned, else SolverFailure. The solution is the unit one, which
-    ``extract_triplets`` reads, except ``objective``: L delta times the unit
-    optimum ``linear_values["l"]``, through ``core.user_units``."""
+    ``extract_triplets`` reads, except ``objective``: the unit optimum
+    ``linear_values["l"]``, a squared gradient, through ``core.to_user_units``."""
     sdp = build_sdp(p)
     sol = solve(sdp)
     if sol.status != SolveStatus.Optimal:
@@ -199,8 +196,7 @@ def solve_pep(p: PepProblem) -> SdpSolution:
     report = verify_solution(sdp, sol)
     if not report.all_pass:
         raise SolverFailure("verification failed: " + "; ".join(report.failures))
-    objective = user_units(sol.objective * (p.cls.L * p.delta), sol.objective, "the optimum",
-                           p.cls.L, p.delta)
+    objective = to_user_units(sol.objective, "g2", "the optimum", p.cls.L, p.delta)
     return replace(sol, objective=objective)
 
 
@@ -215,9 +211,8 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     unit-scale triplets against the interpolation conditions of ``p.cls`` at
     L = 1, which re-evaluates the interpolation rows of the solution up to
     rounding (InterpolationFailure if they are violated by more than
-    ``VERIFY_TOL``), and returns them in user units:
-    iterates times sqrt(delta / L), gradients times sqrt(L delta), values
-    times delta (ScaleOverflow if an entry is not finite).
+    ``VERIFY_TOL``), and returns them in user units: X, G and f each leave
+    unit scale through ``core.to_user_units``.
     """
     Gc, Xc = _points(p)
     G = np.asarray(sdp_solution.gram, dtype=float)
@@ -234,9 +229,6 @@ def extract_triplets(p: PepProblem, sdp_solution: SdpSolution) -> TripletSet:
     if violation > VERIFY_TOL:
         raise InterpolationFailure(f"extracted triplets violate interpolation by {violation}")
     L, delta = p.cls.L, p.delta
-    try:  # an overflow, or inf times 0 where sqrt(delta / L) = inf, is ScaleOverflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            return TripletSet(math.sqrt(delta) / math.sqrt(L) * unit.X,
-                              math.sqrt(L) * math.sqrt(delta) * unit.G, delta * vals)
-    except NonFiniteTriplet:
-        raise ScaleOverflow(f"a triplet entry at L={L!r}, delta={delta!r} is not finite") from None
+    return TripletSet(to_user_units(unit.X, "x", "the triplets' iterates", L, delta),
+                      to_user_units(unit.G, "g", "the triplets' gradients", L, delta),
+                      to_user_units(unit.f, "f", "the triplets' values", L, delta))

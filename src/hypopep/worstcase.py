@@ -14,7 +14,8 @@ gradient has magnitude U, the triplets interpolate (``check_interpolable``
 over all ordered pairs, in memory that does not grow with N) and the value
 gap is used up. No gradient method is run. It checks the unit construction,
 L = delta = 1, which ``build_worst_case`` builds at every (L, delta) and then
-maps: in user units |x_i - x_j|^2 can overflow a double.
+maps through ``core.to_user_units``: in user units |x_i - x_j|^2 can overflow
+a double.
 
 Every kappa in [-inf, 0] is built. The concave pieces are t h_i U / L wide,
 t = 1 / (1 - kappa), and vanish at t = 0, the class with only the upper bound L.
@@ -42,14 +43,14 @@ from .core import (
     TripletSet,
     ValidationError,
     rate_class,
-    user_units,
+    to_user_units,
     validate_delta,
 )
 from .interpolation import check_interpolable
 from .rates import nstep_bound
 
 
-SAMPLE_PAD = 0.5  # sample_csv's margin each side, as a share of the iterate span + 1
+SAMPLE_PAD = 0.5  # sample_csv's margin each side, as a share of the iterate span + the unit length
 
 
 class StepAboveOne(ValidationError):
@@ -121,8 +122,9 @@ class WorstCaseFunction:
         """Write a (x, f, grad) sample table spanning the breakpoint range."""
         if num < 0:
             raise ValidationError(f"the sample count must be nonnegative, got {num}")
-        lo = min(self.xs) - SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
-        hi = max(self.xs) + SAMPLE_PAD * (self.xs[0] - self.xs[-1] + 1.0)
+        unit_length = to_user_units(1.0, "x", "the unit length", self.cls.L, self.delta)
+        pad = SAMPLE_PAD * (self.xs[0] - self.xs[-1] + unit_length)
+        lo, hi = min(self.xs) - pad, max(self.xs) + pad
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "f", "grad"])
@@ -138,9 +140,9 @@ def build_worst_case(
 
     It is computed at unit scale, L = delta = 1, where U is the square root of the rate 2 / D;
     iterates step right-to-left toward the flat tail (gap_to_last) or the global minimizer at
-    the origin (gap_to_optimal). The worst case is homogeneous, so the numbers map to (L, delta)
-    before the pieces are built: x by sqrt(delta / L), f' by sqrt(L delta), f by delta and
-    curvature by L. U and x_0, the largest iterate, leave unit scale by ``core.user_units``.
+    the origin (gap_to_optimal). The worst case is homogeneous, so U, the iterates, inflections
+    and values and the left cap leave unit scale through ``core.to_user_units`` before the
+    pieces are built, whose curvatures are the class's mu and L.
     """
     rate_class(cls)
     validate_delta(delta)
@@ -161,20 +163,17 @@ def build_worst_case(
     x_bars = [xs[i + 1] + unit.t * sched.steps[i] * u for i in range(N)]
     fs = [1.0 - (u * u / 2.0) * s for s in accumulate(res.per_step_p, initial=0.0)]
 
-    sx, sg = math.sqrt(delta) / math.sqrt(L), math.sqrt(L) * math.sqrt(delta)
-    U = user_units(sg * u, u, "U", L, delta)
-    user_units(sx * xs[0], xs[0], "x_0", L, delta)
-    xs, x_bars = ([sx * x for x in v] for v in (xs, x_bars))
-    fs = [delta * f for f in fs]
+    # the left cap's minimizer: the origin (optimal), or (-u, -u^2/2), so that the cap has value
+    # 0 and slope u at x_N = 0 (last)
+    cap_x, cap_f = (0.0, 0.0) if opt else (-u, -u * u / 2.0)
 
-    pieces = []
-    if opt:
-        # left cap with minimizer (0, 0)
-        pieces.append(Piece(lo=-math.inf, hi=xs[N], curvature=L, center=0.0, slope=0.0, value=0.0))
-    else:
-        # left cap with minimizer (-U/L, -U^2/(2L)); value 0 and slope U at x_N = 0
-        pieces.append(Piece(lo=-math.inf, hi=xs[N], curvature=L, center=-sx * u, slope=0.0,
-                            value=delta * (-u * u / 2.0)))
+    # each degree is one answer: every x of the instance, then every value
+    U = to_user_units(u, "g", "U", L, delta)
+    X = to_user_units([*xs, *x_bars, cap_x], "x", "the x coordinates", L, delta).tolist()
+    F = to_user_units([*fs, cap_f], "f", "the values", L, delta).tolist()
+    xs, x_bars, cap_x, fs, cap_f = X[: N + 1], X[N + 1 : -1], X[-1], F[:-1], F[-1]
+
+    pieces = [Piece(lo=-math.inf, hi=xs[N], curvature=L, center=cap_x, slope=0.0, value=cap_f)]
     for i in range(N - 1, -1, -1):
         if x_bars[i] > xs[i + 1]:
             pieces.append(
@@ -231,8 +230,8 @@ def verify_tightness(
     full value gap 1 is consumed. A gradient run from x_0 visits exactly
     these iterates iff every single step does, so (a) states tightness
     without following a float run that amplifies rounding by |1 - h kappa|
-    per step on a concave piece. U is reported in user units, sqrt(L delta)
-    times the unit one, through ``core.user_units``.
+    per step on a concave piece. U is reported in user units, through
+    ``core.to_user_units``.
     """
     validate_delta(delta)
     unit = CurvatureClass(cls.kappa, 1.0)
@@ -247,7 +246,7 @@ def verify_tightness(
     X, G, F = np.array([v + ((0.0,) if opt else ()) for v in (wcf.xs, gs, fs)])
     violation = check_interpolable(TripletSet(X[:, None], G[:, None], F), unit)
     gap_res = abs((fs[0] if opt else fs[0] - fs[-1]) - 1.0)
-    U = user_units(math.sqrt(cls.L) * math.sqrt(delta) * wcf.U, wcf.U, "U", cls.L, delta)
+    U = to_user_units(wcf.U, "g", "U", cls.L, delta)
     return TightnessReport(
         passed=all(r <= tol for r in (it_res, bound_res, violation, gap_res)),
         iterate_residual=it_res,

@@ -160,6 +160,15 @@ _FIT_R = [("--kappa=-0.25", "--h", "1.7913", "--N", "4:8"),
     (0, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "2", "--L=1e200", "--delta=1e200")),
     # U = sqrt(0.8) 1e-310 is subnormal, with 5 of its 17 digits
     (2, ("worstcase", "--kappa=-1", "--steps", "1", "--L=1e-310", "--delta=1e-310")),
+    # the values, f_0 = delta = 1e-310 the largest, would be subnormal, though U is not
+    (2, ("worstcase", "--kappa=-1", "--steps", "1,0.5", "--L=1e300", "--delta=1e-310",
+         "--json-out", "w.json")),
+    (2, ("pep", "--kappa=-1", "--steps", "1,0.5", "--L=1e300", "--delta=1e-310",
+         "--emit-triplets", "t.json")),
+    # the largest value, delta = 3e-308, is normal; the last one is delta times the unit rounding
+    # noise of an exact 0, and a subnormal there is no lost digit
+    (0, ("worstcase", "--kappa=-1", "--steps", "0.5", "--N", "3", "--kind", "last",
+         "--L=1", "--delta=3e-308")),
 ])
 def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
     # every answer leaves unit scale through one check: a finite answer is
@@ -188,6 +197,27 @@ def test_answers_far_from_unit_scale(capsys, tmp_path, monkeypatch, code, argv):
             assert row["error"].startswith("ScaleOverflow: "), row
         else:
             assert row["error"] == "" and row["rel_error"] == unit_row["rel_error"], row
+
+
+@pytest.mark.parametrize("scale", [("--L=1e200", "--delta=1e-200"), _NEAR])
+def test_worstcase_csv_window_is_the_unit_window(capsys, tmp_path, monkeypatch, scale):
+    # the sample pad is a share of the iterate span plus the unit length mapped as an x, so
+    # the CSV puts as many rows between x_N and x_0 as the unit run does
+    monkeypatch.chdir(tmp_path)
+
+    def rows_between(*argv):
+        rc, out, err = run(capsys, "worstcase", "--kappa=-1", "--steps", "0.5", "--N", "2",
+                           *argv, "--csv-out", "w.csv")
+        assert rc == 0 and err == "", err
+        xs = [float(v) for v in grab(out, "iterates").split(",")]
+        with open("w.csv", newline="") as fh:
+            sample = [float(row["x"]) for row in csv.DictReader(fh)]
+        assert len(sample) == 400
+        return sum(xs[-1] <= x <= xs[0] for x in sample)
+
+    unit = rows_between()
+    assert unit == 126
+    assert abs(rows_between(*scale) - unit) <= 1
 
 
 def check_emitted_triplets(path, steps, L, delta, kappa=-1.0):

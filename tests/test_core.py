@@ -18,6 +18,7 @@ from hypopep.core import (
     ScaleOverflow,
     TripletSet,
     ValidationError,
+    to_user_units,
     user_units,
     validate_class,
 )
@@ -55,6 +56,39 @@ def test_user_units_refuses_a_subnormal_answer():
         user_units(0.0, 0.8, "the optimum", 1e-300, 1e-300)
     assert user_units(2.2250738585072014e-308, 0.8, "the optimum", 1e-154, 1e-154) > 0.0
     assert user_units(5e-324, 5e-324, "an entry", 1.0, 1.0) == 5e-324
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_user_units_takes_an_array_as_one_answer():
+    unit = np.array([1.0, -0.5, 2.2e-16])
+    # refused where the largest entry is subnormal or 0 and the unit's largest is not
+    with pytest.raises(ScaleOverflow):
+        to_user_units(unit, "f", "the values", 1e300, 1e-310)
+    with pytest.raises(ScaleOverflow):
+        user_units(np.zeros(3), unit, "the values", 1.0, 1.0)
+    # refused where any entry is not finite: an overflow, or inf times a unit 0
+    with pytest.raises(ScaleOverflow):
+        to_user_units(unit, "g2", "the values", 1e300, 1e300)
+    with pytest.raises(ScaleOverflow):
+        to_user_units([1.0, 0.0], "x", "the iterates", 5e-324, 1.7e308)
+    with pytest.raises(ScaleOverflow):
+        user_units(np.array([1.0, np.nan]), np.array([1.0, 2.0]), "the values", 1.0, 1.0)
+    # accepted where a subnormal entry is not the largest: delta times an exact 0's rounding noise
+    values = to_user_units(unit, "f", "the values", 1.0, 3e-308)
+    assert values[2] < 2.2250738585072014e-308 and (values == 3e-308 * unit).all()
+    assert (user_units(np.zeros(2), np.zeros(2), "the values", 1.0, 1.0) == 0.0).all()
+
+
+@pytest.mark.parametrize("L, delta", [(1.0, 1.0), (3.0, 0.7), (1e200, 1e-200), (1e-200, 1e200)])
+def test_each_degree_maps_by_its_hand_written_factor(L, delta):
+    unit = np.array([1.0, -0.3, 1.7])
+    for degree, factor in (("x", math.sqrt(delta) / math.sqrt(L)),
+                           ("g", math.sqrt(L) * math.sqrt(delta)),
+                           ("f", delta),
+                           ("g2", L * delta)):
+        assert to_user_units(1.0, degree, degree, L, delta) == factor
+        assert to_user_units(0.8, degree, degree, L, delta) == factor * 0.8
+        assert (to_user_units(unit, degree, degree, L, delta) == factor * unit).all()
 
 
 def test_mu_minus_inf_has_kappa_minus_inf_and_t_zero():

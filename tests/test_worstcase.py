@@ -36,7 +36,10 @@ def test_U_and_values_come_from_the_rate(kind):
     sx, sg = math.sqrt(delta) / math.sqrt(cls.L), math.sqrt(cls.L) * math.sqrt(delta)
     assert w.U == sg * unit.U
     assert w.xs == tuple(sx * x for x in unit.xs)
+    assert w.x_bars == tuple(sx * x for x in unit.x_bars)
     assert w.fs == tuple(delta * f for f in unit.fs)
+    cap, unit_cap = w.pieces[0], unit.pieces[0]  # the left cap
+    assert (cap.center, cap.value) == (sx * unit_cap.center, delta * unit_cap.value)
     bound = nstep_bound(cls, sched, delta, kind).bound
     assert abs(w.U * w.U - bound) <= 1e-14 * bound
 
